@@ -5,7 +5,9 @@
     lockhound gen 7 --wrappers -o prog.mc
 
 Exit codes for analyze: 0 proved deadlock-free, 1 potential deadlocks
-reported, 2 input/usage errors or an inconclusive run.
+reported, 2 input/usage errors, internal errors or an inconclusive run.
+Every subcommand exits 2 on an internal error, so a crash never reads as a
+verdict.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ def _fmt_lockset(ls) -> str:
 
 
 def _dumps(a: Analysis, args) -> None:
+    if a.locks is None:
+        return  # a fixpoint diverged: there is nothing to dump
     icfa = a.icfa
     if args.dump_places:
         print("# flow-sensitive places")
@@ -235,7 +239,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as ex:
+        print(f"error: internal error: {type(ex).__name__}: {ex}",
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

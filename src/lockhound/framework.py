@@ -3,7 +3,7 @@
 States are pairs of a function-pointer map (tracking which functions a
 pointer parameter can start as a thread) and a client state. The framework
 walks the automaton forward from main's entry, maintaining one state per
-place; client analyses plug in bottom/initial/join/transfer.
+place; client analyses plug in initial/join/transfer.
 
 Two solvers are provided: solve_fs explores flow-sensitive places (call-site
 chains ending at the current location) and solve_fi explores flow-insensitive
@@ -22,8 +22,8 @@ from typing import Any, Protocol
 
 from .errors import DivergedError
 from .frontend.icfa import (
-    ICFA, AssignOp, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, GuardOp,
-    Op, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+    ICFA, AssignOp, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op,
+    ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
 )
 from .frontend.syntax import FuncRef, VarRef, is_fnptr
 from .places import Place, PlaceMap, top
@@ -40,8 +40,6 @@ FpMap = dict  # var name -> function name | DIRTY
 
 
 class ClientAnalysis(Protocol):
-    def bottom(self) -> Any: ...
-
     def initial(self) -> Any: ...
 
     def join(self, a: Any, b: Any) -> Any: ...
@@ -154,9 +152,6 @@ class SolveResult:
     places: PlaceMap
     states: dict[int, tuple[FpMap, Any]]
     steps: int
-
-    def state_of(self, place_id: int) -> tuple[FpMap, Any] | None:
-        return self.states.get(place_id)
 
 
 def solve_fs(icfa: ICFA, client: ClientAnalysis, places: PlaceMap | None = None,

@@ -16,12 +16,12 @@ so state exploration can skip the infeasible return edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
-    IntLit, JoinStmt, LockStmt, PointerType, Program, Return, ExitJump, Stmt,
-    Type, UnlockStmt, VarRef, While, expr_text,
+    JoinStmt, LockStmt, PointerType, Program, Return, ExitJump, Stmt,
+    UnlockStmt, While, expr_text,
 )
 from .transform import address_taken_functions
 from ..errors import MissingMainError
@@ -249,10 +249,6 @@ class ICFA:
             if isinstance(e.op, CreateOp):
                 return e.op
         raise KeyError(f"location {loc} is not a create site")
-
-    def join_edges_in(self, fname: str) -> list[Edge]:
-        return [e for e in self.edges
-                if isinstance(e.op, JoinOp) and self.func_of(e.src) == fname]
 
     def thread_entry_sources(self) -> set[int]:
         return {e.src for e in self.edges if isinstance(e.op, ThreadEntryOp)}

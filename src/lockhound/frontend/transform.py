@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .syntax import (
     INT, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function,
-    If, IntLit, JoinStmt, PointerType, Program, Return, ExitJump, Stmt, VarRef, While,
+    If, JoinStmt, PointerType, Program, Return, ExitJump, Stmt, VarRef, While,
 )
 
 

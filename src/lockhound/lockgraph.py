@@ -53,61 +53,34 @@ def build_lock_graph(icfa: ICFA, locks: LocksetResults,
                     if key not in seen:
                         seen.add(key)
                         out.append(LockEdge(l1, p, l2, e.line))
-    out.sort(key=lambda e: (e.line, e.place, _node_key(e.held),
-                            _node_key(e.acquired)))
+    out.sort(key=lambda e: (e.line, e.place, obj_label(e.held),
+                            obj_label(e.acquired)))
     return out
 
 
 # ------------------------------------------------------------------ closure
 
 
-def edge_locks(edges) -> set:
-    """Concrete locks mentioned by an edge set."""
-    out = set()
-    for (a, _, b) in edges:
-        if a is not STAR:
-            out.add(a)
-        if b is not STAR:
-            out.add(b)
-    return out
-
-
-def cl(edges: frozenset) -> frozenset:
-    """Close a set of (l1, p, l2) triples over STAR aliasing.
-
-    Each STAR endpoint additionally stands for every concrete lock of the
-    set. One pass is enough: the result mentions no new locks, so closing
-    again adds nothing.
-    """
-    locks = edge_locks(edges)
-    out = set(edges)
-    for (a, p, b) in edges:
-        heads = locks | {STAR} if a is STAR else {a}
-        tails = locks | {STAR} if b is STAR else {b}
-        for a2 in heads:
-            for b2 in tails:
-                out.add((a2, p, b2))
-    return frozenset(out)
-
-
 def close_lock_edges(edges: list[LockEdge]) -> list[LockEdge]:
     """Apply the STAR closure to built edges, keeping place and line intact.
 
-    Cycle enumeration must run on the closed graph: an unresolved acquisition
-    such as (m1, p, STAR) only meets a concrete edge (m2, q, m1) once the
-    closure has spelled out (m1, p, m2).
+    Each STAR endpoint additionally stands for every concrete lock of the
+    set. One pass is enough: the result mentions no new locks, so closing
+    again adds nothing. Cycle enumeration must run on the closed graph: an
+    unresolved acquisition such as (m1, p, STAR) only meets a concrete edge
+    (m2, q, m1) once the closure has spelled out (m1, p, m2).
     """
     locks = sorted({e.held for e in edges if e.held is not STAR}
                    | {e.acquired for e in edges if e.acquired is not STAR},
                    key=obj_label)
     out = list(edges)
-    seen = {(_node_key(e.held), e.place, _node_key(e.acquired)) for e in edges}
+    seen = {(obj_label(e.held), e.place, obj_label(e.acquired)) for e in edges}
     for e in edges:
         heads = locks + [STAR] if e.held is STAR else [e.held]
         tails = locks + [STAR] if e.acquired is STAR else [e.acquired]
         for a in heads:
             for b in tails:
-                key = (_node_key(a), e.place, _node_key(b))
+                key = (obj_label(a), e.place, obj_label(b))
                 if key not in seen:
                     seen.add(key)
                     out.append(LockEdge(a, e.place, b, e.line))
@@ -139,10 +112,6 @@ class CycleSearch:
     combos_seen: int = 0
 
 
-def _node_key(n) -> str:
-    return obj_label(n)
-
-
 def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     """All elementary cycles over >= 2 locks, expanded to edge combinations.
 
@@ -152,7 +121,7 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     g = nx.DiGraph()
     parallel: dict[tuple, list[LockEdge]] = {}
     for e in edges:
-        hk, ak = _node_key(e.held), _node_key(e.acquired)
+        hk, ak = obj_label(e.held), obj_label(e.acquired)
         g.add_edge(hk, ak)
         parallel.setdefault((hk, ak), []).append(e)
     for es in parallel.values():
@@ -183,31 +152,17 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
 # ------------------------------------------------------------- concurrency
 
 
-def pair_concurrent(nc: NonConcurrency, p1: Place, p2: Place) -> tuple[bool, str | None]:
-    """May two lock-graph places overlap in time? (answer, pruning reason)."""
-    reason = nc.check(p1, p2)
-    return reason is None, reason
-
-
 def filter_cycles(search: CycleSearch, nc: NonConcurrency | None) -> None:
     """Mark pruned cycles in place; nc=None keeps every candidate."""
+    if nc is None:
+        return
     for cyc in search.cycles:
-        if nc is None:
-            continue
         for e1, e2 in itertools.combinations(cyc.edges, 2):
-            ok, reason = pair_concurrent(nc, e1.place, e2.place)
-            if not ok:
+            reason = nc.check(e1.place, e2.place)
+            if reason is not None:
                 cyc.pruned_by = reason
                 cyc.failed_pair = (e1.place, e2.place)
                 break
-
-
-def find_deadlocks(icfa: ICFA, locks: LocksetResults, pt: PointsToResult,
-                   nc: NonConcurrency | None, cap: int = 2000) -> tuple[list[LockEdge], CycleSearch]:
-    edges = build_lock_graph(icfa, locks, pt)
-    search = enumerate_cycles(close_lock_edges(edges), cap=cap)
-    filter_cycles(search, nc)
-    return edges, search
 
 
 # ------------------------------------------------------------------- output
@@ -215,13 +170,13 @@ def find_deadlocks(icfa: ICFA, locks: LocksetResults, pt: PointsToResult,
 
 def lockgraph_dot(edges: list[LockEdge]) -> str:
     lines = ["digraph lockgraph {", "  node [shape=box, fontsize=10];"]
-    nodes = sorted({_node_key(e.held) for e in edges}
-                   | {_node_key(e.acquired) for e in edges})
+    nodes = sorted({obj_label(e.held) for e in edges}
+                   | {obj_label(e.acquired) for e in edges})
     for n in nodes:
         shape = ', style=dashed' if n == "*" else ""
         lines.append(f'  "{n}" [label="{n}"{shape}];')
-    for e in sorted(edges, key=lambda e: (_node_key(e.held), _node_key(e.acquired), e.line)):
-        lines.append(f'  "{_node_key(e.held)}" -> "{_node_key(e.acquired)}"'
+    for e in sorted(edges, key=lambda e: (obj_label(e.held), obj_label(e.acquired), e.line)):
+        lines.append(f'  "{obj_label(e.held)}" -> "{obj_label(e.acquired)}"'
                      f' [label="line {e.line}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

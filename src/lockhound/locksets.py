@@ -25,9 +25,6 @@ class MayLockset:
         self.vs_queries = 0
         self.precise_queries = 0
 
-    def bottom(self) -> frozenset:
-        return frozenset()
-
     def initial(self) -> frozenset:
         return frozenset()
 
@@ -67,9 +64,6 @@ class MustLockset:
         self.pt = pt
         self.self_locks: list[SelfLockReport] = []
         self._seen_self: set = set()
-
-    def bottom(self) -> frozenset:
-        return frozenset()
 
     def initial(self) -> frozenset:
         return frozenset()

@@ -14,11 +14,11 @@ every execution, "concurrent" just means we could not prove otherwise.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import networkx as nx
 
-from .frontend.icfa import (
-    ICFA, CreateOp, Edge, FuncEntryOp, JoinOp, ThreadEntryOp,
-)
+from .frontend.icfa import ICFA, Edge, FuncEntryOp, JoinOp, ThreadEntryOp
 from .locksets import LocksetResults
 from .places import MAIN_THREAD, Place, common_prefix_len, get_thread, \
     multiple_thread_guard
@@ -44,8 +44,7 @@ class GraphFacts:
             if not isinstance(e.op, ThreadEntryOp):
                 self.succ[e.src].append(e.tgt)
         self._reach: dict[int, set[int]] = {}
-        self._dom: dict[int, dict[int, frozenset]] = {}
-        self._loop: dict[int, bool] | None = None
+        self._idom: dict[int, dict[int, int]] = {}
 
     def reach(self, a: int) -> set[int]:
         got = self._reach.get(a)
@@ -64,39 +63,13 @@ class GraphFacts:
     def has_path(self, a: int, b: int) -> bool:
         return b in self.reach(a)
 
-    def _dominators(self, root: int) -> dict[int, frozenset]:
-        got = self._dom.get(root)
-        if got is not None:
-            return got
-        nodes = self.reach(root)
-        preds: dict[int, list[int]] = {n: [] for n in nodes}
-        order = [root]
-        seen = {root}
-        for n in order:
-            for m in self.succ[n]:
-                if m in nodes:
-                    preds[m].append(n)
-                    if m not in seen:
-                        seen.add(m)
-                        order.append(m)
-        full = frozenset(nodes)
-        dom = {n: full for n in nodes}
-        dom[root] = frozenset([root])
-        changed = True
-        while changed:
-            changed = False
-            for n in order:
-                if n == root:
-                    continue
-                ds = full
-                for p in preds[n]:
-                    ds = ds & dom[p]
-                ds = ds | {n}
-                if ds != dom[n]:
-                    dom[n] = ds
-                    changed = True
-        self._dom[root] = dom
-        return dom
+    @cached_property
+    def digraph(self) -> nx.DiGraph:
+        g = nx.DiGraph()
+        g.add_nodes_from(self.succ)
+        for n, ms in self.succ.items():
+            g.add_edges_from((n, m) for m in ms)
+        return g
 
     def on_all_paths(self, a: int, b: int, c: int) -> bool:
         """Every path a ->* c visits b, and b is actually ahead of a."""
@@ -104,7 +77,13 @@ class GraphFacts:
             return False
         if not self.has_path(a, c):
             return True  # no such path: either vacuous or the joiner blocks
-        return b in self._dominators(a)[c]
+        idom = self._idom.get(a)
+        if idom is None:
+            # the result leaves out the start node itself
+            self._idom[a] = idom = nx.immediate_dominators(self.digraph, a)
+        while c != b and c != a:
+            c = idom[c]
+        return c == b
 
     def on_all_cycles(self, a: int, b: int) -> bool:
         """Every cycle through a visits b."""
@@ -122,33 +101,34 @@ class GraphFacts:
             stack.extend(self.succ[n])
         return True
 
+    @cached_property
+    def _loop(self) -> dict[int, bool]:
+        g = self.digraph
+        loop: dict[int, bool] = {}
+        for comp in nx.strongly_connected_components(g):
+            big = len(comp) > 1
+            for n in comp:
+                loop[n] = big or g.has_edge(n, n)
+        return loop
+
     def in_loop(self, a: int) -> bool:
-        if self._loop is None:
-            g = nx.DiGraph()
-            g.add_nodes_from(self.succ)
-            for n, ms in self.succ.items():
-                g.add_edges_from((n, m) for m in ms)
-            loop: dict[int, bool] = {}
-            for comp in nx.strongly_connected_components(g):
-                big = len(comp) > 1
-                for n in comp:
-                    loop[n] = big or g.has_edge(n, n)
-            self._loop = loop
         return self._loop[a]
 
 
 class NonConcurrency:
-    def __init__(self, icfa: ICFA, locks: LocksetResults, pt: PointsToResult,
-                 graph: GraphFacts | None = None):
+    def __init__(self, icfa: ICFA, locks: LocksetResults, pt: PointsToResult):
         self.icfa = icfa
         self.locks = locks
         self.pt = pt
-        self.graph = graph if graph is not None else GraphFacts(icfa)
+        self.graph = GraphFacts(icfa)
         self.creates = icfa.thread_entry_sources()
         self._calls_in: dict[str, list[Edge]] = {}
+        self._joins_in: dict[str, list[Edge]] = {}
         for e in icfa.edges:
             if isinstance(e.op, FuncEntryOp):
                 self._calls_in.setdefault(icfa.func_of(e.src), []).append(e)
+            elif isinstance(e.op, JoinOp):
+                self._joins_in.setdefault(icfa.func_of(e.src), []).append(e)
         self._memo: dict[frozenset, str | None] = {}
 
     # ------------------------------------------------------------- public
@@ -161,9 +141,6 @@ class NonConcurrency:
         r = self._check(p1, p2)
         self._memo[key] = r
         return r
-
-    def non_concurrent(self, p1: Place, p2: Place) -> bool:
-        return self.check(p1, p2) is not None
 
     def multiple_thread(self, t: Place) -> bool:
         """May several instances of thread t run at once?"""
@@ -254,7 +231,7 @@ class NonConcurrency:
             return loc != l_b and g.on_all_paths(l_a, loc, l_b)
 
         f = self.icfa.func_of(l_a)
-        for je in self.icfa.join_edges_in(f):
+        for je in self._joins_in.get(f, ()):
             if covers(je.src) and self._match(p_c, prefix + (je.src,)):
                 return True
         for ce in self._calls_in.get(f, ()):

@@ -67,7 +67,6 @@ class OracleResult:
     terminals: int = 0
     states: int = 0
     truncated: bool = False
-    sample_runs: list = field(default_factory=list)
     serial_sites: dict = field(default_factory=dict)
 
     def abstract_cell(self, cell: tuple):
@@ -99,15 +98,12 @@ class OracleResult:
 
 class Oracle:
     def __init__(self, icfa: ICFA, max_states: int = 100_000,
-                 max_depth: int = 20_000, keep_runs: int = 3,
-                 collect_copairs: bool = True, por: bool = False):
+                 max_depth: int = 20_000, collect_copairs: bool = True):
         self.icfa = icfa
         self.model = ObjectModel(icfa)
         self.max_states = max_states
         self.max_depth = max_depth
-        self.keep_runs = keep_runs
         self.collect_copairs = collect_copairs
-        self.por = por
         self.res = OracleResult()
         self._reads: set = set()
         self._ret_reads: dict[int, frozenset] = {}
@@ -171,12 +167,6 @@ class Oracle:
                 self.res.stuck_states += 1
             else:
                 self.res.terminals += 1
-                if len(self.res.sample_runs) < self.keep_runs:
-                    self.res.sample_runs.append(list(path))
-        if self.por and len(succs) > 1:
-            quiet = [s for s in succs if s[1] == "skip"]
-            if quiet:
-                succs = quiet[:1]
         return (succs, blocked, alive)
 
     # ---------------------------------------------------------- recording
@@ -305,13 +295,6 @@ class Oracle:
         raise AssertionError(f"unhandled op {op}")
 
     # helpers to rebuild the immutable state ------------------------------
-
-    def _with_thread(self, state, tid, th, mem=None, locks=None, counters=None):
-        threads, mem_t, locks_t, cnt = state
-        threads = threads[:tid] + (th,) + threads[tid + 1:]
-        mem_t = self._freeze_mem(mem) if mem is not None else mem_t
-        locks_t = self._freeze_locks(locks) if locks is not None else locks_t
-        return (threads, mem_t, locks_t, counters if counters is not None else cnt)
 
     def _advance(self, state, tid, e, mem, locks_t, counters, tag):
         threads = state[0]
@@ -531,9 +514,6 @@ class Oracle:
         return ("ok", ("return", state2))
 
     # ---------------------------------------------------------- evaluation
-
-    def _local_cell(self, tid, name: str) -> tuple:
-        return ("l", tid, name)
 
     def _read(self, mem, cell):
         if cell not in mem:

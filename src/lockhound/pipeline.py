@@ -15,8 +15,8 @@ from .lockgraph import (
     build_lock_graph, filter_cycles, lockgraph_dot,
 )
 from .locksets import LocksetResults, solve_locksets
-from .nonconc import GraphFacts, NonConcurrency
-from .places import MAIN_THREAD, Place, PlaceMap, get_thread
+from .nonconc import NonConcurrency
+from .places import MAIN_THREAD, Place, get_thread
 from .pointsto import ObjectModel, PointsToClient, PointsToResult, obj_label
 
 PROVED_FREE = "PROVED_DEADLOCK_FREE"
@@ -30,16 +30,20 @@ class Config:
     no_nonconc: bool = False
     ctx_insensitive: bool = False  # ablation: merge pointer contexts
     cycle_cap: int = 2000
-    shuffle_seed: int | None = None
 
 
 @dataclass
 class Analysis:
-    """Everything the pipeline computed, for programmatic consumers."""
+    """Everything the pipeline computed, for programmatic consumers.
+
+    When a fixpoint diverges the run ends INCONCLUSIVE with `error` set: pt
+    and locks are then None, or just locks when only the lockset step
+    diverged.
+    """
     icfa: ICFA
     depend: DependResult | None
-    pt: PointsToResult
-    locks: LocksetResults
+    pt: PointsToResult | None
+    locks: LocksetResults | None
     nonconc: NonConcurrency | None
     lock_edges: list[LockEdge]
     search: CycleSearch
@@ -80,15 +84,17 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
         fi = solve_fi(icfa, client,
                       edge_filter=dep.allows if dep is not None else None)
     except DivergedError as ex:
-        return _aborted(icfa, dep, warnings, timings, f"pointer analysis: {ex}")
+        return _aborted(icfa, dep, None, warnings, timings,
+                        f"pointer analysis: {ex}")
     timings["pointsto"] = time.perf_counter() - t0
     pt = PointsToResult(icfa, model, fi, merge_contexts=cfg.ctx_insensitive)
 
     t0 = time.perf_counter()
     try:
-        locks = solve_locksets(icfa, pt, shuffle_seed=cfg.shuffle_seed)
+        locks = solve_locksets(icfa, pt)
     except DivergedError as ex:
-        return _aborted(icfa, dep, warnings, timings, f"lockset analysis: {ex}")
+        return _aborted(icfa, dep, pt, warnings, timings,
+                        f"lockset analysis: {ex}")
     timings["locksets"] = time.perf_counter() - t0
     for s in locks.must_client.self_locks:
         warnings.append(
@@ -136,20 +142,9 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
                     warnings, timings, stats)
 
 
-def _aborted(icfa, dep, warnings, timings, msg) -> Analysis:
-    model = ObjectModel(icfa)
-    empty_pt = PointsToResult(icfa, model, _EmptySolve())
-    return Analysis(icfa, dep, empty_pt,
-                    LocksetResults(_EmptySolve(), _EmptySolve(), None, None),
-                    None, [], CycleSearch(), INCONCLUSIVE,
+def _aborted(icfa, dep, pt, warnings, timings, msg) -> Analysis:
+    return Analysis(icfa, dep, pt, None, None, [], CycleSearch(), INCONCLUSIVE,
                     warnings + [msg], timings, {}, error=msg)
-
-
-class _EmptySolve:
-    def __init__(self) -> None:
-        self.places = PlaceMap()
-        self.states: dict = {}
-        self.steps = 0
 
 
 # ------------------------------------------------------------------ report

@@ -21,7 +21,7 @@ from .frontend.icfa import (
 )
 from .frontend.syntax import (
     MUTEX, ArrayType, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc,
-    PointerType, StructType, Type, Unary, VarRef, is_pointer, points_to_values,
+    StructType, Type, Unary, VarRef, is_pointer, points_to_values,
 )
 from .places import Place
 
@@ -241,9 +241,6 @@ class PointsToClient:
     def __init__(self, model: ObjectModel):
         self.model = model
         self.visits = 0  # applications of binding edges, for the pruning metric
-
-    def bottom(self) -> dict:
-        return {}
 
     def initial(self) -> dict:
         return {}

@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make checks.py importable
 
 from lockhound.frontend import build_icfa, parse, preprocess
+from lockhound.lockgraph import LockEdge, close_lock_edges
+from lockhound.pointsto import STAR
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -16,6 +18,17 @@ def load(name: str) -> str:
 
 def icfa_of(source: str):
     return build_icfa(preprocess(parse(source)))
+
+
+def close_triples(triples) -> frozenset:
+    """close_lock_edges over (held, place, acquired) triples, as triples."""
+    closed = close_lock_edges([LockEdge(a, p, b) for (a, p, b) in triples])
+    return frozenset((e.held, e.place, e.acquired) for e in closed)
+
+
+def triple_locks(triples) -> set:
+    """Concrete locks mentioned by a set of triples."""
+    return {x for (a, _, b) in triples for x in (a, b) if x is not STAR}
 
 
 def analyzed(source: str, cfg=None, max_states: int = 30_000):

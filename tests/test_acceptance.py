@@ -18,10 +18,9 @@ from checks import (
     check_must_subset,
     cycle_confirmed,
 )
-from conftest import icfa_of, load
+from conftest import close_triples, icfa_of, load, triple_locks
 from lockhound.framework import DIRTY, join_fp
 from lockhound.generator import GenConfig, generate, random_config
-from lockhound.lockgraph import cl, edge_locks
 from lockhound.locksets import MayLockset, MustLockset, solve_locksets
 from lockhound.oracle import OracleUnsupported, run_oracle
 from lockhound.pipeline import (
@@ -221,8 +220,8 @@ def test_criterion_7_closure_links_unresolved_acquisitions():
         done += 1
         L = frozenset({(a, P, b) for a in ls1 for b in ls2}
                       | {(a, Q, b) for a in ls3 for b in ls4})
-        closed = cl(L)
-        linkers = edge_locks(L) | {STAR}
+        closed = close_triples(L)
+        linkers = triple_locks(L) | {STAR}
         for l1 in ls1:
             for l2 in ls4:
                 assert any((l1, P, x) in closed and (x, Q, l2) in closed

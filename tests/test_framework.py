@@ -91,9 +91,6 @@ def test_fi_context_keeps_call_sites(showcase_icfa):
 class CountingClient:
     """Client whose state is a bounded step counter; join is max."""
 
-    def bottom(self):
-        return 0
-
     def initial(self):
         return 0
 

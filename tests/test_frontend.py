@@ -1,16 +1,15 @@
 import pytest
 
-from conftest import icfa_of, load
+from conftest import icfa_of
 from lockhound.errors import MissingMainError, ParseError, TypeCheckError
-from lockhound.frontend import build_icfa, parse, preprocess, remove_fp_calls, single_exit
+from lockhound.frontend import parse, remove_fp_calls, single_exit
 from lockhound.frontend.lexer import tokenize
 from lockhound.frontend.icfa import (
     CreateOp, FuncEntryOp, FuncExitOp, JoinOp, LockOp, ThreadEntryOp,
     ThreadExitOp, ThreadJoinOp, UnlockOp,
 )
 from lockhound.frontend.syntax import (
-    INT, MUTEX, Binary, Block, FuncRef, If, IntLit, PointerType, Return,
-    StructType, Unary, VarRef,
+    INT, MUTEX, Binary, FuncRef, If, PointerType, Return, Unary, VarRef,
 )
 from lockhound.frontend.transform import address_taken_functions
 

@@ -3,20 +3,16 @@
 import random
 from collections import Counter
 
-from conftest import icfa_of, load
+from conftest import close_triples, icfa_of, load, triple_locks
 from lockhound.generator import generate
 from lockhound.lockgraph import (
     Cycle,
     CycleSearch,
     LockEdge,
-    cl,
     close_lock_edges,
-    edge_locks,
     enumerate_cycles,
     filter_cycles,
-    find_deadlocks,
     lockgraph_dot,
-    pair_concurrent,
 )
 from lockhound.pipeline import POTENTIAL, PROVED_FREE, Config, analyze_icfa
 from lockhound.pointsto import STAR, GlobalObj, obj_label
@@ -54,21 +50,12 @@ def test_showcase_lock_graph_edges(showcase_icfa):
         frozenset({"m2", "m3"}), frozenset({"m4", "m5"})}
 
 
-def test_find_deadlocks_agrees_with_pipeline(showcase_icfa):
-    a = analyze_icfa(showcase_icfa)
-    edges, search = find_deadlocks(showcase_icfa, a.locks, a.pt, a.nonconc)
-    assert label_pairs(edges) == label_pairs(a.lock_edges)
-    assert len(search.cycles) == len(a.search.cycles)
-    assert {frozenset(c.locks) for c in search.cycles} == \
-        {frozenset(c.locks) for c in a.search.cycles}
-
-
 # ------------------------------------------------------------ triple closure
 
 
 def test_cl_star_tail_expands_to_every_lock():
     L = frozenset({("a", P, STAR), ("b", Q, "c")})
-    assert cl(L) == frozenset({
+    assert close_triples(L) == frozenset({
         ("a", P, STAR), ("b", Q, "c"),
         ("a", P, "a"), ("a", P, "b"), ("a", P, "c"),
     })
@@ -76,7 +63,7 @@ def test_cl_star_tail_expands_to_every_lock():
 
 def test_cl_star_head_expands_to_every_lock():
     L = frozenset({(STAR, P, "a"), ("b", Q, "c")})
-    assert cl(L) == frozenset({
+    assert close_triples(L) == frozenset({
         (STAR, P, "a"), ("b", Q, "c"),
         ("a", P, "a"), ("b", P, "a"), ("c", P, "a"),
     })
@@ -85,7 +72,7 @@ def test_cl_star_head_expands_to_every_lock():
 def test_cl_both_star_expands_to_all_pairs():
     L = frozenset({(STAR, P, STAR), ("a", Q, "b")})
     every = {"a", "b", STAR}
-    assert cl(L) == frozenset(
+    assert close_triples(L) == frozenset(
         {(x, P, y) for x in every for y in every} | {("a", Q, "b")})
 
 
@@ -102,19 +89,19 @@ def test_cl_identity_without_star():
     rng = random.Random(11)
     for _ in range(200):
         s = _random_triples(rng, with_star=False)
-        assert cl(s) == s
+        assert close_triples(s) == s
 
 
 def test_cl_algebra():
     rng = random.Random(12)
     for _ in range(200):
         s = _random_triples(rng)
-        closed = cl(s)
+        closed = close_triples(s)
         assert s <= closed                       # extensive
-        assert cl(closed) == closed              # idempotent
-        assert edge_locks(closed) == edge_locks(s)  # mentions no new locks
+        assert close_triples(closed) == closed   # idempotent
+        assert triple_locks(closed) == triple_locks(s)  # no new locks
         t = s | _random_triples(rng)
-        assert closed <= cl(t)                   # monotone
+        assert closed <= close_triples(t)        # monotone
 
 
 def test_cl_two_edge_paths_cover_value_set_products():
@@ -138,8 +125,8 @@ def test_cl_two_edge_paths_cover_value_set_products():
         done += 1
         L = frozenset({(a, P, b) for a in ls1 for b in ls2}
                       | {(a, Q, b) for a in ls3 for b in ls4})
-        closed = cl(L)
-        linkers = edge_locks(L) | {STAR}
+        closed = close_triples(L)
+        linkers = triple_locks(L) | {STAR}
         for l1 in ls1:
             for l2 in ls4:
                 assert any((l1, P, x) in closed and (x, Q, l2) in closed
@@ -273,12 +260,6 @@ class _FakeNC:
 
     def check(self, p1, p2):
         return self.reason if frozenset({p1, p2}) == self.bad_pair else None
-
-
-def test_pair_concurrent_delegates():
-    nc = _FakeNC({P, Q}, reason="create_join")
-    assert pair_concurrent(nc, P, Q) == (False, "create_join")
-    assert pair_concurrent(nc, P, ("r",)) == (True, None)
 
 
 def test_filter_cycles_marks_failed_pair():

@@ -1,10 +1,11 @@
+import random
 from types import SimpleNamespace
 
 from checks import check_nonconc
 from conftest import analyzed, icfa_of, load
 from lockhound.generator import generate, random_config
 from lockhound.nonconc import (
-    CREATE_JOIN, GATELOCK, GraphFacts, NonConcurrency, SINGLE_THREAD, UNREACHED,
+    CREATE_JOIN, GATELOCK, GraphFacts, SINGLE_THREAD, UNREACHED,
 )
 from lockhound.pipeline import analyze_icfa
 
@@ -29,6 +30,33 @@ def test_reachability_and_dominators():
     g2 = facts(3, [(0, 1)])
     assert g2.on_all_paths(0, 1, 2)
     assert not g2.on_all_paths(0, 2, 1)  # 2 is never reached at all
+
+    # brute force on random digraphs: b is on every path a ->* c exactly
+    # when removing b cuts c off from a
+    def reachable(edges, a, removed=None):
+        seen, stack = {a}, [a]
+        while stack:
+            n = stack.pop()
+            for s, t in edges:
+                if s == n and t != removed and t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return seen
+
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        edges = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n))]
+        g = facts(n, edges)
+        for a in range(n):
+            reach = reachable(edges, a)
+            for b in range(n):
+                cut = reachable(edges, a, removed=b)
+                for c in range(n):
+                    expect = b in reach and (
+                        c not in reach or b in (a, c) or c not in cut)
+                    assert g.on_all_paths(a, b, c) == expect, (edges, a, b, c)
 
 
 def test_on_all_cycles():
@@ -128,7 +156,7 @@ def test_create_join_reason():
     assert nc.check(in_worker, after_join) == CREATE_JOIN
     # symmetric and memoized
     assert nc.check(after_join, in_worker) == CREATE_JOIN
-    assert nc.non_concurrent(in_worker, after_join)
+    assert nc.check(in_worker, after_join) is not None
 
 
 COND_JOIN_SRC = """

@@ -1,15 +1,20 @@
 """End-to-end pipeline results, report formats, and the command line."""
 
+import importlib.util
 import io
 import json
 import shutil
-from pathlib import Path
+import sys
 
+import pytest
+
+import lockhound.pipeline
 from conftest import FIXTURES, icfa_of, load
 from lockhound.cli import _want_color, main
+from lockhound.errors import DivergedError
 from lockhound.generator import GenConfig, generate
 from lockhound.pipeline import (
-    INCONCLUSIVE, POTENTIAL, PROVED_FREE, Config, analyze_icfa,
+    INCONCLUSIVE, POTENTIAL, Config, analyze_icfa,
     analyze_source, report_dict, report_text,
 )
 
@@ -39,6 +44,45 @@ def test_cycle_cap_yields_inconclusive():
     assert a.verdict == INCONCLUSIVE
     assert a.search.truncated
     assert any("truncated" in w for w in a.warnings)
+
+
+@pytest.mark.parametrize("stage, message", [
+    ("solve_fi", "pointer analysis"),
+    ("solve_locksets", "lockset analysis"),
+])
+def test_diverged_fixpoint_ends_inconclusive(stage, message, showcase_source,
+                                             monkeypatch, capsys):
+    def diverge(*args, **kw):
+        raise DivergedError("fixpoint exceeded 0 steps")
+
+    monkeypatch.setattr(f"lockhound.pipeline.{stage}", diverge)
+    a = analyze_source(showcase_source)
+    assert a.verdict == INCONCLUSIVE
+    assert a.error.startswith(message)
+    assert a.locks is None
+    assert (a.pt is None) == (stage == "solve_fi")
+    assert a.error in report_text(a)
+    assert report_dict(a)["error"] == a.error
+    assert main(["analyze", SHOWCASE, "--dump-places", "--dump-points-to",
+                 "--dump-locksets", "may"]) == 2
+    assert "INCONCLUSIVE" in capsys.readouterr().out
+
+
+def test_bench_tracer_sees_every_stage(showcase_source, monkeypatch):
+    # The benchmark's per-layer trace wraps names the pipeline module
+    # imports; a stage called any other way would vanish from the trace.
+    path = FIXTURES.parent.parent / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    original = lockhound.pipeline.solve_fi
+    with tracer.Tracer() as t:
+        analyze_source(showcase_source)
+    assert lockhound.pipeline.solve_fi is original
+    expected = set(tracer.PIPELINE_SPANS.values())
+    expected |= {"locksets.may", "locksets.must"}
+    assert expected <= {s.name for s in t.spans}
 
 
 def test_report_dict_schema():
@@ -105,6 +149,17 @@ def test_analyze_exit_codes(tmp_path, capsys):
     nomain.write_text("int helper(int x) { return x; }")
     assert main(["analyze", str(nomain)]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exits_2_without_traceback(tmp_path, capsys):
+    deep = tmp_path / "deep.mc"
+    deep.write_text("int main() { int x; x = " + "(" * 3000 + "1"
+                    + ")" * 3000 + "; return 0; }")
+    assert main(["analyze", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: internal error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_inconclusive_exit_code(capsys):
