@@ -53,8 +53,6 @@ def _emit(path: str, stem_suffix: str, content: str) -> None:
 
 
 def _fmt_lockset(ls) -> str:
-    if ls is None:
-        return "(unreached)"
     return "{" + ", ".join(sorted(obj_label(x) for x in ls)) + "}"
 
 
@@ -68,8 +66,8 @@ def _dumps(a: Analysis, args) -> None:
             print(f"  {pid}: {place_str(icfa, p)}")
     if args.dump_points_to:
         print("# points-to states per context")
-        for pid, (fpm, st) in sorted(a.pt.solve.states.items()):
-            ctx = a.pt.solve.places.resolve(pid)
+        for ctx in a.pt.solve.places.places():
+            st = a.pt.solve.at(ctx)
             print(f"  context {place_str(icfa, ctx)}:")
             if not isinstance(st, dict):
                 print("    (everything may point anywhere)")
@@ -87,12 +85,8 @@ def _dumps(a: Analysis, args) -> None:
         which = args.dump_locksets
         solve = a.locks.may if which == "may" else a.locks.must
         print(f"# {which}-locksets")
-        for pid in range(len(solve.places)):
-            st = solve.states.get(pid)
-            if st is None:
-                continue
-            p = solve.places.resolve(pid)
-            print(f"  {place_str(icfa, p)}: {_fmt_lockset(st[1])}")
+        for p in solve.places.places():
+            print(f"  {place_str(icfa, p)}: {_fmt_lockset(solve.at(p))}")
     if args.dump_nonconc and a.nonconc is not None:
         print("# non-concurrency of lock statement places")
         lock_places = sorted({e.place for e in a.lock_edges})

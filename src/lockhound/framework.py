@@ -5,11 +5,12 @@ pointer parameter can start as a thread) and a client state. The framework
 walks the automaton forward from main's entry, maintaining one state per
 place; client analyses plug in initial/join/transfer.
 
-Two solvers are provided: solve_fs explores flow-sensitive places (call-site
-chains ending at the current location) and solve_fi explores flow-insensitive
-places (the same call-site chains with the final location canonicalized to
-the function's entry, each function's intra edges composed to a local
-fixpoint).  Keeping call sites in the flow-insensitive contexts is what lets
+One worklist keeps the states; two traversals step over it with next_place
+and transfer. solve_fs explores flow-sensitive places (call-site chains
+ending at the current location). solve_fi explores their fi_context images
+(the same call-site chains with the final location canonicalized to the
+function's entry, each function's intra edges composed to a local
+fixpoint). Keeping call sites in the flow-insensitive contexts is what lets
 two calls of the same lock wrapper from one caller stay distinguishable.
 """
 
@@ -18,12 +19,12 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Protocol
+from typing import Any, Iterator, Protocol
 
 from .errors import DivergedError
 from .frontend.icfa import (
     ICFA, AssignOp, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op,
-    ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+    ThreadEntryOp, ThreadExitOp,
 )
 from .frontend.syntax import FuncRef, VarRef, is_fnptr
 from .places import Place, PlaceMap, top
@@ -153,55 +154,72 @@ class SolveResult:
     states: dict[int, tuple[FpMap, Any]]
     steps: int
 
+    def at(self, place: Place) -> Any:
+        """The client state at a place, or None when it was never reached."""
+        pid = self.places.lookup(place)
+        return None if pid is None else self.states[pid][1]
 
-def solve_fs(icfa: ICFA, client: ClientAnalysis, places: PlaceMap | None = None,
-             max_steps: int = 2_000_000, shuffle_seed: int | None = None) -> SolveResult:
+
+class _Worklist:
+    """One state per place, starting from main's entry.
+
+    add() joins a contribution into its place and re-queues the place only
+    when its state grew; iterating pops the queued places until none is left.
+    """
+
+    def __init__(self, icfa: ICFA, client: ClientAnalysis, max_steps: int,
+                 shuffle_seed: int | None = None):
+        self.client = client
+        self.max_steps = max_steps
+        self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
+        self.places = PlaceMap()
+        self.states: dict[int, tuple[FpMap, Any]] = {}
+        self.work: deque[int] = deque()
+        self.queued: set[int] = set()
+        self.steps = 0
+        self.add((icfa.entry_of(icfa.entry_fn),), ({}, client.initial()))
+
+    def add(self, place: Place, contrib: tuple[FpMap, Any]) -> None:
+        pid = self.places.intern(place)
+        old = self.states.get(pid)
+        if old is not None:
+            contrib = (join_fp(old[0], contrib[0]),
+                       self.client.join(old[1], contrib[1]))
+            if contrib == old:
+                return
+        self.states[pid] = contrib
+        if pid not in self.queued:
+            self.queued.add(pid)
+            self.work.append(pid)
+
+    def __iter__(self) -> Iterator[tuple[int, Place]]:
+        while self.work:
+            self.steps += 1
+            if self.steps > self.max_steps:
+                raise DivergedError(f"fixpoint exceeded {self.max_steps} steps")
+            if self.rng is not None:
+                self.work.rotate(-self.rng.randrange(len(self.work)))
+            pid = self.work.popleft()
+            self.queued.discard(pid)
+            yield pid, self.places.resolve(pid)
+
+
+def solve_fs(icfa: ICFA, client: ClientAnalysis, max_steps: int = 2_000_000,
+             shuffle_seed: int | None = None) -> SolveResult:
     """Flow-sensitive fixpoint from main's entry."""
-    places = places if places is not None else PlaceMap()
+    wl = _Worklist(icfa, client, max_steps, shuffle_seed)
     bound = icfa.place_length_bound()
-    p0: Place = (icfa.entry_of(icfa.entry_fn),)
-    id0 = places.intern(p0)
-    states: dict[int, tuple[FpMap, Any]] = {id0: ({}, client.initial())}
-    work: deque[int] = deque([id0])
-    queued = {id0}
-    rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-    steps = 0
-
-    while work:
-        steps += 1
-        if steps > max_steps:
-            raise DivergedError(f"fixpoint exceeded {max_steps} steps")
-        if rng is None:
-            pid = work.popleft()
-        else:
-            i = rng.randrange(len(work))
-            work.rotate(-i)
-            pid = work.popleft()
-            work.rotate(i)
-        queued.discard(pid)
-        p = places.resolve(pid)
-        st = states[pid]
+    for pid, p in wl:
+        st = wl.states[pid]
         for e in icfa.out_edges[top(p)]:
             p2 = next_place(icfa, e, p)
             if p2 is None:
                 continue
             assert len(p2) <= bound, "place length bound violated"
             contrib = transfer(icfa, client, e, p, st)
-            if contrib is None:
-                continue
-            pid2 = places.intern(p2)
-            old = states.get(pid2)
-            if old is None:
-                new = contrib
-            else:
-                new = (join_fp(old[0], contrib[0]), client.join(old[1], contrib[1]))
-                if new == old:
-                    continue
-            states[pid2] = new
-            if pid2 not in queued:
-                queued.add(pid2)
-                work.append(pid2)
-    return SolveResult(places, states, steps)
+            if contrib is not None:
+                wl.add(p2, contrib)
+    return SolveResult(wl.places, wl.states, wl.steps)
 
 
 def fi_context(icfa: ICFA, p: Place) -> Place:
@@ -214,39 +232,34 @@ def fi_context(icfa: ICFA, p: Place) -> Place:
     return p[:-1] + (icfa.entry_of(icfa.func_of(p[-1])),)
 
 
-def solve_fi(icfa: ICFA, client: ClientAnalysis, places: PlaceMap | None = None,
-             max_steps: int = 500_000, edge_filter=None) -> SolveResult:
-    """Flow-insensitive fixpoint: one state per call-site chain.
+class _PassThrough:
+    """Stands in for the client on edges the dependency filter rejects."""
+    transfer = staticmethod(lambda e, p, state: state)
+
+
+def solve_fi(icfa: ICFA, client: ClientAnalysis, max_steps: int = 500_000,
+             edge_filter=None) -> SolveResult:
+    """Flow-insensitive fixpoint: one state per fi_context.
 
     Each processing round composes the function's intra-edge transfers to a
-    local fixpoint before propagating along inter-function edges. edge_filter
-    (if given) decides which edges the client is applied to at all.
+    local fixpoint, then steps along the function's inter-function edges
+    with next_place and transfer, as solve_fs would from the edge's source.
+    edge_filter (if given) decides which edges the client is applied to: a
+    rejected entry edge is not followed, any other rejected edge passes the
+    client state through.
     """
-    places = places if places is not None else PlaceMap()
     intra: dict[str, list[Edge]] = {f: [] for f in icfa.functions}
     inter: dict[str, list[Edge]] = {f: [] for f in icfa.functions}
     for e in icfa.edges:
         (inter if icfa.is_inter(e) else intra)[icfa.func_of(e.src)].append(e)
 
-    p0: Place = (icfa.entry_of(icfa.entry_fn),)
-    id0 = places.intern(p0)
-    states: dict[int, tuple[FpMap, Any]] = {id0: ({}, client.initial())}
-    work: deque[int] = deque([id0])
-    queued = {id0}
-    steps = 0
-
     def allowed(e: Edge) -> bool:
         return edge_filter is None or edge_filter(e)
 
-    while work:
-        steps += 1
-        if steps > max_steps:
-            raise DivergedError(f"fixpoint exceeded {max_steps} steps")
-        pid = work.popleft()
-        queued.discard(pid)
-        p = places.resolve(pid)
+    wl = _Worklist(icfa, client, max_steps)
+    for pid, p in wl:
         f = icfa.func_of(top(p))
-        fpm, cs = states[pid]
+        fpm, cs = wl.states[pid]
 
         # local fixpoint over the function's own edges
         for e in intra[f]:
@@ -261,41 +274,18 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, places: PlaceMap | None = None,
                 if cs2 != cs:
                     cs = cs2
                     changed = True
-        if (fpm, cs) != states[pid]:
-            states[pid] = (fpm, cs)
+        wl.states[pid] = (fpm, cs)
 
         for e in inter[f]:
-            if isinstance(e.op, (FuncExitOp, ThreadExitOp)):
-                if len(p) < 2 or p[-2] != e.call_site:
-                    continue
-                p2 = p[:-2] + (icfa.entry_of(icfa.func_of(e.tgt)),)
-            elif isinstance(e.op, ThreadJoinOp):
-                if len(p) < 2:
-                    continue
-                p2 = p[:-2] + (icfa.entry_of(icfa.func_of(e.tgt)),)
-            else:  # entry edges push the call site, like the fs solver
-                if isinstance(e.op, ThreadEntryOp) and not match_fp(fpm, e.op.thr, icfa.func_of(e.tgt)):
-                    continue
-                if not allowed(e):
-                    continue
-                p2 = entry_place(icfa, p[:-1] + (e.src,), e.tgt)
-            if isinstance(e.op, ENTRY_OPS):
-                fpm2 = _bind_params(icfa, fpm, zip(e.op.args, e.op.params)) \
-                    if isinstance(e.op, FuncEntryOp) \
-                    else _bind_params(icfa, fpm, [(e.op.arg, e.op.param)])
+            p2 = next_place(icfa, e, p[:-1] + (e.src,))
+            if p2 is None:
+                continue
+            if allowed(e):
+                contrib = transfer(icfa, client, e, p, (fpm, cs))
+            elif isinstance(e.op, ENTRY_OPS):
+                continue
             else:
-                fpm2 = {}
-            cs2 = client.transfer(e, p, cs) if allowed(e) else cs
-            pid2 = places.intern(p2)
-            old = states.get(pid2)
-            if old is None:
-                new = (fpm2, cs2)
-            else:
-                new = (join_fp(old[0], fpm2), client.join(old[1], cs2))
-                if new == old:
-                    continue
-            states[pid2] = new
-            if pid2 not in queued:
-                queued.add(pid2)
-                work.append(pid2)
-    return SolveResult(places, states, steps)
+                contrib = transfer(icfa, _PassThrough, e, p, (fpm, cs))
+            if contrib is not None:
+                wl.add(fi_context(icfa, p2), contrib)
+    return SolveResult(wl.places, wl.states, wl.steps)

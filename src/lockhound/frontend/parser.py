@@ -20,11 +20,18 @@ from ..errors import ParseError, TypeCheckError
 
 BASE_TYPES = {"int": INT, "mutex": MUTEX, "thread_t": THREAD_ID, "void": VOID}
 
+# Bound on nesting, so that the parser and the passes that recurse over the
+# tree stay within Python's stack. Every statement counts one level, and so
+# does every parenthesis and every unary, binary and postfix operator inside
+# it; the count restarts after each statement, so it bounds the tree depth.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, source: str):
         self.toks = tokenize(source)
         self.pos = 0
+        self.depth = 0
 
     # ------------------------------------------------------------- helpers
 
@@ -47,6 +54,11 @@ class _Parser:
             want = text or kind
             raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
         return t
+
+    def nest(self, t: Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
 
     def at_type(self) -> bool:
         t = self.peek()
@@ -172,6 +184,13 @@ class _Parser:
         return Block(stmts, tok.line)
 
     def parse_stmt(self) -> Stmt:
+        depth = self.depth
+        self.nest(self.peek())
+        s = self._parse_stmt()
+        self.depth = depth
+        return s
+
+    def _parse_stmt(self) -> Stmt:
         t = self.peek()
         if t.kind == "{":
             return self.parse_block()
@@ -303,6 +322,7 @@ class _Parser:
         left = self._parse_binary_from(left, level + 1)
         while self.peek().kind in self.PRECEDENCE[level]:
             op = self.next()
+            self.nest(op)
             right = self._parse_binary_level(level + 1)
             left = Binary(op.text, left, right, op.line, op.col)
         return left
@@ -313,6 +333,7 @@ class _Parser:
         left = self._parse_binary_level(level + 1)
         while self.peek().kind in self.PRECEDENCE[level]:
             op = self.next()
+            self.nest(op)
             right = self._parse_binary_level(level + 1)
             left = Binary(op.text, left, right, op.line, op.col)
         return left
@@ -321,6 +342,7 @@ class _Parser:
         t = self.peek()
         if t.kind in ("&", "*", "!", "-"):
             self.next()
+            self.nest(t)
             return Unary(t.kind, self.parse_unary(), t.line, t.col)
         return self.parse_postfix()
 
@@ -328,6 +350,8 @@ class _Parser:
         e = self.parse_primary()
         while True:
             t = self.peek()
+            if t.kind in ("->", ".", "["):
+                self.nest(t)
             if t.kind == "->":
                 self.next()
                 name = self.expect("ident")
@@ -351,6 +375,7 @@ class _Parser:
         if t.kind == "ident":
             return VarRef(t.text, t.line, t.col)
         if t.kind == "(":
+            self.nest(t)
             e = self.parse_expr()
             self.expect(")")
             return e

@@ -99,14 +99,6 @@ class LocksetResults:
     must_client: MustLockset
     stats: dict = field(default_factory=dict)
 
-    def may_at(self, pid: int) -> frozenset | None:
-        st = self.may.states.get(pid)
-        return st[1] if st is not None else None
-
-    def must_at(self, pid: int) -> frozenset | None:
-        st = self.must.states.get(pid)
-        return st[1] if st is not None else None
-
 
 def solve_locksets(icfa, pt: PointsToResult, shuffle_seed=None) -> LocksetResults:
     from .framework import solve_fs

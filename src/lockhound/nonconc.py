@@ -149,15 +149,9 @@ class NonConcurrency:
 
     # ------------------------------------------------------------ internal
 
-    def _must_at(self, p: Place) -> frozenset | None:
-        pid = self.locks.must.places.lookup(p)
-        if pid is None:
-            return None
-        return self.locks.must_at(pid)
-
     def _check(self, p1: Place, p2: Place) -> str | None:
-        m1 = self._must_at(p1)
-        m2 = self._must_at(p2)
+        m1 = self.locks.must.at(p1)
+        m2 = self.locks.must.at(p2)
         if m1 is None or m2 is None:
             return UNREACHED
         if m1 & m2:

@@ -1,14 +1,12 @@
-"""Places: context-qualified program points, interned in a trie.
+"""Places: context-qualified program points, interned to dense ids.
 
 A place is a tuple of location ids. All elements but the last are call or
 create sites recording how control got here; the last element is the current
-location. Places are interned to dense integer ids; resolution walks parent
-links, so shared prefixes are stored once.
+location. Places are hash-consed: one dict maps each place to its id and one
+list maps ids back, so ids are dense and in first-intern order.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import MainThreadError, UnknownPlaceError
 
@@ -17,77 +15,36 @@ Place = tuple[int, ...]
 MAIN_THREAD: Place = ()
 
 
-@dataclass
-class _Node:
-    loc: int
-    parent: "_Node | None"
-    place_id: int = -1
-    children: dict[int, "_Node"] = field(default_factory=dict)
-    depth: int = 0
-
-
 class PlaceMap:
     """Bijective interning of places to dense integer ids."""
 
     def __init__(self) -> None:
-        self._roots: dict[int, _Node] = {}
-        self._by_id: list[_Node] = []
+        self._ids: dict[Place, int] = {}
+        self._by_id: list[Place] = []
 
     def __len__(self) -> int:
         return len(self._by_id)
 
     def intern(self, place: Place) -> int:
-        if not place:
-            raise ValueError("cannot intern the empty place")
-        node = self._roots.get(place[0])
-        if node is None:
-            node = self._roots[place[0]] = _Node(place[0], None, depth=1)
-        for loc in place[1:]:
-            child = node.children.get(loc)
-            if child is None:
-                child = node.children[loc] = _Node(loc, node, depth=node.depth + 1)
-            node = child
-        if node.place_id < 0:
-            node.place_id = len(self._by_id)
-            self._by_id.append(node)
-        return node.place_id
+        pid = self._ids.get(place)
+        if pid is None:
+            if not place:
+                raise ValueError("cannot intern the empty place")
+            pid = self._ids[place] = len(self._by_id)
+            self._by_id.append(place)
+        return pid
 
     def resolve(self, place_id: int) -> Place:
-        try:
-            node = self._by_id[place_id]
-        except IndexError:
-            raise UnknownPlaceError(place_id) from None
-        out: list[int] = []
-        cur: _Node | None = node
-        while cur is not None:
-            out.append(cur.loc)
-            cur = cur.parent
-        return tuple(reversed(out))
+        if not 0 <= place_id < len(self._by_id):
+            raise UnknownPlaceError(place_id)
+        return self._by_id[place_id]
 
     def lookup(self, place: Place) -> int | None:
         """Id of an already-interned place, or None."""
-        if not place:
-            return None
-        node = self._roots.get(place[0])
-        for loc in place[1:]:
-            if node is None:
-                return None
-            node = node.children.get(loc)
-        if node is None or node.place_id < 0:
-            return None
-        return node.place_id
-
-    def node_count(self) -> int:
-        count = 0
-        stack = list(self._roots.values())
-        while stack:
-            n = stack.pop()
-            count += 1
-            stack.extend(n.children.values())
-        return count
+        return self._ids.get(place)
 
     def places(self) -> list[Place]:
-        return [self.resolve(i) for i in range(len(self._by_id))]
+        return list(self._by_id)
 
 
 def top(place: Place) -> int:

@@ -367,12 +367,8 @@ class PointsToResult:
                         merged[k] = vs_union(merged.get(k, EMPTY), v)
                 self._merged = merged
             return self._merged
-        ctx = fi_context(self.icfa, p)
-        pid = self.solve.places.lookup(ctx)
-        if pid is None:
-            return {}
-        st = self.solve.states.get(pid)
-        return st[1] if st is not None else {}
+        st = self.solve.at(fi_context(self.icfa, p))
+        return st if st is not None else {}
 
     def value_set(self, p: Place, expr: Expr, at_sync: bool = False) -> ValueSet:
         """vs(p, expr); at lock-like queries an empty answer degrades to STAR."""

@@ -20,16 +20,10 @@ def check_may_covers(a: Analysis, res: OracleResult) -> list[str]:
     containing the wildcard covers anything).
     """
     bad: list[str] = []
-    may = a.locks.may
     for place, cells in res.arrivals:
-        pid = may.places.lookup(place)
-        if pid is None:
-            bad.append(f"place {place} reached concretely but never explored")
-            continue
-        st = may.states.get(pid)
-        ls = st[1] if st is not None else None
+        ls = a.locks.may.at(place)
         if ls is None:
-            bad.append(f"place {place} reached concretely but has no state")
+            bad.append(f"place {place} reached concretely but never explored")
             continue
         if any(x is STAR for x in ls):
             continue
@@ -43,13 +37,11 @@ def check_may_covers(a: Analysis, res: OracleResult) -> list[str]:
 def check_must_subset(a: Analysis, res: OracleResult) -> list[str]:
     """The must-lockset at a place is held on every concrete arrival."""
     bad: list[str] = []
-    must = a.locks.must
     for place, cells in res.arrivals:
-        pid = must.places.lookup(place)
-        st = must.states.get(pid) if pid is not None else None
+        st = a.locks.must.at(place)
         if st is None:
             continue  # absence claims nothing
-        ls = {x for x in st[1] if x is not STAR}
+        ls = {x for x in st if x is not STAR}
         held = res.abstract_locks(cells)
         if not ls <= held:
             extra = ", ".join(obj_label(x) for x in ls - held)

@@ -1,8 +1,9 @@
 import random
 
-from conftest import icfa_of
+from conftest import FIXTURES, icfa_of, load
 from lockhound.framework import (
-    DIRTY, entry_place, fi_context, join_fp, match_fp, next_place, solve_fs,
+    DIRTY, entry_place, fi_context, join_fp, match_fp, next_place, solve_fi,
+    solve_fs,
 )
 from lockhound.frontend.icfa import FuncExitOp
 from lockhound.frontend.syntax import FuncRef, VarRef
@@ -111,6 +112,18 @@ def test_solve_fs_explores_thread_and_calls(showcase_icfa):
     pid = res.places.lookup((18, icfa.entry_of("thread1")))
     fpm, count = res.states[pid]
     assert fpm == {} and count >= 1
+
+
+def test_fs_places_step_into_fi_contexts():
+    # both solvers step with next_place; without an edge filter, solve_fi
+    # must reach the fi_context of every place solve_fs reaches
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(k, random_config(k)) for k in range(60)]
+    for src in sources:
+        icfa = icfa_of(src)
+        contexts = set(solve_fi(icfa, CountingClient()).places.places())
+        for p in solve_fs(icfa, CountingClient()).places.places():
+            assert fi_context(icfa, p) in contexts, p
 
 
 def states_by_place(res):

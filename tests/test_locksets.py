@@ -73,15 +73,10 @@ def test_self_lock_report():
 def locksets_by_line(a):
     """(may, must) at the source of each lock/unlock edge, keyed by line."""
     out = {}
-    may = a.locks.may
-    must = a.locks.must
-    for pid in may.states:
-        p = may.places.resolve(pid)
+    for p in a.locks.may.places.places():
         for e in a.icfa.out_edges[p[-1]]:
             if isinstance(e.op, (LockOp, UnlockOp)):
-                mpid = must.places.lookup(p)
-                out[e.line] = (a.locks.may_at(pid),
-                               a.locks.must_at(mpid) if mpid is not None else None)
+                out[e.line] = (a.locks.may.at(p), a.locks.must.at(p))
     return out
 
 

@@ -3,6 +3,7 @@
 import importlib.util
 import io
 import json
+import re
 import shutil
 import sys
 
@@ -12,6 +13,7 @@ import lockhound.pipeline
 from conftest import FIXTURES, icfa_of, load
 from lockhound.cli import _want_color, main
 from lockhound.errors import DivergedError
+from lockhound.frontend.parser import MAX_NESTING
 from lockhound.generator import GenConfig, generate
 from lockhound.pipeline import (
     INCONCLUSIVE, POTENTIAL, Config, analyze_icfa,
@@ -151,15 +153,44 @@ def test_analyze_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_internal_error_exits_2_without_traceback(tmp_path, capsys):
-    deep = tmp_path / "deep.mc"
-    deep.write_text("int main() { int x; x = " + "(" * 3000 + "1"
-                    + ")" * 3000 + "; return 0; }")
-    assert main(["analyze", str(deep)]) == 2
+def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
+    def crash(*_):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("lockhound.cli.analyze_source", crash)
+    assert main(["analyze", SHOWCASE]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: internal error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# One statement per nesting form: its text at n levels, and the levels its
+# statement adds on top of n.
+NESTED = {
+    "parens": (lambda n: "x = " + "(" * n + "1" + ")" * n + ";", 1),
+    "blocks": (lambda n: "{" * n + "}" * n, 0),
+    "unary": (lambda n: "x = " + "-" * n + "1;", 1),
+    "while": (lambda n: "while (x) " * n + "x = 1;", 1),
+    "if": (lambda n: "if (x) " * n + "x = 1;", 1),
+    "chain": (lambda n: "x = 1" + " + 1" * n + ";", 1),
+}
+
+
+@pytest.mark.parametrize("form", sorted(NESTED))
+def test_nesting_limit_is_a_parse_error(form, tmp_path, capsys):
+    body, extra = NESTED[form]
+    prog = tmp_path / "deep.mc"
+    for n, ok in ((MAX_NESTING - extra, True), (MAX_NESTING - extra + 1, False)):
+        prog.write_text("int main() { int x; x = 0; " + body(n) + " return 0; }")
+        rc = main(["analyze", str(prog)])
+        err = capsys.readouterr().err
+        if ok:
+            assert rc in (0, 1), err
+        else:
+            assert rc == 2
+            assert re.match(r"error: 1:\d+: nesting deeper than", err), err
+            assert "internal error" not in err
 
 
 def test_inconclusive_exit_code(capsys):
@@ -201,6 +232,17 @@ def test_analyze_dumps_smoke(capsys):
                    "# dependency pruning", "# may-locksets",
                    "# non-concurrency", "stats:"):
         assert marker in out, marker
+
+
+@pytest.mark.parametrize("stem", ["showcase", "wrapper_ok"])
+@pytest.mark.parametrize("which", ["may", "must"])
+def test_dumps_match_golden(stem, which, capsys):
+    """Place numbering and order, points-to and lockset dumps, byte for byte."""
+    assert main(["analyze", str(FIXTURES / f"{stem}.mc"), "--dump-places",
+                 "--dump-points-to", "--dump-locksets", which]) == 0
+    out = "".join(line for line in capsys.readouterr().out.splitlines(True)
+                  if not line.startswith("time:"))
+    assert out == (FIXTURES / f"{stem}.{which}.dump").read_text()
 
 
 def test_emit_dot_files(tmp_path, capsys):
