@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
-    JoinStmt, LockStmt, PointerType, Program, Return, ExitJump, Stmt,
+    JoinStmt, LockStmt, Program, Return, ExitJump, Stmt,
     UnlockStmt, While, expr_text,
 )
-from .transform import address_taken_functions
+from .transform import address_taken_functions, fp_call_candidates
 from ..errors import MissingMainError
 
 
@@ -189,10 +189,8 @@ class ICFA:
         self.locations: list[Location] = []
         self.edges: list[Edge] = []
         self.out_edges: dict[int, list[Edge]] = {}
-        self.in_edges: dict[int, list[Edge]] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.create_sites: set[int] = set()
-        self.call_sites: set[int] = set()
         self.address_taken: set[str] = set()
         self.warnings: list[str] = []
         self.entry_fn = prog.entry
@@ -203,7 +201,6 @@ class ICFA:
         loc = Location(len(self.locations), func, line)
         self.locations.append(loc)
         self.out_edges[loc.id] = []
-        self.in_edges[loc.id] = []
         return loc.id
 
     def add_edge(self, src: int, tgt: int, op: Op, line: int = 0,
@@ -211,7 +208,6 @@ class ICFA:
         e = Edge(len(self.edges), src, tgt, op, line, call_site)
         self.edges.append(e)
         self.out_edges[src].append(e)
-        self.in_edges[tgt].append(e)
         if self.locations[src].line == 0:
             self.locations[src].line = line
         return e
@@ -375,7 +371,6 @@ class _FunctionCompiler:
         if isinstance(s, CallStmt):
             assert isinstance(s.callee, FuncRef)
             nxt = icfa.new_loc(fname, s.line)
-            icfa.call_sites.add(cur)
             if icfa.locations[cur].line == 0:
                 icfa.locations[cur].line = s.line
             self.pending_calls.append((cur, nxt, s.callee.name, s))
@@ -457,9 +452,8 @@ def build_icfa(prog: Program) -> ICFA:
             if isinstance(stmt.fn, FuncRef):
                 cands = [stmt.fn.name]
             else:
-                cands = [name for name, fn in sorted(prog.functions.items())
-                         if name in icfa.address_taken
-                         and PointerType(fn.func_type) == stmt.fn.typ]
+                cands = [fn.name for fn in
+                         fp_call_candidates(prog, stmt.fn, icfa.address_taken)]
             if not cands:
                 icfa.warnings.append(
                     f"line {stmt.line}: create() has no thread candidates")

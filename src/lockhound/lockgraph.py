@@ -19,7 +19,7 @@ import networkx as nx
 from .frontend.icfa import ICFA, LockOp
 from .locksets import LocksetResults
 from .places import Place
-from .pointsto import STAR, PointsToResult, obj_label
+from .pointsto import STAR, PointsToResult, obj_key, obj_label
 from .nonconc import NonConcurrency
 
 
@@ -45,16 +45,13 @@ def build_lock_graph(icfa: ICFA, locks: LocksetResults,
             if not isinstance(e.op, LockOp):
                 continue
             vs = pt.value_set(p, e.op.arg, at_sync=True)
-            acquired = [STAR] if vs is STAR else sorted(vs, key=obj_label)
-            for l1 in sorted(ls, key=obj_label):
-                for l2 in acquired:
-                    key = (id(l1) if l1 is STAR else l1, pid,
-                           id(l2) if l2 is STAR else l2)
-                    if key not in seen:
-                        seen.add(key)
+            for l1 in ls:
+                for l2 in ([STAR] if vs is STAR else vs):
+                    if (l1, pid, l2) not in seen:
+                        seen.add((l1, pid, l2))
                         out.append(LockEdge(l1, p, l2, e.line))
-    out.sort(key=lambda e: (e.line, e.place, obj_label(e.held),
-                            obj_label(e.acquired)))
+    # One lock statement per location, so this order is total.
+    out.sort(key=lambda e: (e.line, e.place, obj_key(e.held), obj_key(e.acquired)))
     return out
 
 
@@ -72,17 +69,16 @@ def close_lock_edges(edges: list[LockEdge]) -> list[LockEdge]:
     """
     locks = sorted({e.held for e in edges if e.held is not STAR}
                    | {e.acquired for e in edges if e.acquired is not STAR},
-                   key=obj_label)
+                   key=obj_key)
     out = list(edges)
-    seen = {(obj_label(e.held), e.place, obj_label(e.acquired)) for e in edges}
+    seen = {(e.held, e.place, e.acquired) for e in edges}
     for e in edges:
         heads = locks + [STAR] if e.held is STAR else [e.held]
         tails = locks + [STAR] if e.acquired is STAR else [e.acquired]
         for a in heads:
             for b in tails:
-                key = (obj_label(a), e.place, obj_label(b))
-                if key not in seen:
-                    seen.add(key)
+                if (a, e.place, b) not in seen:
+                    seen.add((a, e.place, b))
                     out.append(LockEdge(a, e.place, b, e.line))
     return out
 
@@ -116,14 +112,18 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     """All elementary cycles over >= 2 locks, expanded to edge combinations.
 
     Parallel edges between the same pair of locks multiply out; the search
-    stops recording once cap combinations were produced.
+    stops recording once cap combinations were produced. Graph nodes are
+    the locks' positions in obj_key order.
     """
+    locks = sorted({e.held for e in edges} | {e.acquired for e in edges},
+                   key=obj_key)
+    node = {lock: i for i, lock in enumerate(locks)}
     g = nx.DiGraph()
-    parallel: dict[tuple, list[LockEdge]] = {}
+    parallel: dict[tuple[int, int], list[LockEdge]] = {}
     for e in edges:
-        hk, ak = obj_label(e.held), obj_label(e.acquired)
-        g.add_edge(hk, ak)
-        parallel.setdefault((hk, ak), []).append(e)
+        leg = (node[e.held], node[e.acquired])
+        g.add_edge(*leg)
+        parallel.setdefault(leg, []).append(e)
     for es in parallel.values():
         es.sort(key=lambda e: (e.line, e.place))
 
@@ -132,7 +132,7 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     # depend on graph insertion order, then enumerate short cycles first.
     node_cycles = []
     for c in nx.simple_cycles(g):
-        i = min(range(len(c)), key=lambda k: c[k])
+        i = c.index(min(c))
         node_cycles.append(c[i:] + c[:i])
     node_cycles.sort(key=lambda c: (len(c), tuple(c)))
     for nodes in node_cycles:

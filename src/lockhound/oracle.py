@@ -28,7 +28,8 @@ from .frontend.icfa import (
     LockOp, ReturnOp, SkipOp, ThreadEntryOp, ThreadJoinOp, UnlockOp,
 )
 from .frontend.syntax import (
-    Binary, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc, Unary, VarRef,
+    MUTEX, ArrayType, Binary, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc,
+    StructType, Unary, VarRef,
 )
 from .places import Place
 from .pointsto import (
@@ -36,6 +37,7 @@ from .pointsto import (
 )
 
 UNINIT = ("uninit",)
+MAX_DEPTH = 20_000  # longest schedule explored; deeper paths set truncated
 
 
 class OracleUnsupported(SourceError):
@@ -63,7 +65,6 @@ class OracleResult:
     witnesses: list = field(default_factory=list)
     rw: dict = field(default_factory=dict)         # edge idx -> (reads, writes)
     ub_events: int = 0
-    stuck_states: int = 0
     terminals: int = 0
     states: int = 0
     truncated: bool = False
@@ -90,19 +91,18 @@ class OracleResult:
 #   threads: tuple of (place, frames, status, retval)
 #     frames: tuple of (func, ret_edge_idx | None, saved_place | None)
 #     status: "run" | "done" | "joined"
-#   mem:    tuple of (cell, value) sorted by repr
-#   locks:  tuple of (cell, owner) sorted by repr
+#   mem:    frozenset of (cell, value) pairs, one per cell
+#   locks:  frozenset of (cell, owner) pairs, one per held mutex
 #   counters: (next_serial,)
 # Values: int | ("ptr", cell) | ("fn", name) | ("tid", k) | UNINIT
 
 
 class Oracle:
     def __init__(self, icfa: ICFA, max_states: int = 100_000,
-                 max_depth: int = 20_000, collect_copairs: bool = True):
+                 collect_copairs: bool = True):
         self.icfa = icfa
         self.model = ObjectModel(icfa)
         self.max_states = max_states
-        self.max_depth = max_depth
         self.collect_copairs = collect_copairs
         self.res = OracleResult()
         self._reads: set = set()
@@ -116,19 +116,18 @@ class Oracle:
         visited = {s0}
         self._record_state(s0)
         path: list[tuple[int, str]] = []
-        stack = [(s0, self._expand(s0, path), 0)]
+        stack = [iter(self._expand(s0, path))]
         while stack:
-            state, (succs, _, _), i = stack[-1]
-            if i >= len(succs):
+            move = next(stack[-1], None)
+            if move is None:
                 stack.pop()
                 if path:
                     path.pop()
                 continue
-            stack[-1] = (state, stack[-1][1], i + 1)
-            tid, tag, s2 = succs[i]
+            tid, tag, s2 = move
             path.append((tid, tag))
-            if s2 in visited or len(path) > self.max_depth:
-                if len(path) > self.max_depth:
+            if s2 in visited or len(path) > MAX_DEPTH:
+                if len(path) > MAX_DEPTH:
                     self.res.truncated = True
                 path.pop()
                 continue
@@ -138,11 +137,12 @@ class Oracle:
                 break
             visited.add(s2)
             self._record_state(s2)
-            stack.append((s2, self._expand(s2, path), 0))
+            stack.append(iter(self._expand(s2, path)))
         self.res.states = len(visited)
         return self.res
 
-    def _expand(self, state, path):
+    def _expand(self, state, path) -> list:
+        """Successors (tid, tag, state) of every runnable thread."""
         succs = []
         blocked: list[tuple[int, tuple]] = []   # (tid, lock cell)
         threads = state[0]
@@ -162,12 +162,9 @@ class Oracle:
                 blocked.append((tid, payload))
         if blocked:
             self._check_lag(state, blocked, path)
-        if not succs:
-            if alive:
-                self.res.stuck_states += 1
-            else:
-                self.res.terminals += 1
-        return (succs, blocked, alive)
+        if not succs and not alive:
+            self.res.terminals += 1
+        return succs
 
     # ---------------------------------------------------------- recording
 
@@ -223,10 +220,9 @@ class Oracle:
             self._init_global(mem, ("g", name), decl.typ)
         entry = self.icfa.entry_of(self.icfa.entry_fn)
         threads = (((entry,), ((self.icfa.entry_fn, None, None),), "run", None),)
-        return (threads, self._freeze_mem(mem), (), (0,))
+        return (threads, frozenset(mem.items()), frozenset(), (0,))
 
     def _init_global(self, mem, cell, typ) -> None:
-        from .frontend.syntax import MUTEX, ArrayType, StructType
         if typ == MUTEX:
             return  # lock state lives in the lock table
         if isinstance(typ, StructType):
@@ -238,19 +234,11 @@ class Oracle:
         else:
             mem[cell] = 0
 
-    @staticmethod
-    def _freeze_mem(mem: dict):
-        return tuple(sorted(mem.items(), key=lambda kv: repr(kv[0])))
-
-    @staticmethod
-    def _freeze_locks(locks: dict):
-        return tuple(sorted(locks.items(), key=lambda kv: repr(kv[0])))
-
     def _step(self, state, tid):
         """One scheduler choice. Returns ("ok", (tag, state)) or
         ("lock-blocked", cell) or None (join wait); raises _UB on poison."""
-        threads, mem_t, locks_t, counters = state
-        place, frames, status, retval = threads[tid]
+        threads, mem_t, _, _ = state
+        place, frames, _, _ = threads[tid]
         loc = place[-1]
         func = frames[-1][0]
         out = self.icfa.out_edges[loc]
@@ -258,7 +246,6 @@ class Oracle:
         intra = [e for e in out if not self.icfa.is_inter(e)]
 
         mem = dict(mem_t)
-        locks = dict(locks_t)
         self._reads = set()
 
         if entry_edges:
@@ -268,120 +255,105 @@ class Oracle:
         if not intra:
             raise AssertionError(f"no move at location {loc}")
         if isinstance(intra[0].op, GuardOp):
-            v = self._eval(mem, state, tid, intra[0].op.cond)
+            v = self._eval(mem, tid, intra[0].op.cond)
             taken = None
             for e in intra:
                 if bool(v) != e.op.negated:
                     taken = e
                     break
             assert taken is not None, "guard with no matching branch"
-            return self._advance(state, tid, taken, mem, locks_t, counters, "guard")
+            return self._advance(state, tid, taken, "guard")
         e = intra[0]
         op = e.op
         if isinstance(op, SkipOp):
-            return self._advance(state, tid, e, mem, locks_t, counters, "skip")
+            return self._advance(state, tid, e, "skip")
         if isinstance(op, ReturnOp):
-            return self._advance(state, tid, e, mem, locks_t, counters, "ret-edge")
+            return self._advance(state, tid, e, "ret-edge")
         if isinstance(op, AssignOp):
-            return self._do_assign(state, tid, e, mem, counters)
+            return self._do_assign(state, tid, e, mem)
         if isinstance(op, LockOp):
-            return self._do_lock(state, tid, e, mem, locks)
+            return self._do_lock(state, tid, e, mem)
         if isinstance(op, UnlockOp):
-            return self._do_unlock(state, tid, e, mem, locks)
+            return self._do_unlock(state, tid, e, mem)
         if isinstance(op, CreateOp):
-            return self._do_create(state, tid, e, mem, counters)
+            return self._do_create(state, tid, e, mem)
         if isinstance(op, JoinOp):
             return self._do_join(state, tid, e, mem)
         raise AssertionError(f"unhandled op {op}")
 
     # helpers to rebuild the immutable state ------------------------------
 
-    def _advance(self, state, tid, e, mem, locks_t, counters, tag):
-        threads = state[0]
+    def _advance(self, state, tid, e, tag, mem=None, locks=None, counters=None):
+        """Move thread tid along intra edge e. The frozen mem, locks and
+        counters given replace the state's; the others pass through."""
+        threads, mem0, locks0, counters0 = state
         place, frames, status, retval = threads[tid]
-        p2 = place[:-1] + (e.tgt,)
-        th = (p2, frames, status, retval)
+        th = (place[:-1] + (e.tgt,), frames, status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        return ("ok", (tag, (threads, self._freeze_mem(mem), locks_t, counters)))
+        return ("ok", (tag, (threads, mem0 if mem is None else mem,
+                             locks0 if locks is None else locks,
+                             counters0 if counters is None else counters)))
 
     # individual operations ----------------------------------------------
 
-    def _do_assign(self, state, tid, e, mem, counters):
+    def _do_assign(self, state, tid, e, mem):
         op = e.op
-        serial = counters[0]
+        serial = state[3][0]
+        counters = None
         if isinstance(op.rhs, Malloc):
             v = ("ptr", ("h", serial))
             self.res.serial_sites[serial] = e.src
             counters = (serial + 1,)
         else:
-            v = self._eval(mem, state, tid, op.rhs)
-        cell = self._cell_of(mem, state, tid, op.lhs)
+            v = self._eval(mem, tid, op.rhs)
+        cell = self._cell_of(mem, tid, op.lhs)
         reads = set(self._reads)
         mem[cell] = v
         self._note_rw(e, reads, {cell})
-        return self._advance(state, tid, e, mem, state[2], counters, "assign")
+        return self._advance(state, tid, e, "assign", mem=frozenset(mem.items()),
+                             counters=counters)
 
-    def _do_lock(self, state, tid, e, mem, locks):
-        cell = self._lock_operand(mem, state, tid, e.op.arg)
+    def _do_lock(self, state, tid, e, mem):
+        cell = self._lock_operand(mem, tid, e.op.arg)
         self._note_rw(e, set(self._reads), set())
-        owner = locks.get(cell)
+        owner = dict(state[2]).get(cell)
         if owner == tid:
             raise _UB("relock of a held mutex")
         if owner is not None:
             return ("lock-blocked", cell)
-        locks[cell] = tid
-        return self._advance(state, tid, e, mem, self._freeze_locks(locks),
-                             state[3], "lock")
+        return self._advance(state, tid, e, "lock", locks=state[2] | {(cell, tid)})
 
-    def _do_unlock(self, state, tid, e, mem, locks):
-        cell = self._lock_operand(mem, state, tid, e.op.arg)
+    def _do_unlock(self, state, tid, e, mem):
+        cell = self._lock_operand(mem, tid, e.op.arg)
         self._note_rw(e, set(self._reads), set())
-        if locks.get(cell) != tid:
+        if (cell, tid) not in state[2]:
             raise _UB("unlock of a mutex not held by this thread")
-        del locks[cell]
-        return self._advance(state, tid, e, mem, self._freeze_locks(locks),
-                             state[3], "unlock")
+        return self._advance(state, tid, e, "unlock", locks=state[2] - {(cell, tid)})
 
-    def _lock_operand(self, mem, state, tid, arg) -> tuple:
-        v = self._eval(mem, state, tid, arg)
+    def _lock_operand(self, mem, tid, arg) -> tuple:
+        v = self._eval(mem, tid, arg)
         if not (isinstance(v, tuple) and len(v) == 2 and v[0] == "ptr"):
             raise _UB("lock/unlock through a non-pointer value")
         cell = v[1]
-        from .frontend.syntax import MUTEX
-        if self.model.type_of(self._abstract(cell)) != MUTEX:
+        if self.model.type_of(self.res.abstract_cell(cell)) != MUTEX:
             raise _UB("lock/unlock target is not a mutex")
         return cell
 
-    def _abstract(self, cell):
-        kind = cell[0]
-        if kind == "g":
-            obj, path = GlobalObj(cell[1]), cell[2:]
-        elif kind == "l":
-            obj, path = LocalObj(cell[2]), cell[3:]
-        else:
-            obj, path = AllocObj(self.res.serial_sites[cell[1]]), cell[2:]
-        for step in path:
-            obj = ArrayCellObj(obj) if isinstance(step, int) else FieldObj(obj, step)
-        return obj
-
-    def _do_create(self, state, tid, e, mem, counters):
-        threads, _, locks_t, _ = state
+    def _do_create(self, state, tid, e, mem):
+        threads = state[0]
         op = e.op
-        tv = self._eval(mem, state, tid, op.tid)
+        tv = self._eval(mem, tid, op.tid)
         if not (isinstance(tv, tuple) and tv[0] == "ptr"):
             raise _UB("thread id out-argument is not a pointer")
-        fv = self._eval(mem, state, tid, op.fn)
+        fv = self._eval(mem, tid, op.fn)
         if not (isinstance(fv, tuple) and fv[0] == "fn"):
             raise _UB("created start routine is not a function")
         fname = fv[1]
-        av = self._eval(mem, state, tid, op.arg)
+        av = self._eval(mem, tid, op.arg)
         reads = set(self._reads)
-        te = None
-        for cand in self.icfa.out_edges[e.src]:
-            if isinstance(cand.op, ThreadEntryOp) and \
-                    self.icfa.func_of(cand.tgt) == fname:
-                te = cand
-                break
+        te = next((x for x in self.icfa.out_edges[e.src]
+                   if isinstance(x.op, ThreadEntryOp)
+                   and self.icfa.func_of(x.tgt) == fname), None)
         if te is None:
             raise _UB(f"function {fname} cannot be a thread start routine")
         new_tid = len(threads)
@@ -403,12 +375,12 @@ class Oracle:
         th = (p2, frames, status, retval)
         new_th = (tf_place, ((fname, None, None),), "run", None)
         threads = threads[:tid] + (th,) + threads[tid + 1:] + (new_th,)
-        return ("ok", ("create", (threads, self._freeze_mem(mem), locks_t, counters)))
+        return ("ok", ("create", (threads, frozenset(mem.items()), state[2], state[3])))
 
     def _do_join(self, state, tid, e, mem):
         threads = state[0]
         op = e.op
-        tv = self._eval(mem, state, tid, op.tid)
+        tv = self._eval(mem, tid, op.tid)
         tid_reads = set(self._reads)
         if not (isinstance(tv, tuple) and tv[0] == "tid"):
             raise _UB("join on an invalid thread id")
@@ -419,21 +391,18 @@ class Oracle:
         if t_status == "run":
             return None  # wait
         self._note_rw(e, tid_reads, set())
-        tj = None
-        for cand in self.icfa.edges:
-            if isinstance(cand.op, ThreadJoinOp) and cand.tgt == e.tgt and \
-                    self.icfa.func_of(cand.src) == t_frames[0][0]:
-                tj = cand
-                break
-        if op.ret is not None:
-            cell = self._cell_of(mem, state, tid, op.ret)
-            mem[cell] = t_retval
-            if tj is not None:
-                self._note_rw(tj, self._ret_reads.get(target, frozenset()), {cell})
         threads = threads[:target] + ((t_place, t_frames, "joined", t_retval),) \
             + threads[target + 1:]
-        state = (threads, state[1], state[2], state[3])
-        return self._advance(state, tid, e, mem, state[2], state[3], "join")
+        state = (threads,) + state[1:]
+        if op.ret is None:
+            return self._advance(state, tid, e, "join")
+        cell = self._cell_of(mem, tid, op.ret)
+        mem[cell] = t_retval
+        for tj in self.icfa.out_edges[self.icfa.exit_of(t_frames[0][0])]:
+            if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
+                self._note_rw(tj, self._ret_reads.get(target, frozenset()), {cell})
+                break
+        return self._advance(state, tid, e, "join", mem=frozenset(mem.items()))
 
     def _do_call(self, state, tid, e, mem):
         threads = state[0]
@@ -447,7 +416,7 @@ class Oracle:
         reads: set = set()
         for a in op.args:
             self._reads = set()
-            vals.append(self._eval(mem, state, tid, a))
+            vals.append(self._eval(mem, tid, a))
             reads |= self._reads
         writes = set()
         for par, v in zip(op.params, vals):
@@ -455,18 +424,16 @@ class Oracle:
             mem[cell] = v
             writes.add(cell)
         self._note_rw(e, reads, writes)
-        ret_edge = None
-        for cand in self.icfa.edges:
-            if isinstance(cand.op, FuncExitOp) and cand.call_site == e.src:
-                ret_edge = cand
-                break
+        ret_edge = next(x for x in self.icfa.out_edges[self.icfa.exit_of(callee)]
+                        if isinstance(x.op, FuncExitOp) and x.call_site == e.src)
         p2 = entry_place(self.icfa, place, e.tgt)
         if len(p2) != len(place) + 1:
             raise OracleUnsupported("recursive call context")
-        new_frames = frames + ((callee, ret_edge.idx if ret_edge else None, place),)
+        new_frames = frames + ((callee, ret_edge.idx, place),)
         th = (p2, new_frames, status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        return ("ok", ("call", (threads, self._freeze_mem(mem), state[2], state[3])))
+        mem_f = frozenset(mem.items()) if writes else state[1]
+        return ("ok", ("call", (threads, mem_f, state[2], state[3])))
 
     def _do_return(self, state, tid, mem):
         threads = state[0]
@@ -476,7 +443,7 @@ class Oracle:
         self._reads = set()
         v = 0
         if fi.ret_expr is not None:
-            v = self._eval(mem, state, tid, fi.ret_expr)
+            v = self._eval(mem, tid, fi.ret_expr)
         ret_reads = frozenset(self._reads)
 
         if len(frames) == 1:
@@ -486,7 +453,7 @@ class Oracle:
             for cell in list(mem):
                 if cell[0] == "l" and cell[1] == tid:
                     del mem[cell]
-            return ("ok", ("finish", (threads, self._freeze_mem(mem),
+            return ("ok", ("finish", (threads, frozenset(mem.items()),
                                       state[2], state[3])))
 
         _, ret_edge_idx, saved_place = frames[-1]
@@ -499,19 +466,16 @@ class Oracle:
         p2 = saved_place[:-1] + (e.tgt,)
         th = (p2, frames, status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        state2 = (threads, self._freeze_mem(mem), state[2], state[3])
         writes = set()
         lhs_reads: set = set()
         if e.op.lhs is not None:
-            mem2 = dict(state2[1])
             self._reads = set()
-            cell = self._cell_of(mem2, state2, tid, e.op.lhs)
+            cell = self._cell_of(mem, tid, e.op.lhs)
             lhs_reads = set(self._reads)
-            mem2[cell] = v
+            mem[cell] = v
             writes = {cell}
-            state2 = (threads, self._freeze_mem(mem2), state[2], state[3])
         self._note_rw(e, ret_reads | lhs_reads, writes)
-        return ("ok", ("return", state2))
+        return ("ok", ("return", (threads, frozenset(mem.items()), state[2], state[3])))
 
     # ---------------------------------------------------------- evaluation
 
@@ -524,7 +488,7 @@ class Oracle:
         self._reads.add(cell)
         return v
 
-    def _eval(self, mem, state, tid, e: Expr):
+    def _eval(self, mem, tid, e: Expr):
         if isinstance(e, IntLit):
             return e.value
         if isinstance(e, FuncRef):
@@ -533,13 +497,13 @@ class Oracle:
             return self._read(mem, self._var_cell(tid, e.name))
         if isinstance(e, Unary):
             if e.op == "&":
-                return ("ptr", self._cell_of(mem, state, tid, e.operand))
+                return ("ptr", self._cell_of(mem, tid, e.operand))
             if e.op == "*":
-                v = self._eval(mem, state, tid, e.operand)
+                v = self._eval(mem, tid, e.operand)
                 if not (isinstance(v, tuple) and v[0] == "ptr"):
                     raise _UB("dereference of a non-pointer value")
                 return self._read(mem, v[1])
-            v = self._eval(mem, state, tid, e.operand)
+            v = self._eval(mem, tid, e.operand)
             if e.op == "!":
                 return 0 if v != 0 else 1
             if e.op == "-":
@@ -548,8 +512,8 @@ class Oracle:
                 return -v
             raise AssertionError(e.op)
         if isinstance(e, Binary):
-            lv = self._eval(mem, state, tid, e.left)
-            rv = self._eval(mem, state, tid, e.right)
+            lv = self._eval(mem, tid, e.left)
+            rv = self._eval(mem, tid, e.right)
             if e.op == "==":
                 return 1 if lv == rv else 0
             if e.op == "!=":
@@ -570,7 +534,7 @@ class Oracle:
                 return 1 if lv >= rv else 0
             raise AssertionError(e.op)
         if isinstance(e, (FieldAccess, Index)):
-            return self._read(mem, self._cell_of(mem, state, tid, e))
+            return self._read(mem, self._cell_of(mem, tid, e))
         raise AssertionError(f"cannot evaluate {e!r}")
 
     def _var_cell(self, tid, name: str) -> tuple:
@@ -578,27 +542,26 @@ class Oracle:
             return ("l", tid, name)
         return ("g", name)
 
-    def _cell_of(self, mem, state, tid, e: Expr) -> tuple:
+    def _cell_of(self, mem, tid, e: Expr) -> tuple:
         if isinstance(e, VarRef):
             return self._var_cell(tid, e.name)
         if isinstance(e, Unary) and e.op == "*":
-            v = self._eval(mem, state, tid, e.operand)
+            v = self._eval(mem, tid, e.operand)
             if not (isinstance(v, tuple) and v[0] == "ptr"):
                 raise _UB("dereference of a non-pointer value")
             return v[1]
         if isinstance(e, FieldAccess):
             if e.arrow:
-                v = self._eval(mem, state, tid, e.base)
+                v = self._eval(mem, tid, e.base)
                 if not (isinstance(v, tuple) and v[0] == "ptr"):
                     raise _UB("-> applied to a non-pointer value")
                 return v[1] + (e.name,)
-            return self._cell_of(mem, state, tid, e.base) + (e.name,)
+            return self._cell_of(mem, tid, e.base) + (e.name,)
         if isinstance(e, Index):
-            iv = self._eval(mem, state, tid, e.index)
+            iv = self._eval(mem, tid, e.index)
             if not isinstance(iv, int):
                 raise _UB("array index is not an integer")
-            base = self._cell_of(mem, state, tid, e.base)
-            from .frontend.syntax import ArrayType
+            base = self._cell_of(mem, tid, e.base)
             bt = e.base.typ
             if isinstance(bt, ArrayType) and not (0 <= iv < bt.size):
                 raise _UB("array index out of bounds")

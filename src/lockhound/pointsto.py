@@ -20,8 +20,8 @@ from .frontend.icfa import (
     ICFA, AssignOp, Edge, FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadJoinOp,
 )
 from .frontend.syntax import (
-    MUTEX, ArrayType, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc,
-    StructType, Type, Unary, VarRef, is_pointer, points_to_values,
+    ArrayType, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc, StructType,
+    Type, Unary, VarRef, is_pointer, points_to_values,
 )
 from .places import Place
 
@@ -96,6 +96,18 @@ def obj_label(obj: Any) -> str:
     return repr(obj)
 
 
+def obj_key(obj: Any) -> tuple[str, str]:
+    """Sort key for objects: the label, then the kind of the base object.
+
+    Labels alone can collide (a global named alloc6 and the allocation at
+    site 6); the base kind tells those apart, so the order is total.
+    """
+    base = obj
+    while isinstance(base, (FieldObj, ArrayCellObj)):
+        base = base.base
+    return obj_label(obj), type(base).__name__
+
+
 class ObjectModel:
     """Typed view of the abstract object universe of one program."""
 
@@ -128,28 +140,6 @@ class ObjectModel:
             base_t = self.type_of(obj.base)
             return base_t.element if isinstance(base_t, ArrayType) else None
         return None
-
-    def expand(self, obj: AbstractObject) -> list[AbstractObject]:
-        out = [obj]
-        t = self.type_of(obj)
-        if isinstance(t, StructType):
-            for f in self.structs.get(t.name, []):
-                out.extend(self.expand(FieldObj(obj, f.name)))
-        elif isinstance(t, ArrayType):
-            out.extend(self.expand(ArrayCellObj(obj)))
-        return out
-
-    def universe(self) -> set[AbstractObject]:
-        base: list[AbstractObject] = [GlobalObj(g) for g in self.globals]
-        base += [LocalObj(v) for v in self.var_types if "::" in v]
-        base += [AllocObj(site) for site in self.alloc_types]
-        out: set[AbstractObject] = set()
-        for b in base:
-            out.update(self.expand(b))
-        return out
-
-    def mutex_objects(self) -> set[AbstractObject]:
-        return {o for o in self.universe() if self.type_of(o) == MUTEX}
 
 
 # ----------------------------------------------------------------- algebra

@@ -66,19 +66,19 @@ def check_nonconc(a: Analysis, res: OracleResult,
 
 
 def _cycle_matches(cycle, witness_locks: frozenset) -> bool:
-    """Do the cycle's lock labels cover the witness's deadlocked locks?
+    """Do the cycle's locks cover the witness's deadlocked locks?
 
-    A wildcard endpoint matches any lock.  The witness is covered when every
-    concrete lock is named by the cycle (or absorbed by a wildcard) and the
-    cycle names no concrete lock outside the witness.
+    Locks are compared as abstract objects, not by label (a global named
+    alloc6 is not the allocation at site 6). A wildcard endpoint matches any
+    lock. The witness is covered when every concrete lock is named by the
+    cycle (or absorbed by a wildcard) and the cycle names no concrete lock
+    outside the witness.
     """
-    labels = set(cycle.locks)
-    concrete = {obj_label(x) for x in witness_locks}
-    has_star = "*" in labels
-    named = labels - {"*"}
-    if not named <= concrete:
+    locks = {e.acquired for e in cycle.edges}
+    named = locks - {STAR}
+    if not named <= witness_locks:
         return False
-    return has_star or concrete <= named
+    return STAR in locks or witness_locks <= named
 
 
 def check_deadlocks_reported(a: Analysis, res: OracleResult) -> list[str]:
@@ -143,3 +143,28 @@ def check_all(a: Analysis, res: OracleResult,
             + check_nonconc(a, res, limit=nonconc_limit)
             + check_deadlocks_reported(a, res)
             + check_depend_complete(a, res))
+
+
+def oracle_facts(res: OracleResult) -> dict:
+    """Every fact an oracle run reports, as canonical JSON-able data.
+
+    Places become lists, cells their reprs, and every set is sorted, so the
+    result does not depend on PYTHONHASHSEED. Witnesses keep their order,
+    with their cycles and schedules.
+    """
+    def cells(cs) -> list[str]:
+        return sorted(map(repr, cs))
+
+    return {
+        "states": res.states,
+        "terminals": res.terminals,
+        "ub_events": res.ub_events,
+        "truncated": res.truncated,
+        "arrivals": sorted([list(p), cells(held)] for p, held in res.arrivals),
+        "copairs": sorted([list(a), list(b)] for a, b in res.copairs),
+        "rw": {str(i): [cells(r), cells(w)] for i, (r, w) in sorted(res.rw.items())},
+        "serial_sites": {str(k): loc for k, loc in sorted(res.serial_sites.items())},
+        "witnesses": [{"cycle": [[t, list(p), repr(c)] for t, p, c in w.cycle],
+                       "schedule": [list(s) for s in w.schedule]}
+                      for w in res.witnesses],
+    }

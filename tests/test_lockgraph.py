@@ -1,9 +1,13 @@
 """Lock-order graph construction, STAR closure, and cycle reporting."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 
-from conftest import close_triples, icfa_of, load, triple_locks
+from checks import check_deadlocks_reported
+from conftest import analyzed, close_triples, icfa_of, load, triple_locks
 from lockhound.generator import generate
 from lockhound.lockgraph import (
     Cycle,
@@ -14,8 +18,9 @@ from lockhound.lockgraph import (
     filter_cycles,
     lockgraph_dot,
 )
+from lockhound.oracle import run_oracle
 from lockhound.pipeline import POTENTIAL, PROVED_FREE, Config, analyze_icfa
-from lockhound.pointsto import STAR, GlobalObj, obj_label
+from lockhound.pointsto import STAR, AllocObj, GlobalObj, obj_label
 
 A, B, C = GlobalObj("a"), GlobalObj("b"), GlobalObj("c")
 P, Q = ("p",), ("q",)
@@ -201,6 +206,105 @@ def test_star_cycle_reported_end_to_end():
     assert "*" in {obj_label(e.acquired) for e in a.lock_edges}
     # Without the closure the candidate is invisible.
     assert enumerate_cycles(a.lock_edges).cycles == []
+
+
+# A global named alloc6 and the heap mutex allocated at location 6 share the
+# label "alloc6". The thread orders alloc6 before m, main orders m before the
+# heap mutex: two different locks, so no cycle.
+LABEL_CLASH_SRC = """
+mutex alloc6;
+mutex m;
+
+int w(int a) {
+  lock(&alloc6);
+  lock(&m);
+  unlock(&m);
+  unlock(&alloc6);
+  return 0;
+}
+
+int main() {
+  mutex* p;
+  thread_t t;
+  p = malloc(mutex);
+  create(&t, w, 0);
+  lock(&m);
+  lock(p);
+  unlock(p);
+  unlock(&m);
+  join(t);
+  return 0;
+}
+"""
+
+
+def test_locks_sharing_a_label_stay_apart():
+    icfa = icfa_of(LABEL_CLASH_SRC)
+    a = analyze_icfa(icfa)
+    g6, m, heap = GlobalObj("alloc6"), GlobalObj("m"), AllocObj(6)
+    assert obj_label(g6) == obj_label(heap)
+    assert {(e.held, e.acquired) for e in a.lock_edges} == {(g6, m), (m, heap)}
+    assert a.verdict == PROVED_FREE
+    res = run_oracle(icfa)
+    assert res.witnesses == [] and not res.truncated
+    # The same two locks by hand: no cycle, and the closure keeps both.
+    assert enumerate_cycles([edge(g6, m), edge(m, heap, place=Q)]).cycles == []
+    closed = close_triples({(g6, P, STAR), (m, Q, heap)})
+    assert {(g6, P, heap), (g6, P, g6)} <= closed
+
+
+# The same clash in a real deadlock: the global alloc8 and the heap mutex
+# allocated at location 8 are taken in opposite orders.
+LABEL_CLASH_CYCLE_SRC = """
+mutex alloc8;
+mutex m;
+mutex* q;
+
+int w(int a) {
+  lock(&alloc8);
+  lock(q);
+  unlock(q);
+  lock(&m);
+  unlock(&m);
+  unlock(&alloc8);
+  return 0;
+}
+
+int main() {
+  thread_t t;
+  q = malloc(mutex);
+  create(&t, w, 0);
+  lock(q);
+  lock(&alloc8);
+  unlock(&alloc8);
+  unlock(q);
+  lock(&m);
+  lock(&alloc8);
+  unlock(&alloc8);
+  unlock(&m);
+  join(t);
+  return 0;
+}
+"""
+
+
+def test_label_clash_cycle_reported_the_same_under_every_hash_seed(tmp_path):
+    a, res = analyzed(LABEL_CLASH_CYCLE_SRC)
+    assert AllocObj(8) in {e.acquired for e in a.lock_edges}
+    assert res.witnesses and check_deadlocks_reported(a, res) == []
+    prog = tmp_path / "clash.mc"
+    prog.write_text(LABEL_CLASH_CYCLE_SRC)
+    run = ("import sys; from lockhound.cli import main; "
+           f"sys.exit(main(['analyze', {str(prog)!r}]))")
+    reports = set()
+    for seed in range(5):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(sys.path))
+        out = subprocess.run([sys.executable, "-c", run], env=env,
+                             capture_output=True, text=True).stdout
+        reports.add("".join(line for line in out.splitlines(True)
+                            if not line.startswith("time:")))
+    assert len(reports) == 1, reports
 
 
 # ------------------------------------------------------------ enumeration

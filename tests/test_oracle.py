@@ -1,8 +1,11 @@
 """Exhaustive-interleaving reference executor: witnesses, UB, determinism."""
 
+import json
+
 import pytest
 
-from conftest import icfa_of, load
+from checks import oracle_facts
+from conftest import FIXTURES, icfa_of, load
 from lockhound.generator import generate
 from lockhound.oracle import OracleUnsupported, run_oracle
 from lockhound.pointsto import ArrayCellObj, FieldObj, GlobalObj, obj_label
@@ -126,3 +129,18 @@ def test_abstract_cell_mapping(showcase_icfa):
     assert res.abstract_cell(("g", "m1")) == GlobalObj("m1")
     assert res.abstract_cell(("g", "pool", 0)) == ArrayCellObj(GlobalObj("pool"))
     assert res.abstract_cell(("g", "n", "m")) == FieldObj(GlobalObj("n"), "m")
+
+
+GOLDEN_FACTS = FIXTURES / "oracle_facts.json"
+FIXTURE_PROGRAMS = sorted([m + ".mc" for m in MUTANTS] + ["showcase.mc", "wrapper_ok.mc"])
+
+
+@pytest.mark.parametrize("name", FIXTURE_PROGRAMS + sorted(UB_PROGRAMS))
+def test_oracle_facts_match_golden(name):
+    """States, counts, arrivals, copairs, rw, serial sites and witnesses
+    (cycles and schedules, in order), as captured in the golden file;
+    `python3 tools/oracle_digest.py --golden tests/fixtures/oracle_facts.json`
+    rewrites it."""
+    source = UB_PROGRAMS[name] if name in UB_PROGRAMS else load(name)
+    want = json.loads(GOLDEN_FACTS.read_text())[name]
+    assert oracle_facts(run_oracle(icfa_of(source))) == want

@@ -8,15 +8,17 @@ import shutil
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lockhound.pipeline
 from conftest import FIXTURES, icfa_of, load
 from lockhound.cli import _want_color, main
-from lockhound.errors import DivergedError
+from lockhound.errors import DivergedError, MissingMainError, SourceError
 from lockhound.frontend.parser import MAX_NESTING
 from lockhound.generator import GenConfig, generate
 from lockhound.pipeline import (
-    INCONCLUSIVE, POTENTIAL, Config, analyze_icfa,
+    INCONCLUSIVE, POTENTIAL, PROVED_FREE, Config, analyze_icfa,
     analyze_source, report_dict, report_text,
 )
 
@@ -191,6 +193,49 @@ def test_nesting_limit_is_a_parse_error(form, tmp_path, capsys):
             assert rc == 2
             assert re.match(r"error: 1:\d+: nesting deeper than", err), err
             assert "internal error" not in err
+
+
+def front_door(source: str) -> str:
+    """The verdict on a source text, or "error" for a one-line input error;
+    anything else propagates and fails the caller."""
+    try:
+        return analyze_source(source).verdict
+    except (SourceError, MissingMainError):
+        return "error"
+
+
+FRONT_DOOR_OUTCOMES = {PROVED_FREE, POTENTIAL, INCONCLUSIVE, "error"}
+FUZZ_TOKEN = re.compile(r"\w+|->|==|!=|<=|>=|\S")
+FUZZ_VOCABULARY = ["(", ")", "{", "}", ";", ",", "*", "&", "=", "0", "lock",
+                   "create", "join", "mutex", "int", "return", "while", "if"]
+
+
+@st.composite
+def mutated_programs(draw) -> str:
+    """A generated program with a few tokens deleted, duplicated or replaced."""
+    tokens = FUZZ_TOKEN.findall(generate(draw(st.integers(0, 199))))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(tokens) - 1))
+        how = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+        if how == "delete":
+            del tokens[i]
+        elif how == "duplicate":
+            tokens.insert(i, tokens[i])
+        else:
+            tokens[i] = draw(st.sampled_from(tokens + FUZZ_VOCABULARY))
+    return " ".join(tokens)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.text())
+def test_fuzz_any_text_gets_a_verdict_or_an_input_error(text):
+    assert front_door(text) in FRONT_DOOR_OUTCOMES
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(mutated_programs())
+def test_fuzz_mutated_programs_get_a_verdict_or_an_input_error(source):
+    assert front_door(source) in FRONT_DOOR_OUTCOMES
 
 
 def test_inconclusive_exit_code(capsys):

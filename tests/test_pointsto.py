@@ -45,7 +45,7 @@ def test_vs_algebra():
     assert vs_eq(a, frozenset([GlobalObj("m")]))
 
 
-def test_object_model_types_and_universe():
+def test_object_model_types():
     icfa = icfa_of("""
         struct node { mutex m; int v; };
         mutex g;
@@ -68,12 +68,6 @@ def test_object_model_types_and_universe():
     assert model.type_of(FieldObj(cell, "v")) == INT
     (site,) = model.alloc_types
     assert model.type_of(FieldObj(AllocObj(site), "m")) == MUTEX
-    uni = model.universe()
-    assert GlobalObj("g") in uni and FieldObj(cell, "m") in uni
-    mux = model.mutex_objects()
-    assert GlobalObj("g") in mux
-    assert FieldObj(AllocObj(site), "m") in mux
-    assert GlobalObj("pool") not in mux
 
 
 def test_eval_and_lvalue_by_hand():
