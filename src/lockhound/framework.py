@@ -129,6 +129,16 @@ def next_place(icfa: ICFA, e: Edge, p: Place) -> Place | None:
     return p[:-1] + (e.tgt,)
 
 
+def _firing(fire: dict, where, edges: list[Edge], p: Place) -> list[Edge]:
+    """edges (out of `where`, in order) less the return edges (those with a
+    call_site) of call sites other than p[-2], cached per (where, p[-2])."""
+    site = p[-2] if len(p) > 1 else None
+    got = fire.get((where, site))
+    if got is None:
+        fire[where, site] = got = [e for e in edges if e.call_site in (None, site)]
+    return got
+
+
 def transfer(icfa: ICFA, client: ClientAnalysis, e: Edge, p: Place,
              state: tuple[FpMap, Any]) -> tuple[FpMap, Any] | None:
     """Full framework transfer; None means no contribution (bottom)."""
@@ -209,9 +219,12 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis, max_steps: int = 2_000_000,
     """Flow-sensitive fixpoint from main's entry."""
     wl = _Worklist(icfa, client, max_steps, shuffle_seed)
     bound = icfa.place_length_bound()
+    exits = {fn.exit for fn in icfa.functions.values()}
+    fire: dict[tuple[int, int | None], list[Edge]] = {}
     for pid, p in wl:
         st = wl.states[pid]
-        for e in icfa.out_edges[top(p)]:
+        edges = icfa.out_edges[top(p)]
+        for e in _firing(fire, top(p), edges, p) if top(p) in exits else edges:
             p2 = next_place(icfa, e, p)
             if p2 is None:
                 continue
@@ -257,6 +270,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, max_steps: int = 500_000,
         return edge_filter is None or edge_filter(e)
 
     wl = _Worklist(icfa, client, max_steps)
+    fire: dict[tuple[str, int | None], list[Edge]] = {}
     for pid, p in wl:
         f = icfa.func_of(top(p))
         fpm, cs = wl.states[pid]
@@ -276,7 +290,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, max_steps: int = 500_000,
                     changed = True
         wl.states[pid] = (fpm, cs)
 
-        for e in inter[f]:
+        for e in _firing(fire, f, inter[f], p):
             p2 = next_place(icfa, e, p[:-1] + (e.src,))
             if p2 is None:
                 continue

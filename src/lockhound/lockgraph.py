@@ -1,17 +1,18 @@
 """Lock-order graph and deadlock cycle reporting.
 
 A graph edge (l1, p, l2) records that at place p some thread already holding
-l1 may acquire l2. Cycles over at least two locks are deadlock candidates;
-each candidate is kept only if every pair of its places can actually overlap
-in time (see nonconc). STAR participates as a lock that aliases everything:
-before cycle enumeration the edge set is closed so that every STAR endpoint
-also stands for each concrete lock of the graph, which is what lets a cycle
-pass through an unresolved acquisition.
+l1 may acquire l2. Cycles over at least two locks are deadlock candidates,
+searched shortest first up to the cycle cap, which bounds the search itself;
+each is kept only if every pair of its places can overlap in time (see
+nonconc). STAR is a lock that aliases everything: before cycle enumeration
+the edge set is closed so that every STAR endpoint also stands for each
+concrete lock, which lets a cycle pass through an unresolved acquisition.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import networkx as nx
@@ -86,19 +87,26 @@ def close_lock_edges(edges: list[LockEdge]) -> list[LockEdge]:
 # ------------------------------------------------------------------- cycles
 
 
+def lock_names(edges: list[LockEdge]) -> dict[object, str]:
+    """obj_label of each lock of the edges; where two distinct locks share a
+    label, each is qualified by its base kind, as in alloc6 (global)."""
+    locks = {e.held for e in edges} | {e.acquired for e in edges}
+    keys = {lock: obj_key(lock) for lock in locks}
+    clash = Counter(label for label, _ in keys.values())
+    return {lock: label if clash[label] == 1 else f"{label} ({kind[:-3].lower()})"
+            for lock, (label, kind) in keys.items()}
+
+
 @dataclass
 class Cycle:
     edges: tuple[LockEdge, ...]
+    names: dict[object, str] = field(repr=False, compare=False)  # of the graph
     pruned_by: str | None = None
     failed_pair: tuple[Place, Place] | None = None
 
     @property
     def locks(self) -> list[str]:
-        return [obj_label(e.acquired) for e in self.edges]
-
-    @property
-    def places(self) -> list[Place]:
-        return [e.place for e in self.edges]
+        return [self.names[e.acquired] for e in self.edges]
 
 
 @dataclass
@@ -109,15 +117,16 @@ class CycleSearch:
 
 
 def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
-    """All elementary cycles over >= 2 locks, expanded to edge combinations.
+    """Elementary cycles over >= 2 locks, expanded to edge combinations.
 
-    Parallel edges between the same pair of locks multiply out; the search
-    stops recording once cap combinations were produced. Graph nodes are
-    the locks' positions in obj_key order.
+    Cycles are searched one length at a time, shortest first, each rotated
+    to start at its smallest node and sorted by nodes within a length.
+    Parallel edges between the same pair of locks multiply out in line
+    order. The search itself stops at the first combination past cap, so
+    cap bounds the work. Graph nodes are the locks' obj_key positions.
     """
-    locks = sorted({e.held for e in edges} | {e.acquired for e in edges},
-                   key=obj_key)
-    node = {lock: i for i, lock in enumerate(locks)}
+    names = lock_names(edges)
+    node = {lock: i for i, lock in enumerate(sorted(names, key=obj_key))}
     g = nx.DiGraph()
     parallel: dict[tuple[int, int], list[LockEdge]] = {}
     for e in edges:
@@ -128,24 +137,22 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
         es.sort(key=lambda e: (e.line, e.place))
 
     res = CycleSearch()
-    # Rotate every cycle to start at its smallest node so reports do not
-    # depend on graph insertion order, then enumerate short cycles first.
-    node_cycles = []
-    for c in nx.simple_cycles(g):
-        i = c.index(min(c))
-        node_cycles.append(c[i:] + c[:i])
-    node_cycles.sort(key=lambda c: (len(c), tuple(c)))
-    for nodes in node_cycles:
-        if len(nodes) < 2:
-            continue  # one lock alone cannot form an order cycle
-        legs = [(nodes[k], nodes[(k + 1) % len(nodes)]) for k in range(len(nodes))]
-        pools = [parallel[leg] for leg in legs]
-        for combo in itertools.product(*pools):
-            if res.combos_seen >= cap:
-                res.truncated = True
-                return res
-            res.combos_seen += 1
-            res.cycles.append(Cycle(edges=tuple(combo)))
+    longest = max(map(len, nx.strongly_connected_components(g)), default=0)
+    # Each bound re-yields the shorter cycles: fewer than cap, or we are done.
+    for k in range(2, longest + 1):
+        rotated = []
+        for c in nx.simple_cycles(g, length_bound=k):
+            if len(c) == k:
+                i = c.index(min(c))
+                rotated.append(tuple(c[i:] + c[:i]))
+        for nodes in sorted(rotated):
+            pools = [parallel[nodes[j], nodes[(j + 1) % k]] for j in range(k)]
+            for combo in itertools.product(*pools):
+                if res.combos_seen >= cap:
+                    res.truncated = True
+                    return res
+                res.combos_seen += 1
+                res.cycles.append(Cycle(combo, names))
     return res
 
 
@@ -169,14 +176,13 @@ def filter_cycles(search: CycleSearch, nc: NonConcurrency | None) -> None:
 
 
 def lockgraph_dot(edges: list[LockEdge]) -> str:
+    names = lock_names(edges)
     lines = ["digraph lockgraph {", "  node [shape=box, fontsize=10];"]
-    nodes = sorted({obj_label(e.held) for e in edges}
-                   | {obj_label(e.acquired) for e in edges})
-    for n in nodes:
+    for n in sorted(names.values()):
         shape = ', style=dashed' if n == "*" else ""
         lines.append(f'  "{n}" [label="{n}"{shape}];')
-    for e in sorted(edges, key=lambda e: (obj_label(e.held), obj_label(e.acquired), e.line)):
-        lines.append(f'  "{obj_label(e.held)}" -> "{obj_label(e.acquired)}"'
+    for e in sorted(edges, key=lambda e: (names[e.held], names[e.acquired], e.line)):
+        lines.append(f'  "{names[e.held]}" -> "{names[e.acquired]}"'
                      f' [label="line {e.line}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

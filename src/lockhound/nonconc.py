@@ -130,6 +130,7 @@ class NonConcurrency:
             elif isinstance(e.op, JoinOp):
                 self._joins_in.setdefault(icfa.func_of(e.src), []).append(e)
         self._memo: dict[frozenset, str | None] = {}
+        self._covers: dict[tuple[int, int], tuple[list[Edge], list[Edge]]] = {}
 
     # ------------------------------------------------------------- public
 
@@ -214,29 +215,37 @@ class NonConcurrency:
               seen: frozenset = frozenset()) -> bool:
         """Does a join matching the thread created at p_c lie on every path
         (or cycle, when l_a == l_b) from l_a to l_b?"""
-        g = self.graph
-        loop_mode = l_a == l_b
-
-        def covers(loc: int) -> bool:
-            if loop_mode:
-                return g.has_path(l_a, loc) and g.on_all_cycles(l_a, loc)
-            # loc == l_b would count a join the other occupant is still
-            # sitting at, i.e. one that has not completed yet
-            return loc != l_b and g.on_all_paths(l_a, loc, l_b)
-
-        f = self.icfa.func_of(l_a)
-        for je in self._joins_in.get(f, ()):
-            if covers(je.src) and self._match(p_c, prefix + (je.src,)):
+        joins, calls = self._covering(l_a, l_b)
+        for je in joins:
+            if self._match(p_c, prefix + (je.src,)):
                 return True
-        for ce in self._calls_in.get(f, ()):
+        for ce in calls:
             callee = self.icfa.func_of(ce.tgt)
             if callee in seen:
                 continue
-            if covers(ce.src):
-                if self._find(p_c, prefix + (ce.src,), ce.tgt,
-                              self.icfa.exit_of(callee), seen | {callee}):
-                    return True
+            if self._find(p_c, prefix + (ce.src,), ce.tgt,
+                          self.icfa.exit_of(callee), seen | {callee}):
+                return True
         return False
+
+    def _covering(self, l_a: int, l_b: int) -> tuple[list[Edge], list[Edge]]:
+        """_find's join and call edges for l_a -> l_b, cached (graph only)."""
+        got = self._covers.get((l_a, l_b))
+        if got is None:
+            g = self.graph
+
+            def covers(loc: int) -> bool:
+                if l_a == l_b:
+                    return g.has_path(l_a, loc) and g.on_all_cycles(l_a, loc)
+                # loc == l_b would count a join the other occupant is still
+                # sitting at, i.e. one that has not completed yet
+                return loc != l_b and g.on_all_paths(l_a, loc, l_b)
+
+            f = self.icfa.func_of(l_a)
+            self._covers[l_a, l_b] = got = (
+                [e for e in self._joins_in.get(f, ()) if covers(e.src)],
+                [e for e in self._calls_in.get(f, ()) if covers(e.src)])
+        return got
 
     def _match(self, p_c: Place, p_join: Place) -> bool:
         """The join at p_join certainly waits for the thread created at p_c."""

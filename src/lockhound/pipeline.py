@@ -203,8 +203,8 @@ def report_text(a: Analysis, color: bool = False) -> str:
         lines.append(paint(f"  cycle {i + 1}: locks {' -> '.join(c.locks)}", "31"))
         for e in c.edges:
             t = thread_str(a.icfa, get_thread(e.place, a.icfa.create_sites))
-            lines.append(f"    holds {obj_label(e.held)}, wants "
-                         f"{obj_label(e.acquired)} at {place_str(a.icfa, e.place)}"
+            lines.append(f"    holds {c.names[e.held]}, wants "
+                         f"{c.names[e.acquired]} at {place_str(a.icfa, e.place)}"
                          f" [{t}]")
     for c in pruned:
         lines.append(f"  pruned ({c.pruned_by}): locks {' -> '.join(c.locks)}")

@@ -6,10 +6,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make checks.py importable
 
 from lockhound.frontend import build_icfa, parse, preprocess
+from lockhound.generator import GenConfig
 from lockhound.lockgraph import LockEdge, close_lock_edges
 from lockhound.pointsto import STAR
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The scaled generator tier: large programs whose lock graphs dominate.
+SCALED = GenConfig(max_threads=20, max_locks=16, wrappers=True, heap=True,
+                   loop_create=True, max_regions=8, max_depth=3)
 
 
 def load(name: str) -> str:

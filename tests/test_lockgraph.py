@@ -1,13 +1,17 @@
 """Lock-order graph construction, STAR closure, and cycle reporting."""
 
+import itertools
 import os
 import random
 import subprocess
 import sys
 from collections import Counter
 
+import networkx as nx
+
 from checks import check_deadlocks_reported
-from conftest import analyzed, close_triples, icfa_of, load, triple_locks
+from conftest import SCALED, analyzed, close_triples, icfa_of, load, \
+    triple_locks
 from lockhound.generator import generate
 from lockhound.lockgraph import (
     Cycle,
@@ -20,7 +24,7 @@ from lockhound.lockgraph import (
 )
 from lockhound.oracle import run_oracle
 from lockhound.pipeline import POTENTIAL, PROVED_FREE, Config, analyze_icfa
-from lockhound.pointsto import STAR, AllocObj, GlobalObj, obj_label
+from lockhound.pointsto import STAR, AllocObj, GlobalObj, obj_key, obj_label
 
 A, B, C = GlobalObj("a"), GlobalObj("b"), GlobalObj("c")
 P, Q = ("p",), ("q",)
@@ -164,7 +168,7 @@ def test_closure_lets_star_cycle_surface():
     search = enumerate_cycles(close_lock_edges(raw))
     assert len(search.cycles) == 1
     assert sorted(search.cycles[0].locks) == ["a", "b"]
-    assert set(search.cycles[0].places) == {P, Q}
+    assert {e.place for e in search.cycles[0].edges} == {P, Q}
 
 
 STAR_CYCLE_SRC = """
@@ -305,6 +309,15 @@ def test_label_clash_cycle_reported_the_same_under_every_hash_seed(tmp_path):
         reports.add("".join(line for line in out.splitlines(True)
                             if not line.startswith("time:")))
     assert len(reports) == 1, reports
+    # The two alloc8 locks print as two names, and the dot graph has no
+    # self-loop for them.
+    names = {name for c in a.reported_cycles() for name in c.locks}
+    assert {"alloc8 (global)", "alloc8 (alloc)"} <= names
+    (report,) = reports
+    assert "holds alloc8 (alloc), wants alloc8 (global)" in report
+    dot = lockgraph_dot(a.lock_edges)
+    assert '"alloc8 (global)" -> "alloc8 (alloc)"' in dot
+    assert '"alloc8" ' not in dot
 
 
 # ------------------------------------------------------------ enumeration
@@ -352,6 +365,81 @@ def test_enumerate_orders_short_cycles_first():
     assert sorted(search.cycles[0].locks) == ["b", "c"]
 
 
+def reference_cycles(edges, cap):
+    """The search before it was bounded: every elementary cycle, rotated to
+    its smallest node, sorted by (length, nodes), expanded, then cut at cap."""
+    locks = sorted({e.held for e in edges} | {e.acquired for e in edges},
+                   key=obj_key)
+    node = {lock: i for i, lock in enumerate(locks)}
+    g = nx.DiGraph()
+    parallel = {}
+    for e in edges:
+        leg = (node[e.held], node[e.acquired])
+        g.add_edge(*leg)
+        parallel.setdefault(leg, []).append(e)
+    for es in parallel.values():
+        es.sort(key=lambda e: (e.line, e.place))
+    rotated = []
+    for c in nx.simple_cycles(g):
+        i = c.index(min(c))
+        rotated.append(c[i:] + c[:i])
+    rotated.sort(key=lambda c: (len(c), tuple(c)))
+    combos = []
+    for c in rotated:
+        if len(c) < 2:
+            continue
+        pools = [parallel[c[k], c[(k + 1) % len(c)]] for k in range(len(c))]
+        for combo in itertools.product(*pools):
+            if len(combos) == cap:
+                return combos, cap, True
+            combos.append(combo)
+    return combos, len(combos), False
+
+
+def test_enumerate_matches_unbounded_reference():
+    rng = random.Random(5)
+    truncated = Counter()
+    for _ in range(240):
+        locks = [GlobalObj(f"l{i}") for i in range(rng.randint(2, 9))]
+        ends = locks + [STAR] if rng.random() < 0.5 else locks
+        raw = {}
+        for _ in range(rng.randint(1, 14)):
+            e = LockEdge(rng.choice(ends), (rng.randint(0, 5),),
+                         rng.choice(ends), rng.randint(1, 9))
+            raw.setdefault((e.held, e.place, e.acquired), e)
+        edges = close_lock_edges(list(raw.values()))
+        combos, _, cut = reference_cycles(edges, 2000)
+        for cap in (2000, 50, 7, 1):
+            # a smaller cap cuts the same sequence earlier
+            combos, cut = combos[:cap], cut or len(combos) > cap
+            search = enumerate_cycles(edges, cap)
+            assert [c.edges for c in search.cycles] == combos
+            assert search.combos_seen == len(combos)
+            assert search.truncated == cut
+            truncated[cap] += cut
+    # the sample reaches the cap, and the largest cap too
+    assert truncated[1] > 100 and truncated[2000] > 0, truncated
+
+
+def test_cycle_cap_bounds_the_search(monkeypatch):
+    # Seed 202's closed lock graph has about 1.27M elementary cycles; the
+    # search stops at the cap after a few thousand.
+    yielded = 0
+    simple_cycles = nx.simple_cycles
+
+    def counting(*args, **kw):
+        nonlocal yielded
+        for c in simple_cycles(*args, **kw):
+            yielded += 1
+            yield c
+
+    monkeypatch.setattr(nx, "simple_cycles", counting)
+    cfg = Config()
+    a = analyze_icfa(icfa_of(generate(202, SCALED)), cfg)
+    assert a.search.truncated and a.search.combos_seen == cfg.cycle_cap
+    assert 0 < yielded < 20 * cfg.cycle_cap
+
+
 # ------------------------------------------------------------ pruning
 
 
@@ -368,14 +456,14 @@ class _FakeNC:
 
 def test_filter_cycles_marks_failed_pair():
     cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)))
+                       edge(B, A, place=Q, line=2)), names={})
     search = CycleSearch(cycles=[cyc])
     filter_cycles(search, _FakeNC({P, Q}))
     assert cyc.pruned_by == "gatelock"
     assert set(cyc.failed_pair) == {P, Q}
 
     kept = Cycle(edges=(edge(A, B, place=P, line=1),
-                        edge(B, A, place=("r",), line=2)))
+                        edge(B, A, place=("r",), line=2)), names={})
     search = CycleSearch(cycles=[kept])
     filter_cycles(search, _FakeNC({P, Q}))
     assert kept.pruned_by is None and kept.failed_pair is None
@@ -383,14 +471,14 @@ def test_filter_cycles_marks_failed_pair():
 
 def test_filter_cycles_without_nc_keeps_everything():
     cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)))
+                       edge(B, A, place=Q, line=2)), names={})
     search = CycleSearch(cycles=[cyc])
     filter_cycles(search, None)
     assert cyc.pruned_by is None
 
 
 def _report_keys(a):
-    return Counter((tuple(c.locks), tuple(c.places))
+    return Counter((tuple(c.locks), tuple(e.place for e in c.edges))
                    for c in a.reported_cycles())
 
 

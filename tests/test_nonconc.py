@@ -1,11 +1,13 @@
+import itertools
 import random
 from types import SimpleNamespace
 
 from checks import check_nonconc
-from conftest import analyzed, icfa_of, load
+from conftest import FIXTURES, SCALED, analyzed, icfa_of, load
 from lockhound.generator import generate, random_config
 from lockhound.nonconc import (
-    CREATE_JOIN, GATELOCK, GraphFacts, SINGLE_THREAD, UNREACHED,
+    CREATE_JOIN, GATELOCK, GraphFacts, NonConcurrency, SINGLE_THREAD,
+    UNREACHED,
 )
 from lockhound.pipeline import analyze_icfa
 
@@ -249,3 +251,20 @@ def test_sound_against_oracle_corpus():
         assert check_nonconc(a, res, limit=400) == [], f"seed {seed}"
         checked += 1
     assert checked >= 15
+
+
+def test_check_order_does_not_change_answers():
+    # Both caches (the place-pair memo and the per-location-pair join
+    # cover) must give the same reasons whatever order pairs are asked in.
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(60)]
+    sources += [generate(seed, SCALED) for seed in (200, 201, 205)]
+    for src in sources:
+        a = analyze_icfa(icfa_of(src))
+        places = sorted({e.place for e in a.lock_edges})
+        pairs = list(itertools.combinations(places, 2))
+        nc = NonConcurrency(a.icfa, a.locks, a.pt)
+        forward = {(p, q): nc.check(p, q) for p, q in pairs}
+        nc = NonConcurrency(a.icfa, a.locks, a.pt)
+        backward = {(p, q): nc.check(q, p) for p, q in reversed(pairs)}
+        assert forward == backward
