@@ -131,6 +131,7 @@ class NonConcurrency:
                 self._joins_in.setdefault(icfa.func_of(e.src), []).append(e)
         self._memo: dict[frozenset, str | None] = {}
         self._covers: dict[tuple[int, int], tuple[list[Edge], list[Edge]]] = {}
+        self._matches: dict[tuple[Place, Place], bool] = {}
 
     # ------------------------------------------------------------- public
 
@@ -248,7 +249,14 @@ class NonConcurrency:
         return got
 
     def _match(self, p_c: Place, p_join: Place) -> bool:
-        """The join at p_join certainly waits for the thread created at p_c."""
+        """The join at p_join certainly waits for the thread created at p_c
+        (cached: points-to is solved by now)."""
+        got = self._matches.get((p_c, p_join))
+        if got is None:
+            got = self._matches[p_c, p_join] = self._match_values(p_c, p_join)
+        return got
+
+    def _match_values(self, p_c: Place, p_join: Place) -> bool:
         create = self.icfa.create_op_at(p_c[-1])
         join_op = None
         for e in self.icfa.out_edges[p_join[-1]]:

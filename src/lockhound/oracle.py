@@ -9,6 +9,14 @@ static analysis would assign. Collected facts:
 * witnesses: cycles in the lock-allocation graph (threads blocked in a ring),
 * rw: concrete cells read/written per edge (to validate dependency pruning).
 
+Per-state work is only what the state needs. A step table, built once per
+program, says what a thread standing at each location does next: call
+through the entry edge, leave the function, take the guard branch that
+holds, or run the one intra op. Expanding a state builds one read-only dict
+of its memory, only if some step evaluates an expression, and shares it
+among the steps of all threads; the steps that write derive the successor's
+memory from the frozen one instead of copying the dict.
+
 Executions hitting undefined behavior (uninitialized reads, self-lock,
 foreign unlock, invalid join, dangling dereference) are pruned at the
 offending step: facts from the poisoned step onwards don't count.
@@ -20,6 +28,7 @@ executor's job is to be exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from .errors import SourceError
 from .framework import entry_place
@@ -93,8 +102,27 @@ class OracleResult:
 #     status: "run" | "done" | "joined"
 #   mem:    frozenset of (cell, value) pairs, one per cell
 #   locks:  frozenset of (cell, owner) pairs, one per held mutex
-#   counters: (next_serial,)
+#   allocs: tuple of allocations made so far, one count per malloc site
 # Values: int | ("ptr", cell) | ("fn", name) | ("tid", k) | UNINIT
+# Heap cells are ("h", serial, *path). A serial stands for the n-th
+# allocation at one site, numbered in the order the search first makes it,
+# so every serial names exactly one site on every path.
+#
+# Expanding a state shares one read-only dict of its mem among the steps of
+# all its threads, built for the first step that evaluates an expression. A
+# step that writes never copies that dict: it derives the successor's mem
+# from the frozenset by removing the pairs it overwrites or kills and adding
+# the pairs it writes.
+
+
+class Move(NamedTuple):
+    """What a thread standing at one location does next."""
+    kind: str        # call, exit, guard, skip, ret-edge, assign, lock,
+                     # unlock, create, join, or none (no move: an error)
+    arg: object      # the entry edge, the guard edges in order, the intra
+                     # edge, None at an exit, or why there is no move
+    reads_mem: bool  # does the step evaluate expressions?
+    run: Callable    # run(oracle, state, tid, arg, mem)
 
 
 class Oracle:
@@ -108,6 +136,43 @@ class Oracle:
         self._reads: set = set()
         self._ret_reads: dict[int, frozenset] = {}
         self._witness_keys: set = set()
+        self._moves = [self._move_at(loc) for loc in range(len(icfa.locations))]
+        self._alloc_index: dict[int, int] = {}   # malloc site -> allocs slot
+        self._serials: dict[tuple[int, int], int] = {}  # (site, n) -> serial
+        self._thread_entries: dict[tuple[int, str], Edge] = {}
+        self._func_exits: dict[tuple[int, int], int] = {}
+        for e in icfa.edges:
+            op = e.op
+            if isinstance(op, AssignOp) and isinstance(op.rhs, Malloc):
+                self._alloc_index.setdefault(e.src, len(self._alloc_index))
+            elif isinstance(op, ThreadEntryOp):
+                self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
+            elif isinstance(op, FuncExitOp):
+                self._func_exits.setdefault((e.src, e.call_site), e.idx)
+        self._is_mutex: dict[tuple, bool] = {}   # cell -> names a mutex?
+
+    def _move_at(self, loc: int) -> Move:
+        """The step table entry of loc: its entry edge first, then its
+        function's exit, then its intra edges (every guard branch in order,
+        or the one op)."""
+        icfa = self.icfa
+        out = icfa.out_edges[loc]
+        for e in out:
+            if isinstance(e.op, FuncEntryOp):
+                return Move("call", e, True, Oracle._do_call)
+        if loc == icfa.exit_of(icfa.func_of(loc)):
+            return Move("exit", None, True, Oracle._do_return)
+        intra = [e for e in out if not icfa.is_inter(e)]
+        if not intra:
+            return Move("none", f"no move at location {loc}", False,
+                        Oracle._no_move)
+        op = intra[0].op
+        if isinstance(op, GuardOp):
+            return Move("guard", tuple(intra), True, Oracle._do_guard)
+        if type(op) not in _INTRA_STEPS:
+            return Move("none", f"unhandled op {op}", False, Oracle._no_move)
+        kind, reads_mem, run = _INTRA_STEPS[type(op)]
+        return Move(kind, intra[0], reads_mem, run)
 
     # ------------------------------------------------------------- driver
 
@@ -124,19 +189,21 @@ class Oracle:
                 if path:
                     path.pop()
                 continue
-            tid, tag, s2 = move
-            path.append((tid, tag))
-            if s2 in visited or len(path) > MAX_DEPTH:
-                if len(path) > MAX_DEPTH:
-                    self.res.truncated = True
-                path.pop()
-                continue
-            if len(visited) >= self.max_states:
+            if len(path) >= MAX_DEPTH:
                 self.res.truncated = True
-                path.pop()
+                continue
+            tid, tag, s2 = move
+            seen = len(visited)
+            visited.add(s2)  # one hash: a known state leaves the size as is
+            if len(visited) == seen:
+                continue
+            if seen >= self.max_states:
+                visited.discard(s2)
+                self.res.truncated = True
                 break
-            visited.add(s2)
-            self._record_state(s2)
+            path.append((tid, tag))
+            self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
+                               else (tid,))
             stack.append(iter(self._expand(s2, path)))
         self.res.states = len(visited)
         return self.res
@@ -145,21 +212,26 @@ class Oracle:
         """Successors (tid, tag, state) of every runnable thread."""
         succs = []
         blocked: list[tuple[int, tuple]] = []   # (tid, lock cell)
-        threads = state[0]
-        alive = [t for t in range(len(threads)) if threads[t][2] == "run"]
-        for tid in alive:
+        mem = None  # state[1] as a dict, once a step reads it
+        alive = False
+        for tid, th in enumerate(state[0]):
+            if th[2] != "run":
+                continue
+            alive = True
+            _, arg, reads_mem, run = self._moves[th[0][-1]]
+            if reads_mem and mem is None:
+                mem = dict(state[1])
+            self._reads = set()
             try:
-                move = self._step(state, tid)
+                tag, s2 = run(self, state, tid, arg, mem)
             except _UB:
                 self.res.ub_events += 1
                 continue
-            if move is None:
-                continue
-            kind, payload = move
-            if kind == "ok":
-                succs.append((tid,) + payload)
-            elif kind == "lock-blocked":
-                blocked.append((tid, payload))
+            if tag is None:
+                if s2 is not None:
+                    blocked.append((tid, s2))
+            else:
+                succs.append((tid, tag, s2))
         if blocked:
             self._check_lag(state, blocked, path)
         if not succs and not alive:
@@ -168,22 +240,27 @@ class Oracle:
 
     # ---------------------------------------------------------- recording
 
-    def _record_state(self, state) -> None:
+    def _record_state(self, state, movers=None) -> None:
+        """Record the arrivals and co-occupied pairs of state that involve a
+        thread in movers (every thread when None). After a step, the movers
+        are the stepping thread and any thread it created: every other
+        thread kept its place and locks, as recorded for the predecessor."""
         threads, _, locks, _ = state
-        held: dict[int, set] = {}
-        for cell, owner in locks:
-            held.setdefault(owner, set()).add(cell)
-        places = []
-        for t, (place, frames, status, _) in enumerate(threads):
+        arrivals = self.res.arrivals
+        copairs = self.res.copairs if self.collect_copairs else None
+        if movers is None:
+            movers = range(len(threads))
+        for t in movers:
+            place, _, status, _ = threads[t]
             if status != "run":
                 continue
-            self.res.arrivals.add((place, frozenset(held.get(t, ()))))
-            places.append(place)
-        if self.collect_copairs:
-            for a in range(len(places)):
-                for b in range(a + 1, len(places)):
-                    pair = tuple(sorted((places[a], places[b])))
-                    self.res.copairs.add(pair)
+            cells = [c for c, owner in locks if owner == t] if locks else None
+            arrivals.add((place, frozenset(cells) if cells else _NO_LOCKS))
+            if copairs is not None:
+                for u, (other, _, ustatus, _) in enumerate(threads):
+                    if u != t and ustatus == "run":
+                        copairs.add((place, other) if place <= other
+                                    else (other, place))
 
     def _check_lag(self, state, blocked, path) -> None:
         threads, _, locks, _ = state
@@ -208,9 +285,12 @@ class Oracle:
                     self.res.witnesses.append(Witness(cycle, list(path)))
 
     def _note_rw(self, edge: Edge, reads, writes) -> None:
-        r, w = self.res.rw.setdefault(edge.idx, (set(), set()))
-        r.update(reads)
-        w.update(writes)
+        rw = self.res.rw.get(edge.idx)
+        if rw is None:
+            self.res.rw[edge.idx] = (set(reads), set(writes))
+        else:
+            rw[0].update(reads)
+            rw[1].update(writes)
 
     # ------------------------------------------------------------ stepping
 
@@ -220,7 +300,8 @@ class Oracle:
             self._init_global(mem, ("g", name), decl.typ)
         entry = self.icfa.entry_of(self.icfa.entry_fn)
         threads = (((entry,), ((self.icfa.entry_fn, None, None),), "run", None),)
-        return (threads, frozenset(mem.items()), frozenset(), (0,))
+        return (threads, frozenset(mem.items()), frozenset(),
+                (0,) * len(self._alloc_index))
 
     def _init_global(self, mem, cell, typ) -> None:
         if typ == MUTEX:
@@ -234,98 +315,86 @@ class Oracle:
         else:
             mem[cell] = 0
 
-    def _step(self, state, tid):
-        """One scheduler choice. Returns ("ok", (tag, state)) or
-        ("lock-blocked", cell) or None (join wait); raises _UB on poison."""
-        threads, mem_t, _, _ = state
-        place, frames, _, _ = threads[tid]
-        loc = place[-1]
-        func = frames[-1][0]
-        out = self.icfa.out_edges[loc]
-        entry_edges = [e for e in out if isinstance(e.op, FuncEntryOp)]
-        intra = [e for e in out if not self.icfa.is_inter(e)]
-
-        mem = dict(mem_t)
-        self._reads = set()
-
-        if entry_edges:
-            return self._do_call(state, tid, entry_edges[0], mem)
-        if loc == self.icfa.exit_of(func):
-            return self._do_return(state, tid, mem)
-        if not intra:
-            raise AssertionError(f"no move at location {loc}")
-        if isinstance(intra[0].op, GuardOp):
-            v = self._eval(mem, tid, intra[0].op.cond)
-            taken = None
-            for e in intra:
-                if bool(v) != e.op.negated:
-                    taken = e
-                    break
-            assert taken is not None, "guard with no matching branch"
-            return self._advance(state, tid, taken, "guard")
-        e = intra[0]
-        op = e.op
-        if isinstance(op, SkipOp):
-            return self._advance(state, tid, e, "skip")
-        if isinstance(op, ReturnOp):
-            return self._advance(state, tid, e, "ret-edge")
-        if isinstance(op, AssignOp):
-            return self._do_assign(state, tid, e, mem)
-        if isinstance(op, LockOp):
-            return self._do_lock(state, tid, e, mem)
-        if isinstance(op, UnlockOp):
-            return self._do_unlock(state, tid, e, mem)
-        if isinstance(op, CreateOp):
-            return self._do_create(state, tid, e, mem)
-        if isinstance(op, JoinOp):
-            return self._do_join(state, tid, e, mem)
-        raise AssertionError(f"unhandled op {op}")
-
     # helpers to rebuild the immutable state ------------------------------
 
-    def _advance(self, state, tid, e, tag, mem=None, locks=None, counters=None):
+    def _advance(self, state, tid, e, tag, mem=None, locks=None, allocs=None):
         """Move thread tid along intra edge e. The frozen mem, locks and
-        counters given replace the state's; the others pass through."""
-        threads, mem0, locks0, counters0 = state
+        allocs given replace the state's; the others pass through."""
+        threads, mem0, locks0, allocs0 = state
         place, frames, status, retval = threads[tid]
         th = (place[:-1] + (e.tgt,), frames, status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        return ("ok", (tag, (threads, mem0 if mem is None else mem,
-                             locks0 if locks is None else locks,
-                             counters0 if counters is None else counters)))
+        return (tag, (threads, mem0 if mem is None else mem,
+                      locks0 if locks is None else locks,
+                      allocs0 if allocs is None else allocs))
+
+    @staticmethod
+    def _store(mem_t: frozenset, mem: dict, writes: dict, kills=()) -> frozenset:
+        """mem_t (read as the dict mem) without the cells in kills and with
+        every cell in writes bound to its new value."""
+        old = [(c, mem[c]) for c in writes if c in mem]
+        old += [(c, mem[c]) for c in kills]
+        return mem_t.difference(old).union(writes.items())
 
     # individual operations ----------------------------------------------
 
+    # Every step is run(oracle, state, tid, arg, mem) with the arg of its
+    # Move and the shared dict of state[1] (None when the step reads no
+    # memory). It returns (tag, successor), or (None, cell) when the thread
+    # blocks on the mutex cell, or (None, None) while it waits in a join; it
+    # raises _UB on poison.
+
+    def _no_move(self, state, tid, why, mem):
+        raise AssertionError(why)
+
+    def _do_skip(self, state, tid, e, mem):
+        return self._advance(state, tid, e, "skip")
+
+    def _do_ret_edge(self, state, tid, e, mem):
+        return self._advance(state, tid, e, "ret-edge")
+
+    def _do_guard(self, state, tid, edges, mem):
+        v = bool(self._eval(mem, tid, edges[0].op.cond))
+        for e in edges:
+            if v != e.op.negated:
+                return self._advance(state, tid, e, "guard")
+        raise AssertionError("guard with no matching branch")
+
     def _do_assign(self, state, tid, e, mem):
         op = e.op
-        serial = state[3][0]
-        counters = None
+        allocs = None
         if isinstance(op.rhs, Malloc):
+            allocs = state[3]
+            k = self._alloc_index[e.src]
+            n = allocs[k]
+            serial = self._serials.get((e.src, n))
+            if serial is None:
+                serial = self._serials[e.src, n] = len(self._serials)
+                self.res.serial_sites[serial] = e.src
             v = ("ptr", ("h", serial))
-            self.res.serial_sites[serial] = e.src
-            counters = (serial + 1,)
+            allocs = allocs[:k] + (n + 1,) + allocs[k + 1:]
         else:
             v = self._eval(mem, tid, op.rhs)
         cell = self._cell_of(mem, tid, op.lhs)
-        reads = set(self._reads)
-        mem[cell] = v
-        self._note_rw(e, reads, {cell})
-        return self._advance(state, tid, e, "assign", mem=frozenset(mem.items()),
-                             counters=counters)
+        self._note_rw(e, self._reads, (cell,))
+        return self._advance(state, tid, e, "assign",
+                             mem=self._store(state[1], mem, {cell: v}),
+                             allocs=allocs)
 
     def _do_lock(self, state, tid, e, mem):
         cell = self._lock_operand(mem, tid, e.op.arg)
-        self._note_rw(e, set(self._reads), set())
-        owner = dict(state[2]).get(cell)
-        if owner == tid:
-            raise _UB("relock of a held mutex")
-        if owner is not None:
-            return ("lock-blocked", cell)
-        return self._advance(state, tid, e, "lock", locks=state[2] | {(cell, tid)})
+        self._note_rw(e, self._reads, ())
+        locks = state[2]
+        for c, owner in locks:
+            if c == cell:
+                if owner == tid:
+                    raise _UB("relock of a held mutex")
+                return (None, cell)
+        return self._advance(state, tid, e, "lock", locks=locks | {(cell, tid)})
 
     def _do_unlock(self, state, tid, e, mem):
         cell = self._lock_operand(mem, tid, e.op.arg)
-        self._note_rw(e, set(self._reads), set())
+        self._note_rw(e, self._reads, ())
         if (cell, tid) not in state[2]:
             raise _UB("unlock of a mutex not held by this thread")
         return self._advance(state, tid, e, "unlock", locks=state[2] - {(cell, tid)})
@@ -335,7 +404,11 @@ class Oracle:
         if not (isinstance(v, tuple) and len(v) == 2 and v[0] == "ptr"):
             raise _UB("lock/unlock through a non-pointer value")
         cell = v[1]
-        if self.model.type_of(self.res.abstract_cell(cell)) != MUTEX:
+        is_mutex = self._is_mutex.get(cell)
+        if is_mutex is None:
+            is_mutex = self._is_mutex[cell] = \
+                self.model.type_of(self.res.abstract_cell(cell)) == MUTEX
+        if not is_mutex:
             raise _UB("lock/unlock target is not a mutex")
         return cell
 
@@ -350,38 +423,33 @@ class Oracle:
             raise _UB("created start routine is not a function")
         fname = fv[1]
         av = self._eval(mem, tid, op.arg)
-        reads = set(self._reads)
-        te = next((x for x in self.icfa.out_edges[e.src]
-                   if isinstance(x.op, ThreadEntryOp)
-                   and self.icfa.func_of(x.tgt) == fname), None)
+        te = self._thread_entries.get((e.src, fname))
         if te is None:
             raise _UB(f"function {fname} cannot be a thread start routine")
         new_tid = len(threads)
         if new_tid > 16:
             raise OracleUnsupported("too many threads for exhaustive search")
-        mem[tv[1]] = ("tid", new_tid)
-        self._note_rw(e, reads, {tv[1]})
+        writes = {tv[1]: ("tid", new_tid)}
+        self._note_rw(e, self._reads, (tv[1],))
 
         place, frames, status, retval = threads[tid]
         tf_place = entry_place(self.icfa, place, te.tgt)
         if len(tf_place) != len(place) + 1:
             raise OracleUnsupported("recursive thread creation")
-        param = te.op.param
-        pcell = ("l", new_tid, param)
-        mem[pcell] = av
-        self._note_rw(te, reads, {pcell})
+        pcell = ("l", new_tid, te.op.param)
+        writes[pcell] = av
+        self._note_rw(te, self._reads, (pcell,))
 
-        p2 = place[:-1] + (e.tgt,)
-        th = (p2, frames, status, retval)
+        th = (place[:-1] + (e.tgt,), frames, status, retval)
         new_th = (tf_place, ((fname, None, None),), "run", None)
         threads = threads[:tid] + (th,) + threads[tid + 1:] + (new_th,)
-        return ("ok", ("create", (threads, frozenset(mem.items()), state[2], state[3])))
+        return ("create", (threads, self._store(state[1], mem, writes),
+                           state[2], state[3]))
 
     def _do_join(self, state, tid, e, mem):
         threads = state[0]
         op = e.op
         tv = self._eval(mem, tid, op.tid)
-        tid_reads = set(self._reads)
         if not (isinstance(tv, tuple) and tv[0] == "tid"):
             raise _UB("join on an invalid thread id")
         target = tv[1]
@@ -389,20 +457,20 @@ class Oracle:
         if t_status == "joined":
             raise _UB("thread joined twice")
         if t_status == "run":
-            return None  # wait
-        self._note_rw(e, tid_reads, set())
+            return (None, None)  # wait
+        self._note_rw(e, self._reads, ())
         threads = threads[:target] + ((t_place, t_frames, "joined", t_retval),) \
             + threads[target + 1:]
         state = (threads,) + state[1:]
         if op.ret is None:
             return self._advance(state, tid, e, "join")
         cell = self._cell_of(mem, tid, op.ret)
-        mem[cell] = t_retval
         for tj in self.icfa.out_edges[self.icfa.exit_of(t_frames[0][0])]:
             if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
-                self._note_rw(tj, self._ret_reads.get(target, frozenset()), {cell})
+                self._note_rw(tj, self._ret_reads.get(target, frozenset()), (cell,))
                 break
-        return self._advance(state, tid, e, "join", mem=frozenset(mem.items()))
+        return self._advance(state, tid, e, "join",
+                             mem=self._store(state[1], mem, {cell: t_retval}))
 
     def _do_call(self, state, tid, e, mem):
         threads = state[0]
@@ -412,70 +480,52 @@ class Oracle:
         for fr in frames:
             if fr[0] == callee:
                 raise OracleUnsupported(f"recursive call of {callee}")
-        vals = []
-        reads: set = set()
-        for a in op.args:
-            self._reads = set()
-            vals.append(self._eval(mem, tid, a))
-            reads |= self._reads
-        writes = set()
-        for par, v in zip(op.params, vals):
-            cell = ("l", tid, par)
-            mem[cell] = v
-            writes.add(cell)
-        self._note_rw(e, reads, writes)
-        ret_edge = next(x for x in self.icfa.out_edges[self.icfa.exit_of(callee)]
-                        if isinstance(x.op, FuncExitOp) and x.call_site == e.src)
+        vals = [self._eval(mem, tid, a) for a in op.args]
+        writes = {("l", tid, par): v for par, v in zip(op.params, vals)}
+        self._note_rw(e, self._reads, writes)
+        ret_idx = self._func_exits[self.icfa.exit_of(callee), e.src]
         p2 = entry_place(self.icfa, place, e.tgt)
         if len(p2) != len(place) + 1:
             raise OracleUnsupported("recursive call context")
-        new_frames = frames + ((callee, ret_edge.idx, place),)
-        th = (p2, new_frames, status, retval)
+        th = (p2, frames + ((callee, ret_idx, place),), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        mem_f = frozenset(mem.items()) if writes else state[1]
-        return ("ok", ("call", (threads, mem_f, state[2], state[3])))
+        mem_f = self._store(state[1], mem, writes) if writes else state[1]
+        return ("call", (threads, mem_f, state[2], state[3]))
 
-    def _do_return(self, state, tid, mem):
+    def _do_return(self, state, tid, _, mem):
         threads = state[0]
         place, frames, status, retval = threads[tid]
         func = frames[-1][0]
         fi = self.icfa.functions[func]
-        self._reads = set()
         v = 0
         if fi.ret_expr is not None:
             v = self._eval(mem, tid, fi.ret_expr)
-        ret_reads = frozenset(self._reads)
 
         if len(frames) == 1:
-            self._ret_reads[tid] = ret_reads
+            self._ret_reads[tid] = frozenset(self._reads)
             th = (place, frames, "done", v)
             threads = threads[:tid] + (th,) + threads[tid + 1:]
-            for cell in list(mem):
-                if cell[0] == "l" and cell[1] == tid:
-                    del mem[cell]
-            return ("ok", ("finish", (threads, frozenset(mem.items()),
-                                      state[2], state[3])))
+            dead = [c for c in mem if c[0] == "l" and c[1] == tid]
+            return ("finish", (threads, self._store(state[1], mem, {}, dead),
+                               state[2], state[3]))
 
         _, ret_edge_idx, saved_place = frames[-1]
         e = self.icfa.edges[ret_edge_idx]
-        for cell in list(mem):
-            if cell[0] == "l" and cell[1] == tid and "::" in str(cell[2]) \
-                    and cell[2].startswith(func + "::"):
-                del mem[cell]
-        frames = frames[:-1]
+        prefix = func + "::"
+        dead = [c for c in mem
+                if c[0] == "l" and c[1] == tid and c[2].startswith(prefix)]
         p2 = saved_place[:-1] + (e.tgt,)
-        th = (p2, frames, status, retval)
+        th = (p2, frames[:-1], status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        writes = set()
-        lhs_reads: set = set()
+        writes = {}
         if e.op.lhs is not None:
-            self._reads = set()
-            cell = self._cell_of(mem, tid, e.op.lhs)
-            lhs_reads = set(self._reads)
-            mem[cell] = v
-            writes = {cell}
-        self._note_rw(e, ret_reads | lhs_reads, writes)
-        return ("ok", ("return", (threads, frozenset(mem.items()), state[2], state[3])))
+            live = dict(mem)
+            for c in dead:
+                del live[c]
+            writes[self._cell_of(live, tid, e.op.lhs)] = v
+        self._note_rw(e, self._reads, writes)  # the return value's and lhs's
+        return ("return", (threads, self._store(state[1], mem, writes, dead),
+                           state[2], state[3]))
 
     # ---------------------------------------------------------- evaluation
 
@@ -489,12 +539,10 @@ class Oracle:
         return v
 
     def _eval(self, mem, tid, e: Expr):
+        if isinstance(e, VarRef):  # the kinds in order of frequency
+            return self._read(mem, self._var_cell(tid, e.name))
         if isinstance(e, IntLit):
             return e.value
-        if isinstance(e, FuncRef):
-            return ("fn", e.name)
-        if isinstance(e, VarRef):
-            return self._read(mem, self._var_cell(tid, e.name))
         if isinstance(e, Unary):
             if e.op == "&":
                 return ("ptr", self._cell_of(mem, tid, e.operand))
@@ -533,6 +581,8 @@ class Oracle:
             if e.op == ">=":
                 return 1 if lv >= rv else 0
             raise AssertionError(e.op)
+        if isinstance(e, FuncRef):
+            return ("fn", e.name)
         if isinstance(e, (FieldAccess, Index)):
             return self._read(mem, self._cell_of(mem, tid, e))
         raise AssertionError(f"cannot evaluate {e!r}")
@@ -567,6 +617,20 @@ class Oracle:
                 raise _UB("array index out of bounds")
             return base + (iv,)
         raise _UB(f"expression {e!r} is not an lvalue")
+
+
+_NO_LOCKS: frozenset = frozenset()
+
+# Intra ops other than guards: (kind and tag, reads memory?, step).
+_INTRA_STEPS = {
+    SkipOp: ("skip", False, Oracle._do_skip),
+    ReturnOp: ("ret-edge", False, Oracle._do_ret_edge),
+    AssignOp: ("assign", True, Oracle._do_assign),
+    LockOp: ("lock", True, Oracle._do_lock),
+    UnlockOp: ("unlock", True, Oracle._do_unlock),
+    CreateOp: ("create", True, Oracle._do_create),
+    JoinOp: ("join", True, Oracle._do_join),
+}
 
 
 def run_oracle(icfa: ICFA, **kw) -> OracleResult:

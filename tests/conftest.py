@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -36,18 +37,28 @@ def triple_locks(triples) -> set:
     return {x for (a, _, b) in triples for x in (a, b) if x is not STAR}
 
 
-def analyzed(source: str, cfg=None, max_states: int = 30_000):
-    """Analysis plus oracle result (None when the oracle cannot run)."""
+# Every test that compares the analysis with the oracle shares one oracle
+# run per program, at the largest budget any of them needs.
+ORACLE_STATES = 30_000
+
+
+@functools.cache
+def oracle_of(source: str):
+    """The oracle's result on source, with copairs, run once per session
+    (None when the oracle cannot run). Callers must not modify it."""
     from lockhound.oracle import OracleUnsupported, run_oracle
+
+    try:
+        return run_oracle(icfa_of(source), max_states=ORACLE_STATES)
+    except OracleUnsupported:
+        return None
+
+
+def analyzed(source: str, cfg=None):
+    """Analysis plus the shared oracle result (None when it cannot run)."""
     from lockhound.pipeline import analyze_icfa
 
-    icfa = icfa_of(source)
-    a = analyze_icfa(icfa, cfg)
-    try:
-        res = run_oracle(icfa, max_states=max_states)
-    except OracleUnsupported:
-        res = None
-    return a, res
+    return analyze_icfa(icfa_of(source), cfg), oracle_of(source)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,7 @@
 """Seeded program generator: validity, determinism, and corpus diversity."""
 
-from conftest import icfa_of
+from conftest import icfa_of, oracle_of
 from lockhound.generator import GenConfig, generate, generate_corpus, random_config
-from lockhound.oracle import OracleUnsupported, run_oracle
 from lockhound.pipeline import analyze_icfa
 
 
@@ -35,11 +34,8 @@ def test_corpus_is_well_defined_for_the_executor():
     # The generator promises defined behavior: no run may hit a fault.
     checked = 0
     for src in generate_corpus(40):
-        try:
-            res = run_oracle(icfa_of(src), max_states=20_000)
-        except OracleUnsupported:
-            continue
-        if res.truncated:
+        res = oracle_of(src)
+        if res is None or res.truncated:
             continue
         checked += 1
         assert res.ub_events == 0, src
@@ -50,11 +46,8 @@ def test_corpus_is_well_defined_for_the_executor():
 def test_corpus_exercises_both_outcomes():
     verdicts = {"deadlock": 0, "free": 0}
     for src in generate_corpus(40):
-        try:
-            res = run_oracle(icfa_of(src), max_states=20_000)
-        except OracleUnsupported:
-            continue
-        if res.truncated:
+        res = oracle_of(src)
+        if res is None or res.truncated:
             continue
         verdicts["deadlock" if res.witnesses else "free"] += 1
     assert verdicts["deadlock"] >= 5

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
-from checks import oracle_facts
-from conftest import FIXTURES, icfa_of, load
-from lockhound.generator import generate
-from lockhound.oracle import OracleUnsupported, run_oracle
+from checks import check_may_covers, check_must_subset, oracle_facts
+from conftest import FIXTURES, analyzed, icfa_of, load
+from lockhound.frontend.icfa import (
+    AssignOp, CreateOp, FuncEntryOp, GuardOp, JoinOp, LockOp, ReturnOp, SkipOp,
+    UnlockOp,
+)
+from lockhound.generator import generate, random_config
+from lockhound.oracle import Oracle, OracleUnsupported, run_oracle
 from lockhound.pointsto import ArrayCellObj, FieldObj, GlobalObj, obj_label
 
 MUTANTS = [
@@ -97,6 +101,96 @@ def test_state_cap_sets_truncated(showcase_icfa):
     res = run_oracle(showcase_icfa, max_states=50)
     assert res.truncated
     assert res.states == 50
+
+
+def test_state_cap_is_exact_at_every_budget(showcase_icfa):
+    # A new state past the cap is added and then discarded again: every cap
+    # must keep exactly min(cap, full) states, truncated only below full.
+    full = run_oracle(showcase_icfa).states
+    for cap in range(1, full + 2):
+        res = run_oracle(showcase_icfa, max_states=cap, collect_copairs=False)
+        assert res.states == min(cap, full), cap
+        assert res.truncated == (cap < full), cap
+
+
+INTRA_KINDS = {SkipOp: "skip", ReturnOp: "ret-edge", AssignOp: "assign",
+               LockOp: "lock", UnlockOp: "unlock", CreateOp: "create",
+               JoinOp: "join"}
+
+
+def reference_move(icfa, loc):
+    """What a thread at loc does next, split straight from the out-edges:
+    a call wins over the function exit, which wins over the intra edges."""
+    out = icfa.out_edges[loc]
+    calls = [e for e in out if isinstance(e.op, FuncEntryOp)]
+    if calls:
+        return "call", calls[0]
+    if any(loc == fi.exit for fi in icfa.functions.values()):
+        return "exit", None
+    intra = [e for e in out if not icfa.is_inter(e)]
+    if not intra:
+        return "none", None
+    if all(isinstance(e.op, GuardOp) for e in intra):
+        return "guard", tuple(intra)
+    return INTRA_KINDS.get(type(intra[0].op), "none"), intra[0]
+
+
+def test_step_table_matches_the_out_edges():
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(60)]
+    kinds = set()
+    for src in sources:
+        icfa = icfa_of(src)
+        moves = Oracle(icfa)._moves
+        assert len(moves) == len(icfa.locations)
+        for loc, move in enumerate(moves):
+            kind, arg = reference_move(icfa, loc)
+            kinds.add(kind)
+            assert move.kind == kind, (loc, move)
+            if kind != "none":
+                assert move.arg == arg, (loc, move)
+            assert move.reads_mem == (kind not in ("skip", "ret-edge", "none"))
+    assert kinds >= {"call", "exit", "guard", *INTRA_KINDS.values()}
+
+
+# Two threads allocate at different sites; whichever allocates first used to
+# take serial 0, so one serial named both sites and the facts blamed the
+# wrong allocation.
+TWO_ALLOC_SITES = """
+struct node { mutex m; };
+
+int w1(int a) {
+    struct node *p;
+    p = malloc(struct node);
+    lock(&p->m);
+    unlock(&p->m);
+    return 0;
+}
+
+int w2(int a) {
+    struct node *q;
+    q = malloc(struct node);
+    lock(&q->m);
+    unlock(&q->m);
+    return 0;
+}
+
+int main() {
+    thread_t t1;
+    thread_t t2;
+    create(&t1, w1, 0);
+    create(&t2, w2, 0);
+    join(t1);
+    join(t2);
+    return 0;
+}
+"""
+
+
+def test_heap_serials_name_one_site_each():
+    a, res = analyzed(TWO_ALLOC_SITES)
+    assert check_may_covers(a, res) == []
+    assert check_must_subset(a, res) == []
 
 
 def test_recursion_is_rejected():
