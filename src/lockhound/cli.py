@@ -20,10 +20,11 @@ from pathlib import Path
 
 from .errors import MissingMainError, SourceError
 from .generator import GenConfig, generate
+from .lockgraph import lockgraph_dot
 from .oracle import OracleUnsupported, run_oracle
 from .pipeline import (
     Analysis, Config, POTENTIAL, PROVED_FREE, analyze_source,
-    icfa_dot, lock_dot, place_str, report_dict, report_text,
+    place_str, report_dict, report_text,
 )
 from .pointsto import STAR, obj_label
 
@@ -114,9 +115,9 @@ def cmd_analyze(args) -> int:
         return 2
 
     if args.emit_icfa:
-        _emit(args.file, ".icfa.dot", icfa_dot(a))
+        _emit(args.file, ".icfa.dot", a.icfa.to_dot())
     if args.emit_lockgraph:
-        _emit(args.file, ".lockgraph.dot", lock_dot(a))
+        _emit(args.file, ".lockgraph.dot", lockgraph_dot(a.lock_edges))
 
     if args.report == "json":
         print(json.dumps(report_dict(a), indent=2))

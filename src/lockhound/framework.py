@@ -170,6 +170,10 @@ class SolveResult:
         return None if pid is None else self.states[pid][1]
 
 
+FS_MAX_STEPS = 2_000_000  # worklist pops before solve_fs gives up
+FI_MAX_STEPS = 500_000    # worklist pops before solve_fi gives up
+
+
 class _Worklist:
     """One state per place, starting from main's entry.
 
@@ -214,10 +218,10 @@ class _Worklist:
             yield pid, self.places.resolve(pid)
 
 
-def solve_fs(icfa: ICFA, client: ClientAnalysis, max_steps: int = 2_000_000,
+def solve_fs(icfa: ICFA, client: ClientAnalysis,
              shuffle_seed: int | None = None) -> SolveResult:
     """Flow-sensitive fixpoint from main's entry."""
-    wl = _Worklist(icfa, client, max_steps, shuffle_seed)
+    wl = _Worklist(icfa, client, FS_MAX_STEPS, shuffle_seed)
     bound = icfa.place_length_bound()
     exits = {fn.exit for fn in icfa.functions.values()}
     fire: dict[tuple[int, int | None], list[Edge]] = {}
@@ -250,8 +254,7 @@ class _PassThrough:
     transfer = staticmethod(lambda e, p, state: state)
 
 
-def solve_fi(icfa: ICFA, client: ClientAnalysis, max_steps: int = 500_000,
-             edge_filter=None) -> SolveResult:
+def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResult:
     """Flow-insensitive fixpoint: one state per fi_context.
 
     Each processing round composes the function's intra-edge transfers to a
@@ -269,7 +272,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, max_steps: int = 500_000,
     def allowed(e: Edge) -> bool:
         return edge_filter is None or edge_filter(e)
 
-    wl = _Worklist(icfa, client, max_steps)
+    wl = _Worklist(icfa, client, FI_MAX_STEPS)
     fire: dict[tuple[str, int | None], list[Edge]] = {}
     for pid, p in wl:
         f = icfa.func_of(top(p))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
     JoinStmt, LockStmt, Program, Return, ExitJump, Stmt,
-    UnlockStmt, While, expr_text,
+    UnlockStmt, While, expr_text, walk_stmts,
 )
-from .transform import address_taken_functions, fp_call_candidates
+from .transform import _is_canonical, address_taken_functions, fp_call_candidates
 from ..errors import MissingMainError
 
 
@@ -190,7 +190,7 @@ class ICFA:
         self.edges: list[Edge] = []
         self.out_edges: dict[int, list[Edge]] = {}
         self.functions: dict[str, FuncInfo] = {}
-        self.create_sites: set[int] = set()
+        self.create_sites: set[int] = set()  # creates with a candidate thread
         self.address_taken: set[str] = set()
         self.warnings: list[str] = []
         self.entry_fn = prog.entry
@@ -246,9 +246,6 @@ class ICFA:
                 return e.op
         raise KeyError(f"location {loc} is not a create site")
 
-    def thread_entry_sources(self) -> set[int]:
-        return {e.src for e in self.edges if isinstance(e.op, ThreadEntryOp)}
-
     def dead_functions(self) -> list[str]:
         """Functions never reached from the entry via call or create edges."""
         seen = {self.entry_fn}
@@ -293,23 +290,10 @@ class ICFA:
 
 
 def is_preprocessed(prog: Program) -> bool:
-    from .transform import _is_canonical
-
-    def direct_calls_only(block: Block) -> bool:
-        for s in block.stmts:
-            if isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef):
-                return False
-            if isinstance(s, Block) and not direct_calls_only(s):
-                return False
-            if isinstance(s, If) and not (
-                    direct_calls_only(s.then) and direct_calls_only(s.els)):
-                return False
-            if isinstance(s, While) and not direct_calls_only(s.body):
-                return False
-        return True
-
-    return all(_is_canonical(f) and direct_calls_only(f.body)
-               for f in prog.functions.values())
+    """Every function ends in its only return and calls only by name."""
+    return all(_is_canonical(f) and not any(
+        isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef)
+        for s in walk_stmts(f.body)) for f in prog.functions.values())
 
 
 class _FunctionCompiler:
@@ -361,7 +345,6 @@ class _FunctionCompiler:
         if isinstance(s, CreateStmt):
             nxt = icfa.new_loc(fname, s.line)
             icfa.add_edge(cur, nxt, CreateOp(s.tid, s.fn, s.arg), s.line)
-            icfa.create_sites.add(cur)
             self.pending_creates.append((cur, nxt, s))
             return nxt
         if isinstance(s, JoinStmt):
@@ -462,6 +445,7 @@ def build_icfa(prog: Program) -> ICFA:
                 icfa.add_edge(site, fi.entry,
                               ThreadEntryOp(stmt.fn, stmt.arg, fi.params[0]),
                               stmt.line)
+                icfa.create_sites.add(site)
                 thread_funcs.add(name)
 
     # thread exit/join edges from every thread function's exit

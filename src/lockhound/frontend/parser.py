@@ -14,7 +14,7 @@ from .syntax import (
     ArrayType, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FieldAccess,
     FuncRef, FuncType, Function, If, Index, IntLit, JoinStmt, LockStmt, Malloc,
     PointerType, Program, Return, StructType, Stmt, Type, Unary, UnlockStmt, VarRef,
-    While, is_fnptr, is_pointer,
+    While, is_fnptr, is_pointer, walk_stmts,
 )
 from ..errors import ParseError, TypeCheckError
 
@@ -293,7 +293,7 @@ class _Parser:
         if self.at("("):  # lhs = callee(args);
             args = self._parse_args()
             return CallStmt(first, args, lhs, t.line)
-        expr = self._parse_binary_from(first, 0)
+        expr = self._parse_binary(0, first)
         return Assign(lhs, expr, t.line)
 
     def _parse_args(self) -> list[Expr]:
@@ -313,28 +313,18 @@ class _Parser:
     PRECEDENCE = [["==", "!="], ["<", "<=", ">", ">="], ["+", "-"]]
 
     def parse_expr(self) -> Expr:
-        return self._parse_binary_from(self.parse_unary(), 0)
+        return self._parse_binary(0)
 
-    def _parse_binary_from(self, left: Expr, level: int) -> Expr:
-        # precedence climbing over the three binary levels
+    def _parse_binary(self, level: int, left: Expr | None = None) -> Expr:
+        # precedence climbing over the three binary levels; left is the
+        # first unary operand when the caller has already parsed it
         if level >= len(self.PRECEDENCE):
-            return left
-        left = self._parse_binary_from(left, level + 1)
+            return self.parse_unary() if left is None else left
+        left = self._parse_binary(level + 1, left)
         while self.peek().kind in self.PRECEDENCE[level]:
             op = self.next()
             self.nest(op)
-            right = self._parse_binary_level(level + 1)
-            left = Binary(op.text, left, right, op.line, op.col)
-        return left
-
-    def _parse_binary_level(self, level: int) -> Expr:
-        if level >= len(self.PRECEDENCE):
-            return self.parse_unary()
-        left = self._parse_binary_level(level + 1)
-        while self.peek().kind in self.PRECEDENCE[level]:
-            op = self.next()
-            self.nest(op)
-            right = self._parse_binary_level(level + 1)
+            right = self._parse_binary(level + 1)
             left = Binary(op.text, left, right, op.line, op.col)
         return left
 
@@ -445,11 +435,11 @@ class _Checker:
         self.fn = fn
         self.scope = {}
         self._check_type_known(fn.ret, fn.line)
-        locals_: list[Decl] = []
         for p in fn.params:
             self._bind_local(fn, p)
-        self._collect_locals(fn, fn.body, locals_)
-        fn.locals = locals_
+        fn.locals = [s for s in walk_stmts(fn.body) if isinstance(s, Decl)]
+        for d in fn.locals:
+            self._bind_local(fn, d)
         self._check_block(fn.body)
 
     def _bind_local(self, fn: Function, d: Decl) -> None:
@@ -460,19 +450,6 @@ class _Checker:
         self.scope[d.name] = qual
         d.name = qual
         self.var_types[qual] = d.typ
-
-    def _collect_locals(self, fn: Function, block: Block, out: list[Decl]) -> None:
-        for s in block.stmts:
-            if isinstance(s, Decl):
-                self._bind_local(fn, s)
-                out.append(s)
-            elif isinstance(s, Block):
-                self._collect_locals(fn, s, out)
-            elif isinstance(s, If):
-                self._collect_locals(fn, s.then, out)
-                self._collect_locals(fn, s.els, out)
-            elif isinstance(s, While):
-                self._collect_locals(fn, s.body, out)
 
     # ---------------------------------------------------------- statements
 

@@ -295,25 +295,83 @@ class Program:
     warnings: list[str] = field(default_factory=list, compare=False)
 
 
+# ---------------------------------------------------------------------------
+# shape of the tree
+
+
+# The direct children of each compound node type, in source order, found
+# by one dict lookup on the exact type instead of an isinstance chain: the
+# walks below ask this for every node.
+_SUB_BLOCKS = {
+    If: lambda s: (s.then, s.els),
+    While: lambda s: (s.body,),
+    Block: lambda s: (s,),  # a nested block holds its statements itself
+}
+_SUB_EXPRS = {
+    Unary: lambda e: (e.operand,),
+    Binary: lambda e: (e.left, e.right),
+    FieldAccess: lambda e: (e.base,),
+    Index: lambda e: (e.base, e.index),
+}
+
+
+def sub_blocks(s: Stmt) -> tuple[Block, ...]:
+    """The blocks a statement directly contains, in source order: both
+    branches of an if, a loop body, or a nested block itself."""
+    get = _SUB_BLOCKS.get(type(s))
+    return () if get is None else get(s)
+
+
+def sub_exprs(e: Expr) -> tuple[Expr, ...]:
+    """An expression's direct operands, left to right."""
+    get = _SUB_EXPRS.get(type(e))
+    return () if get is None else get(e)
+
+
+def stmt_exprs(s: Stmt) -> list[Expr]:
+    """The expressions a statement directly contains, in source order."""
+    if isinstance(s, Assign):
+        return [s.lhs, s.rhs]
+    if isinstance(s, CallStmt):
+        return [s.callee, *s.args] + ([s.lhs] if s.lhs is not None else [])
+    if isinstance(s, (If, While)):
+        return [s.cond]
+    if isinstance(s, (LockStmt, UnlockStmt)):
+        return [s.arg]
+    if isinstance(s, CreateStmt):
+        return [s.tid, s.fn, s.arg]
+    if isinstance(s, JoinStmt):
+        return [s.tid] + ([s.ret] if s.ret is not None else [])
+    if isinstance(s, Return) and s.expr is not None:
+        return [s.expr]
+    return []
+
+
+def walk_stmts(block: Block, out: list[Stmt] | None = None) -> list[Stmt]:
+    """Every statement inside block, nested ones included, in source order
+    (a compound statement comes before the statements it contains)."""
+    if out is None:
+        out = []
+    for s in block.stmts:
+        out.append(s)
+        for b in sub_blocks(s):
+            walk_stmts(b, out)
+    return out
+
+
+def walk_exprs(e: Expr, out: list[Expr] | None = None) -> list[Expr]:
+    """e and every expression nested in it, each before its operands."""
+    if out is None:
+        out = []
+    out.append(e)
+    for c in sub_exprs(e):
+        walk_exprs(c, out)
+    return out
+
+
 def expr_vars(e: Expr) -> set[str]:
     """Variable identifiers referenced by an expression (function ids excluded)."""
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, VarRef):
-            out.add(n.name)
-        elif isinstance(n, Unary):
-            stack.append(n.operand)
-        elif isinstance(n, Binary):
-            stack.append(n.left)
-            stack.append(n.right)
-        elif isinstance(n, FieldAccess):
-            stack.append(n.base)
-        elif isinstance(n, Index):
-            stack.append(n.base)
-            stack.append(n.index)
-    return out
+    return {n.name for n in walk_exprs(e) if isinstance(n, VarRef)}
 
 
 def expr_text(e: Expr) -> str:

@@ -10,61 +10,23 @@ Both passes are idempotent.
 from __future__ import annotations
 
 from .syntax import (
-    INT, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function,
-    If, JoinStmt, PointerType, Program, Return, ExitJump, Stmt, VarRef, While,
+    INT, Assign, Binary, Block, CallStmt, Decl, Expr, FuncRef, Function, If,
+    PointerType, Program, Return, ExitJump, Stmt, VarRef, VOID, stmt_exprs,
+    sub_blocks, walk_exprs, walk_stmts,
 )
 
 
 def address_taken_functions(prog: Program) -> set[str]:
     """Functions whose value is used anywhere outside a direct call position."""
-    taken: set[str] = set()
-
-    def walk_expr(e: Expr) -> None:
-        stack = [e]
-        while stack:
-            n = stack.pop()
-            if isinstance(n, FuncRef):
-                taken.add(n.name)
-            for attr in ("operand", "left", "right", "base", "index"):
-                child = getattr(n, attr, None)
-                if child is not None:
-                    stack.append(child)
-
-    def walk_stmt(s: Stmt) -> None:
-        if isinstance(s, Block):
-            for t in s.stmts:
-                walk_stmt(t)
-        elif isinstance(s, Assign):
-            walk_expr(s.lhs)
-            walk_expr(s.rhs)
-        elif isinstance(s, CallStmt):
-            if not isinstance(s.callee, FuncRef):
-                walk_expr(s.callee)  # direct callees do not count as taken
-            for a in s.args:
-                walk_expr(a)
-            if s.lhs is not None:
-                walk_expr(s.lhs)
-        elif isinstance(s, If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            walk_stmt(s.els)
-        elif isinstance(s, While):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, CreateStmt):
-            walk_expr(s.tid)
-            walk_expr(s.fn)  # passing a function to create() takes its address
-            walk_expr(s.arg)
-        elif isinstance(s, JoinStmt):
-            walk_expr(s.tid)
-            if s.ret is not None:
-                walk_expr(s.ret)
-        elif isinstance(s, Return) and s.expr is not None:
-            walk_expr(s.expr)
-
+    exprs: list[Expr] = []
     for fn in prog.functions.values():
-        walk_stmt(fn.body)
-    return taken
+        for s in walk_stmts(fn.body):
+            roots = stmt_exprs(s)
+            if isinstance(s, CallStmt) and isinstance(s.callee, FuncRef):
+                roots = roots[1:]  # direct callees do not count as taken
+            for e in roots:
+                walk_exprs(e, exprs)
+    return {e.name for e in exprs if isinstance(e, FuncRef)}
 
 
 def fp_call_candidates(prog: Program, callee: Expr, taken: set[str]) -> list[Function]:
@@ -80,19 +42,14 @@ def remove_fp_calls(prog: Program) -> Program:
     """Replace calls through function pointers with direct-call dispatch chains."""
     taken = address_taken_functions(prog)
 
-    def rewrite(block: Block, fname: str) -> None:
+    def rewrite(block: Block) -> None:
         for i, s in enumerate(block.stmts):
-            if isinstance(s, Block):
-                rewrite(s, fname)
-            elif isinstance(s, If):
-                rewrite(s.then, fname)
-                rewrite(s.els, fname)
-            elif isinstance(s, While):
-                rewrite(s.body, fname)
-            elif isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef):
-                block.stmts[i] = dispatch(s, fname)
+            if isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef):
+                block.stmts[i] = dispatch(s)
+            for b in sub_blocks(s):
+                rewrite(b)
 
-    def dispatch(s: CallStmt, fname: str) -> Stmt:
+    def dispatch(s: CallStmt) -> Stmt:
         cands = fp_call_candidates(prog, s.callee, taken)
         if not cands:
             prog.warnings.append(
@@ -110,36 +67,20 @@ def remove_fp_calls(prog: Program) -> Program:
                        s.line)
         return chain
 
-    for fname, fn in prog.functions.items():
-        rewrite(fn.body, fname)
+    for fn in prog.functions.values():
+        rewrite(fn.body)
     return prog
-
-
-def _count_returns(block: Block) -> int:
-    n = 0
-    for s in block.stmts:
-        if isinstance(s, Return):
-            n += 1
-        elif isinstance(s, Block):
-            n += _count_returns(s)
-        elif isinstance(s, If):
-            n += _count_returns(s.then) + _count_returns(s.els)
-        elif isinstance(s, While):
-            n += _count_returns(s.body)
-    return n
 
 
 def _is_canonical(fn: Function) -> bool:
     body = fn.body.stmts
     if not body or not isinstance(body[-1], Return):
         return False
-    return _count_returns(fn.body) == 1
+    return sum(isinstance(s, Return) for s in walk_stmts(fn.body)) == 1
 
 
 def single_exit(prog: Program) -> Program:
     """Rewrite each function to have exactly one trailing return statement."""
-    from .syntax import VOID
-
     for fn in prog.functions.values():
         if _is_canonical(fn):
             continue
@@ -162,13 +103,8 @@ def single_exit(prog: Program) -> Program:
                         out[-1].lhs.typ = fn.ret
                     out.append(ExitJump(s.line))
                     break  # statements after a return are dead
-                if isinstance(s, Block):
-                    rewrite(s)
-                elif isinstance(s, If):
-                    rewrite(s.then)
-                    rewrite(s.els)
-                elif isinstance(s, While):
-                    rewrite(s.body)
+                for b in sub_blocks(s):
+                    rewrite(b)
                 out.append(s)
             block.stmts = out
 

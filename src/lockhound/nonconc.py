@@ -121,7 +121,7 @@ class NonConcurrency:
         self.locks = locks
         self.pt = pt
         self.graph = GraphFacts(icfa)
-        self.creates = icfa.thread_entry_sources()
+        self.creates = icfa.create_sites
         self._calls_in: dict[str, list[Edge]] = {}
         self._joins_in: dict[str, list[Edge]] = {}
         for e in icfa.edges:
@@ -169,47 +169,35 @@ class NonConcurrency:
         if i >= len(p1) or i >= len(p2):
             return None  # one place prefixes the other: stay conservative
         l1, l2 = p1[i], p2[i]
-        r1 = self._unwind(i, p1, l1, l2) if self.graph.has_path(l1, l2) else True
-        r2 = self._unwind(i, p2, l2, l1) if self.graph.has_path(l2, l1) else True
+        r1 = self._unwind(i, p1, l2) if self.graph.has_path(l1, l2) else True
+        r2 = self._unwind(i, p2, l1) if self.graph.has_path(l2, l1) else True
         return CREATE_JOIN if (r1 and r2) else None
 
-    def _unwind(self, i: int, p: Place, l_from: int, l_to: int) -> bool:
+    def _unwind(self, i: int, p: Place, l_to: int) -> bool:
         """True if the thread part of p above level i is joined on every path
-        from l_from onwards, so its places cannot outlive that flow."""
+        from p[i] to l_to, so its places cannot outlive that flow."""
         g = self.graph
         q = list(p)
         joined = True
         p_c: Place | None = None
-        while len(q) > i + 1:
-            loc = q[-1]
-            if loc not in self.creates and joined:
-                q.pop()
-                continue
+        while len(q) > i:
+            loc = q.pop()
             if loc in self.creates:
                 if not joined:
                     return False
                 joined = False
-                p_c = tuple(q)
-            q.pop()
-            assert p_c is not None
-            exit_loc = self.icfa.exit_of(self.icfa.func_of(loc))
-            joined = self._find(p_c, tuple(q), loc, exit_loc)
-            if g.in_loop(loc):
-                loop_joined = self._find(p_c, tuple(q), loc, loc)
-                if not joined or not loop_joined:
-                    return False
-        loc = q[-1]
-        if loc in self.creates:
-            if not joined:
+                p_c = (*q, loc)
+            elif joined:
+                continue
+            # below level i the thread must be joined before its function
+            # returns; at level i, before control reaches l_to
+            target = l_to if len(q) == i else \
+                self.icfa.exit_of(self.icfa.func_of(loc))
+            prefix = tuple(q)
+            joined = self._find(p_c, prefix, loc, target)
+            if g.in_loop(loc) and not (
+                    joined and self._find(p_c, prefix, loc, loc)):
                 return False
-            joined = False
-            p_c = tuple(q)
-        if not joined:
-            assert p_c is not None
-            q.pop()
-            joined = self._find(p_c, tuple(q), loc, l_to)
-            if g.in_loop(loc):
-                return joined and self._find(p_c, tuple(q), loc, loc)
         return joined
 
     def _find(self, p_c: Place, prefix: Place, l_a: int, l_b: int,

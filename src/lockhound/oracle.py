@@ -1,8 +1,12 @@
 """Concrete explicit-state reference executor.
 
 Runs a program over all schedules (DFS with state memoization and a budget),
-tracking for every thread both its concrete frames and the abstract place the
-static analysis would assign. Collected facts:
+tracking for every thread the abstract place the static analysis would
+assign. Recursion is rejected, so the place is also the thread's call stack:
+its last location is where the thread stands, and the locations before it
+are the call sites to return to, down to the create site that started the
+thread (below it lies the creator's context); the main thread has none.
+Collected facts:
 
 * arrivals: (place, locks held) pairs seen on real executions,
 * copairs: place pairs simultaneously occupied by two live threads,
@@ -22,7 +26,8 @@ foreign unlock, invalid join, dangling dereference) are pruned at the
 offending step: facts from the poisoned step onwards don't count.
 
 Recursive calls are rejected: place abstraction folds them, and this
-executor's job is to be exact.
+executor's job is to be exact. A call is recursive exactly when entering the
+callee would not lengthen the place.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .errors import SourceError
-from .framework import entry_place
+from .framework import entry_place, next_place
 from .frontend.icfa import (
     ICFA, AssignOp, CreateOp, Edge, FuncEntryOp, FuncExitOp, GuardOp, JoinOp,
     LockOp, ReturnOp, SkipOp, ThreadEntryOp, ThreadJoinOp, UnlockOp,
@@ -97,8 +102,9 @@ class OracleResult:
 
 
 # State layout (all immutable, hashable):
-#   threads: tuple of (place, frames, status, retval)
-#     frames: tuple of (func, ret_edge_idx | None, saved_place | None)
+#   threads: tuple of (place, status, retval)
+#     place:  the thread's call stack (see the module docstring); it ends
+#             at the thread function's exit once the thread is done
 #     status: "run" | "done" | "joined"
 #   mem:    frozenset of (cell, value) pairs, one per cell
 #   locks:  frozenset of (cell, owner) pairs, one per held mutex
@@ -140,7 +146,7 @@ class Oracle:
         self._alloc_index: dict[int, int] = {}   # malloc site -> allocs slot
         self._serials: dict[tuple[int, int], int] = {}  # (site, n) -> serial
         self._thread_entries: dict[tuple[int, str], Edge] = {}
-        self._func_exits: dict[tuple[int, int], int] = {}
+        self._func_exits: dict[tuple[int, int], Edge] = {}  # (exit, site)
         for e in icfa.edges:
             op = e.op
             if isinstance(op, AssignOp) and isinstance(op.rhs, Malloc):
@@ -148,7 +154,7 @@ class Oracle:
             elif isinstance(op, ThreadEntryOp):
                 self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
             elif isinstance(op, FuncExitOp):
-                self._func_exits.setdefault((e.src, e.call_site), e.idx)
+                self._func_exits.setdefault((e.src, e.call_site), e)
         self._is_mutex: dict[tuple, bool] = {}   # cell -> names a mutex?
 
     def _move_at(self, loc: int) -> Move:
@@ -215,7 +221,7 @@ class Oracle:
         mem = None  # state[1] as a dict, once a step reads it
         alive = False
         for tid, th in enumerate(state[0]):
-            if th[2] != "run":
+            if th[1] != "run":
                 continue
             alive = True
             _, arg, reads_mem, run = self._moves[th[0][-1]]
@@ -251,13 +257,13 @@ class Oracle:
         if movers is None:
             movers = range(len(threads))
         for t in movers:
-            place, _, status, _ = threads[t]
+            place, status, _ = threads[t]
             if status != "run":
                 continue
             cells = [c for c, owner in locks if owner == t] if locks else None
             arrivals.add((place, frozenset(cells) if cells else _NO_LOCKS))
             if copairs is not None:
-                for u, (other, _, ustatus, _) in enumerate(threads):
+                for u, (other, ustatus, _) in enumerate(threads):
                     if u != t and ustatus == "run":
                         copairs.add((place, other) if place <= other
                                     else (other, place))
@@ -299,7 +305,7 @@ class Oracle:
         for name, decl in self.icfa.prog.globals.items():
             self._init_global(mem, ("g", name), decl.typ)
         entry = self.icfa.entry_of(self.icfa.entry_fn)
-        threads = (((entry,), ((self.icfa.entry_fn, None, None),), "run", None),)
+        threads = (((entry,), "run", None),)
         return (threads, frozenset(mem.items()), frozenset(),
                 (0,) * len(self._alloc_index))
 
@@ -321,8 +327,8 @@ class Oracle:
         """Move thread tid along intra edge e. The frozen mem, locks and
         allocs given replace the state's; the others pass through."""
         threads, mem0, locks0, allocs0 = state
-        place, frames, status, retval = threads[tid]
-        th = (place[:-1] + (e.tgt,), frames, status, retval)
+        place, status, retval = threads[tid]
+        th = (place[:-1] + (e.tgt,), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
         return (tag, (threads, mem0 if mem is None else mem,
                       locks0 if locks is None else locks,
@@ -432,7 +438,7 @@ class Oracle:
         writes = {tv[1]: ("tid", new_tid)}
         self._note_rw(e, self._reads, (tv[1],))
 
-        place, frames, status, retval = threads[tid]
+        place, status, retval = threads[tid]
         tf_place = entry_place(self.icfa, place, te.tgt)
         if len(tf_place) != len(place) + 1:
             raise OracleUnsupported("recursive thread creation")
@@ -440,8 +446,8 @@ class Oracle:
         writes[pcell] = av
         self._note_rw(te, self._reads, (pcell,))
 
-        th = (place[:-1] + (e.tgt,), frames, status, retval)
-        new_th = (tf_place, ((fname, None, None),), "run", None)
+        th = (place[:-1] + (e.tgt,), status, retval)
+        new_th = (tf_place, "run", None)
         threads = threads[:tid] + (th,) + threads[tid + 1:] + (new_th,)
         return ("create", (threads, self._store(state[1], mem, writes),
                            state[2], state[3]))
@@ -453,19 +459,19 @@ class Oracle:
         if not (isinstance(tv, tuple) and tv[0] == "tid"):
             raise _UB("join on an invalid thread id")
         target = tv[1]
-        t_place, t_frames, t_status, t_retval = threads[target]
+        t_place, t_status, t_retval = threads[target]
         if t_status == "joined":
             raise _UB("thread joined twice")
         if t_status == "run":
             return (None, None)  # wait
         self._note_rw(e, self._reads, ())
-        threads = threads[:target] + ((t_place, t_frames, "joined", t_retval),) \
+        threads = threads[:target] + ((t_place, "joined", t_retval),) \
             + threads[target + 1:]
         state = (threads,) + state[1:]
         if op.ret is None:
             return self._advance(state, tid, e, "join")
         cell = self._cell_of(mem, tid, op.ret)
-        for tj in self.icfa.out_edges[self.icfa.exit_of(t_frames[0][0])]:
+        for tj in self.icfa.out_edges[t_place[-1]]:
             if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
                 self._note_rw(tj, self._ret_reads.get(target, frozenset()), (cell,))
                 break
@@ -474,48 +480,42 @@ class Oracle:
 
     def _do_call(self, state, tid, e, mem):
         threads = state[0]
+        place, status, retval = threads[tid]
+        p2 = entry_place(self.icfa, place, e.tgt)
+        if len(p2) != len(place) + 1:
+            raise OracleUnsupported(
+                f"recursive call of {self.icfa.func_of(e.tgt)}")
         op = e.op
-        callee = self.icfa.func_of(e.tgt)
-        place, frames, status, retval = threads[tid]
-        for fr in frames:
-            if fr[0] == callee:
-                raise OracleUnsupported(f"recursive call of {callee}")
         vals = [self._eval(mem, tid, a) for a in op.args]
         writes = {("l", tid, par): v for par, v in zip(op.params, vals)}
         self._note_rw(e, self._reads, writes)
-        ret_idx = self._func_exits[self.icfa.exit_of(callee), e.src]
-        p2 = entry_place(self.icfa, place, e.tgt)
-        if len(p2) != len(place) + 1:
-            raise OracleUnsupported("recursive call context")
-        th = (p2, frames + ((callee, ret_idx, place),), status, retval)
-        threads = threads[:tid] + (th,) + threads[tid + 1:]
+        threads = threads[:tid] + ((p2, status, retval),) + threads[tid + 1:]
         mem_f = self._store(state[1], mem, writes) if writes else state[1]
         return ("call", (threads, mem_f, state[2], state[3]))
 
     def _do_return(self, state, tid, _, mem):
         threads = state[0]
-        place, frames, status, retval = threads[tid]
-        func = frames[-1][0]
+        place, status, retval = threads[tid]
+        func = self.icfa.func_of(place[-1])
         fi = self.icfa.functions[func]
         v = 0
         if fi.ret_expr is not None:
             v = self._eval(mem, tid, fi.ret_expr)
 
-        if len(frames) == 1:
+        if len(place) == 1 or place[-2] in self.icfa.create_sites:
+            # the thread's bottom frame: the thread is done
             self._ret_reads[tid] = frozenset(self._reads)
-            th = (place, frames, "done", v)
+            th = (place, "done", v)
             threads = threads[:tid] + (th,) + threads[tid + 1:]
             dead = [c for c in mem if c[0] == "l" and c[1] == tid]
             return ("finish", (threads, self._store(state[1], mem, {}, dead),
                                state[2], state[3]))
 
-        _, ret_edge_idx, saved_place = frames[-1]
-        e = self.icfa.edges[ret_edge_idx]
+        e = self._func_exits[place[-1], place[-2]]
         prefix = func + "::"
         dead = [c for c in mem
                 if c[0] == "l" and c[1] == tid and c[2].startswith(prefix)]
-        p2 = saved_place[:-1] + (e.tgt,)
-        th = (p2, frames[:-1], status, retval)
+        th = (next_place(self.icfa, e, place), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
         writes = {}
         if e.op.lhs is not None:

@@ -12,7 +12,7 @@ from .frontend import build_icfa, parse, preprocess
 from .frontend.icfa import ICFA
 from .lockgraph import (
     CycleSearch, LockEdge, close_lock_edges, enumerate_cycles,
-    build_lock_graph, filter_cycles, lockgraph_dot,
+    build_lock_graph, filter_cycles,
 )
 from .locksets import LocksetResults, solve_locksets
 from .nonconc import NonConcurrency
@@ -216,11 +216,3 @@ def report_text(a: Analysis, color: bool = False) -> str:
                      + ", ".join(f"{k} {v:.3f}s" for k, v in a.timings.items())
                      + ")")
     return "\n".join(lines) + "\n"
-
-
-def icfa_dot(a: Analysis) -> str:
-    return a.icfa.to_dot()
-
-
-def lock_dot(a: Analysis) -> str:
-    return lockgraph_dot(a.lock_edges)

@@ -161,6 +161,47 @@ def test_address_taken_and_fp_dispatch():
     assert isinstance(inner, If) and inner.cond.right.name == "w2"
     assert inner.then.stmts[0].callee.name == "w2"
 
+    # a function name in every statement position, each nested in blocks
+    prog = parse("""
+        struct S { int (*f)(int); };
+        struct S arr[2];
+        mutex ms[2];
+        int t_rhs(int a) { return 0; }
+        int t_arg(int a) { return 0; }
+        int t_callee(int a) { return 0; }
+        int t_if(int a) { return 0; }
+        int t_while(int a) { return 0; }
+        int t_carg(int a) { return 0; }
+        int t_ret(int a) { return 0; }
+        int t_lock(int a) { return 0; }
+        int runner(int (*g)(int)) { return 0; }
+        int use(int (*g)(int)) { return 0; }
+        int chk(int (*g)(int)) {
+            if (1) { } else { while (1) { return g == t_ret; } }
+            return 0;
+        }
+        int main() {
+            int (*fp)(int);
+            int r;
+            thread_t t;
+            fp = t_arg;
+            if (1) {
+                while (r) { if (0) { } else { fp = t_rhs; } }
+            } else {
+                if (1) { r = use(t_arg); r = arr[fp == t_callee].f(3); }
+                if (fp == t_if) { while (fp != t_while) { r = chk(fp); } }
+            }
+            while (0) {
+                { create(&t, runner, t_carg); }
+                if (1) { lock(&ms[fp == t_lock]); unlock(&ms[0]); }
+            }
+            return r;
+        }
+    """)
+    assert address_taken_functions(prog) == {
+        "t_rhs", "t_arg", "t_callee", "t_if", "t_while", "runner", "t_carg",
+        "t_ret", "t_lock"}
+
 
 def test_fp_call_with_no_candidates_warns():
     prog = parse("""
@@ -182,7 +223,7 @@ def test_icfa_showcase_wiring(showcase_icfa):
     icfa = showcase_icfa
     assert icfa.entry_fn == "main"
     assert set(icfa.functions) == {"thread1", "func2", "main"}
-    assert icfa.thread_entry_sources() == {18}
+    assert icfa.create_sites == {18}
 
     kinds = {}
     for e in icfa.edges:

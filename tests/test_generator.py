@@ -27,7 +27,7 @@ def test_programs_stay_within_configured_bounds():
         src = generate(seed, cfg)
         assert src.count("create(") <= 2 or "for" in src  # loop re-creates
         icfa = icfa_of(src)
-        assert len(icfa.thread_entry_sources()) <= 2
+        assert len(icfa.create_sites) <= 2
 
 
 def test_corpus_is_well_defined_for_the_executor():

@@ -121,7 +121,7 @@ def lock_loc(icfa, line: int) -> int:
 def test_gatelock_reason():
     a, nc = nc_of(GATE_SRC)
     icfa = a.icfa
-    (site,) = icfa.thread_entry_sources()
+    (site,) = icfa.create_sites
     inner_w = (site, lock_loc(icfa, 6))    # worker at lock(&m2), holds g,m1
     inner_m = (lock_loc(icfa, 16),)        # main at lock(&m2), holds g
     assert nc.check(inner_w, inner_m) == GATELOCK
@@ -152,7 +152,7 @@ JOIN_SRC = """
 def test_create_join_reason():
     a, nc = nc_of(JOIN_SRC)
     icfa = a.icfa
-    (site,) = icfa.thread_entry_sources()
+    (site,) = icfa.create_sites
     in_worker = (site, lock_loc(icfa, 4))
     after_join = (lock_loc(icfa, 12),)
     assert nc.check(in_worker, after_join) == CREATE_JOIN
@@ -183,7 +183,7 @@ COND_JOIN_SRC = """
 def test_conditional_join_is_not_proof():
     a, nc = nc_of(COND_JOIN_SRC)
     icfa = a.icfa
-    (site,) = icfa.thread_entry_sources()
+    (site,) = icfa.create_sites
     in_worker = (site, lock_loc(icfa, 5))
     after_if = (lock_loc(icfa, 13),)
     assert nc.check(in_worker, after_if) is None
@@ -212,7 +212,7 @@ def test_loop_created_thread_may_pair_with_itself():
     src = load("mutant_loop_create.mc")
     a = analyze_icfa(icfa_of(src))
     nc = a.nonconc
-    (site,) = a.icfa.thread_entry_sources()
+    (site,) = a.icfa.create_sites
     assert nc.multiple_thread((site,))
     from lockhound.frontend.icfa import LockOp
     locs = sorted({e.src for e in a.icfa.edges if isinstance(e.op, LockOp)

@@ -193,11 +193,23 @@ def test_heap_serials_name_one_site_each():
     assert check_must_subset(a, res) == []
 
 
-def test_recursion_is_rejected():
-    src = """
+@pytest.mark.parametrize("src", [
+    pytest.param("""
 int f(int n) { if (n == 0) { return 0; } int r; r = f(n - 1); return r; }
 int main() { int x; x = f(3); return x; }
-"""
+""", id="direct"),
+    pytest.param("""
+int f(int n) { int r; r = 0; if (n > 0) { r = g(n - 1); } return r; }
+int g(int n) { int r; r = f(n); return r; }
+int main() { int x; x = f(2); return x; }
+""", id="mutual"),
+    pytest.param("""
+int worker(int a) { spawn(1); return 0; }
+void spawn(int n) { thread_t t; if (n == 0) { create(&t, worker, 0); join(t); } }
+int main() { spawn(0); return 0; }
+""", id="through-creator"),
+])
+def test_recursion_is_rejected(src):
     with pytest.raises(OracleUnsupported):
         run_oracle(icfa_of(src))
 
