@@ -18,7 +18,9 @@ from functools import cached_property
 
 import networkx as nx
 
-from .frontend.icfa import ICFA, Edge, FuncEntryOp, JoinOp, ThreadEntryOp
+from .frontend.icfa import (
+    ICFA, INTER_OPS, Edge, FuncEntryOp, JoinOp, ThreadEntryOp,
+)
 from .locksets import LocksetResults
 from .places import MAIN_THREAD, Place, common_prefix_len, get_thread, \
     multiple_thread_guard
@@ -31,88 +33,147 @@ UNREACHED = "unreached"
 
 
 class GraphFacts:
-    """Reachability, dominators and loop membership over the stitched graph.
+    """Paths, dominators and loops for the create/join argument.
 
-    Thread entry edges are excluded: a created thread's body is not a
-    continuation of the creator, so paths must not flow through them.
+    `in_loop` asks the stitched graph: a location is in a loop when it lies
+    on a cycle of the whole program, calls and returns included.
+
+    `has_path`, `on_all_paths` and `on_all_cycles` ask the local graph of
+    the one function f that holds the queried locations. That graph has f's
+    own edges, plus:
+
+    * a summary edge from each call site to its return site;
+    * for a call whose callee can call back into f (the two share a
+      strongly connected component of the call graph), an edge from the
+      call site to entry(f) and one from exit(f) to the return site;
+    * an edge exit(f) -> entry(f) when the two share a strongly connected
+      component of the stitched graph: f can run again after it returns.
+
+    Thread entry edges are left out of both graphs: a created thread's body
+    is not a continuation of its creator.
+
+    Soundness. Take a real path from a to c, both in f, and cut it into the
+    stretches it spends in frames of f. Between two stretches the path
+    either runs a whole call (a summary edge), descends through a call into
+    a new frame of f (call -> entry), returns from a frame of f into an
+    older one (exit -> return site) or leaves f and enters it afresh
+    (exit -> entry). So every real path from a to c projects onto a local
+    path, and every node of that local path is visited by the real path.
+    If b, a location of f, lies on every local path from a to c, it lies on
+    every real one: no stretch outside f can hide it. A summary edge for a
+    callee that never returns only adds local paths, which can only make an
+    answer more conservative. A query whose locations lie in different
+    functions gets the conservative answer: has_path True, on_all_paths and
+    on_all_cycles False.
     """
 
     def __init__(self, icfa: ICFA):
         self.icfa = icfa
-        self.succ: dict[int, list[int]] = {loc.id: [] for loc in icfa.locations}
-        for e in icfa.edges:
-            if not isinstance(e.op, ThreadEntryOp):
-                self.succ[e.src].append(e.tgt)
-        self._reach: dict[int, set[int]] = {}
+        self._local: dict[str, nx.DiGraph] = {}
         self._idom: dict[int, dict[int, int]] = {}
 
-    def reach(self, a: int) -> set[int]:
-        got = self._reach.get(a)
-        if got is None:
-            seen = {a}
-            stack = [a]
-            while stack:
-                n = stack.pop()
-                for m in self.succ[n]:
-                    if m not in seen:
-                        seen.add(m)
-                        stack.append(m)
-            self._reach[a] = got = seen
-        return got
-
-    def has_path(self, a: int, b: int) -> bool:
-        return b in self.reach(a)
+    @cached_property
+    def _stitched(self) -> tuple[dict[int, int], set[int]]:
+        """The component of each location in the stitched graph, and the
+        locations that lie on a cycle of it."""
+        g = nx.DiGraph()
+        g.add_nodes_from(loc.id for loc in self.icfa.locations)
+        g.add_edges_from((e.src, e.tgt) for e in self.icfa.edges
+                         if not isinstance(e.op, ThreadEntryOp))
+        comp: dict[int, int] = {}
+        loops: set[int] = set()
+        for k, c in enumerate(nx.strongly_connected_components(g)):
+            comp.update(dict.fromkeys(c, k))
+            if len(c) > 1 or any(g.has_edge(n, n) for n in c):
+                loops |= c
+        return comp, loops
 
     @cached_property
-    def digraph(self) -> nx.DiGraph:
+    def _call_comp(self) -> dict[str, int]:
+        """The component of each function in the call graph."""
+        icfa = self.icfa
         g = nx.DiGraph()
-        g.add_nodes_from(self.succ)
-        for n, ms in self.succ.items():
-            g.add_edges_from((n, m) for m in ms)
+        g.add_nodes_from(icfa.functions)
+        g.add_edges_from((icfa.func_of(e.src), icfa.func_of(e.tgt))
+                         for e in icfa.edges if isinstance(e.op, FuncEntryOp))
+        return {f: k for k, c in enumerate(nx.strongly_connected_components(g))
+                for f in c}
+
+    def _graph(self, f: str) -> nx.DiGraph:
+        """The local graph of f (see the class docstring), cached."""
+        g = self._local.get(f)
+        if g is not None:
+            return g
+        icfa = self.icfa
+        fi = icfa.functions[f]
+        self._local[f] = g = nx.DiGraph()
+        for loc in range(fi.entry, fi.exit + 1):  # f's locations, in order
+            g.add_node(loc)
+            for e in icfa.out_edges[loc]:
+                if isinstance(e.op, FuncEntryOp):
+                    callee = icfa.func_of(e.tgt)
+                    ret = next(x.tgt for x in
+                               icfa.out_edges[icfa.exit_of(callee)]
+                               if x.call_site == loc)
+                    g.add_edge(loc, ret)
+                    if self._call_comp[callee] == self._call_comp[f]:
+                        g.add_edge(loc, fi.entry)
+                        g.add_edge(fi.exit, ret)
+                elif not isinstance(e.op, INTER_OPS):
+                    g.add_edge(loc, e.tgt)
+        comp = self._stitched[0]
+        if comp[fi.exit] == comp[fi.entry]:
+            g.add_edge(fi.exit, fi.entry)
         return g
 
-    def on_all_paths(self, a: int, b: int, c: int) -> bool:
-        """Every path a ->* c visits b, and b is actually ahead of a."""
-        if not self.has_path(a, b):
-            return False
-        if not self.has_path(a, c):
-            return True  # no such path: either vacuous or the joiner blocks
+    def _dominators(self, a: int) -> dict[int, int]:
+        """Immediate dominators from root a in its local graph, keyed by the
+        locations a reaches (a itself left out)."""
         idom = self._idom.get(a)
         if idom is None:
-            # the result leaves out the start node itself
-            self._idom[a] = idom = nx.immediate_dominators(self.digraph, a)
+            g = self._graph(self.icfa.func_of(a))
+            self._idom[a] = idom = nx.immediate_dominators(g, a)
+        return idom
+
+    @staticmethod
+    def _dominates(idom: dict[int, int], a: int, b: int, c: int) -> bool:
+        """b is on every path from a to c, which a reaches."""
         while c != b and c != a:
             c = idom[c]
         return c == b
+
+    def has_path(self, a: int, b: int) -> bool:
+        func_of = self.icfa.func_of
+        if func_of(a) != func_of(b):
+            return True
+        return a == b or b in self._dominators(a)
+
+    def on_all_paths(self, a: int, b: int, c: int) -> bool:
+        """Every path a ->* c visits b, and b is actually ahead of a."""
+        func_of = self.icfa.func_of
+        if not func_of(a) == func_of(b) == func_of(c):
+            return False
+        idom = self._dominators(a)
+        if b != a and b not in idom:
+            return False
+        if c != a and c not in idom:
+            return True  # no such path: either vacuous or the joiner blocks
+        return self._dominates(idom, a, b, c)
 
     def on_all_cycles(self, a: int, b: int) -> bool:
         """Every cycle through a visits b."""
         if a == b:
             return True
-        seen = set()
-        stack = [m for m in self.succ[a] if m != b]
-        while stack:
-            n = stack.pop()
-            if n == a:
-                return False  # found a cycle avoiding b
-            if n in seen or n == b:
-                continue
-            seen.add(n)
-            stack.extend(self.succ[n])
-        return True
-
-    @cached_property
-    def _loop(self) -> dict[int, bool]:
-        g = self.digraph
-        loop: dict[int, bool] = {}
-        for comp in nx.strongly_connected_components(g):
-            big = len(comp) > 1
-            for n in comp:
-                loop[n] = big or g.has_edge(n, n)
-        return loop
+        f = self.icfa.func_of(a)
+        if self.icfa.func_of(b) != f:
+            return False
+        # a cycle through a is a path from a to a predecessor, then one edge
+        idom = self._dominators(a)
+        return all(p != a and (p not in idom or self._dominates(idom, a, b, p))
+                   for p in self._graph(f).pred[a])
 
     def in_loop(self, a: int) -> bool:
-        return self._loop[a]
+        return a in self._stitched[1]
 
 
 class NonConcurrency:
@@ -168,6 +229,10 @@ class NonConcurrency:
         i = common_prefix_len(p1, p2)
         if i >= len(p1) or i >= len(p2):
             return None  # one place prefixes the other: stay conservative
+        # two instances of a common ancestor thread may hold one place each
+        ancestor = get_thread(p1[:i + 1], self.creates)
+        if ancestor != MAIN_THREAD and self.multiple_thread(ancestor):
+            return None
         l1, l2 = p1[i], p2[i]
         r1 = self._unwind(i, p1, l2) if self.graph.has_path(l1, l2) else True
         r2 = self._unwind(i, p2, l1) if self.graph.has_path(l2, l1) else True

@@ -2,8 +2,14 @@ import itertools
 import random
 from types import SimpleNamespace
 
-from checks import check_nonconc
-from conftest import FIXTURES, SCALED, analyzed, icfa_of, load
+import pytest
+
+from checks import check_all, check_nonconc
+from conftest import FIXTURES, SCALED, analyzed, icfa_of, load, oracle_of
+from lockhound.cli import main
+from lockhound.frontend.icfa import (
+    ICFA, FuncEntryOp, FuncInfo, LockOp, SkipOp, UnlockOp,
+)
 from lockhound.generator import generate, random_config
 from lockhound.nonconc import (
     CREATE_JOIN, GATELOCK, GraphFacts, NonConcurrency, SINGLE_THREAD,
@@ -13,11 +19,15 @@ from lockhound.pipeline import analyze_icfa
 
 
 def facts(n: int, edges) -> GraphFacts:
-    fake = SimpleNamespace(
-        locations=[SimpleNamespace(id=i) for i in range(n)],
-        edges=[SimpleNamespace(src=s, tgt=t, op=None) for s, t in edges],
-    )
-    return GraphFacts(fake)
+    """GraphFacts of a one-function automaton: edges over locations 0..n-1,
+    entry 0, and an isolated exit n, so the local graph is exactly edges."""
+    icfa = ICFA(SimpleNamespace(entry="f"))
+    for _ in range(n + 1):
+        icfa.new_loc("f")
+    for s, t in edges:
+        icfa.add_edge(s, t, SkipOp())
+    icfa.functions["f"] = FuncInfo("f", 0, n, (), None)
+    return GraphFacts(icfa)
 
 
 def test_reachability_and_dominators():
@@ -59,6 +69,12 @@ def test_reachability_and_dominators():
                     expect = b in reach and (
                         c not in reach or b in (a, c) or c not in cut)
                     assert g.on_all_paths(a, b, c) == expect, (edges, a, b, c)
+                # b is on every cycle through a when no edge out of a
+                # leads back to a around b
+                dodge = any(a in reachable(edges, t, removed=b)
+                            for s, t in edges if s == a and t != b)
+                assert g.on_all_cycles(a, b) == (a == b or not dodge), \
+                    (edges, a, b)
 
 
 def test_on_all_cycles():
@@ -81,6 +97,94 @@ def test_in_loop():
     g = facts(2, [(0, 0), (0, 1)])
     assert g.in_loop(0)
     assert not g.in_loop(1)
+
+
+def loc_at(icfa, line: int, op=LockOp) -> int:
+    """The location of the statement of type op on a source line."""
+    return next(e.src for e in icfa.edges
+                if isinstance(e.op, op) and e.line == line)
+
+
+REENTRY_SRC = """
+    mutex m;
+    int f(int x) {
+        lock(&m);
+        unlock(&m);
+        return 0;
+    }
+    int main() {
+        int k;
+        k = 0;
+        CALLS
+        return 0;
+    }
+"""
+ONCE = "f(k);"
+LOOPED = "while (k < 2) { f(k); k = k + 1; }"
+
+
+@pytest.mark.parametrize("calls", [ONCE, LOOPED], ids=["once", "looped"])
+def test_local_graph_reenters_a_function_called_from_a_loop(calls):
+    # exit(f) -> entry(f) only when f can run again after it returns
+    icfa = icfa_of(REENTRY_SRC.replace("CALLS", calls))
+    g = GraphFacts(icfa)
+    locked, unlocked = loc_at(icfa, 4), loc_at(icfa, 5, UnlockOp)
+    assert g.has_path(locked, unlocked)
+    assert g.has_path(unlocked, locked) == (calls == LOOPED)
+    assert g.on_all_cycles(locked, unlocked)
+
+
+def test_local_graph_follows_recursion():
+    icfa = icfa_of("""
+        mutex m;
+        int f(int x) {
+            lock(&m);
+            if (x > 0) {
+                f(x - 1);
+            }
+            unlock(&m);
+            return 0;
+        }
+        int main() {
+            f(2);
+            return 0;
+        }
+    """)
+    g = GraphFacts(icfa)
+    # call -> entry(f): the callee runs f's body again
+    assert g.has_path(loc_at(icfa, 6, FuncEntryOp), loc_at(icfa, 4))
+    # exit(f) -> return site: an inner frame returns into an outer one
+    assert g.has_path(icfa.exit_of("f"), loc_at(icfa, 8, UnlockOp))
+
+
+def test_local_graph_keeps_the_path_past_a_callee_that_never_returns():
+    icfa = icfa_of("""
+        mutex m;
+        int spin(int x) {
+            spin(x);
+            return 0;
+        }
+        int main() {
+            spin(0);
+            lock(&m);
+            unlock(&m);
+            return 0;
+        }
+    """)
+    g = GraphFacts(icfa)
+    site, locked = loc_at(icfa, 8, FuncEntryOp), loc_at(icfa, 9)
+    # spin's exit is unreachable, but the summary edge keeps the path
+    assert g.has_path(site, locked)
+    assert g.on_all_paths(site, locked, loc_at(icfa, 10, UnlockOp))
+
+
+def test_cross_function_queries_are_conservative():
+    icfa = icfa_of(REENTRY_SRC.replace("CALLS", LOOPED))
+    g = GraphFacts(icfa)
+    in_f, in_main = loc_at(icfa, 4), icfa.entry_of("main")
+    assert g.has_path(in_f, in_main)  # no real path: main never runs again
+    assert not g.on_all_paths(in_main, in_f, icfa.exit_of("main"))
+    assert not g.on_all_cycles(in_f, in_main)
 
 
 def nc_of(source: str):
@@ -112,22 +216,16 @@ GATE_SRC = """
 """
 
 
-def lock_loc(icfa, line: int) -> int:
-    from lockhound.frontend.icfa import LockOp
-    return next(e.src for e in icfa.edges
-                if isinstance(e.op, LockOp) and e.line == line)
-
-
 def test_gatelock_reason():
     a, nc = nc_of(GATE_SRC)
     icfa = a.icfa
     (site,) = icfa.create_sites
-    inner_w = (site, lock_loc(icfa, 6))    # worker at lock(&m2), holds g,m1
-    inner_m = (lock_loc(icfa, 16),)        # main at lock(&m2), holds g
+    inner_w = (site, loc_at(icfa, 6))    # worker at lock(&m2), holds g,m1
+    inner_m = (loc_at(icfa, 16),)        # main at lock(&m2), holds g
     assert nc.check(inner_w, inner_m) == GATELOCK
     # entering lock(&g) itself is unprotected on both sides
-    outer_w = (site, lock_loc(icfa, 4))
-    outer_m = (lock_loc(icfa, 15),)
+    outer_w = (site, loc_at(icfa, 4))
+    outer_m = (loc_at(icfa, 15),)
     assert nc.check(outer_w, outer_m) is None
 
 
@@ -153,8 +251,8 @@ def test_create_join_reason():
     a, nc = nc_of(JOIN_SRC)
     icfa = a.icfa
     (site,) = icfa.create_sites
-    in_worker = (site, lock_loc(icfa, 4))
-    after_join = (lock_loc(icfa, 12),)
+    in_worker = (site, loc_at(icfa, 4))
+    after_join = (loc_at(icfa, 12),)
     assert nc.check(in_worker, after_join) == CREATE_JOIN
     # symmetric and memoized
     assert nc.check(after_join, in_worker) == CREATE_JOIN
@@ -184,8 +282,8 @@ def test_conditional_join_is_not_proof():
     a, nc = nc_of(COND_JOIN_SRC)
     icfa = a.icfa
     (site,) = icfa.create_sites
-    in_worker = (site, lock_loc(icfa, 5))
-    after_if = (lock_loc(icfa, 13),)
+    in_worker = (site, loc_at(icfa, 5))
+    after_if = (loc_at(icfa, 13),)
     assert nc.check(in_worker, after_if) is None
 
 
@@ -214,11 +312,56 @@ def test_loop_created_thread_may_pair_with_itself():
     nc = a.nonconc
     (site,) = a.icfa.create_sites
     assert nc.multiple_thread((site,))
-    from lockhound.frontend.icfa import LockOp
     locs = sorted({e.src for e in a.icfa.edges if isinstance(e.op, LockOp)
                    and a.icfa.func_of(e.src) != "main"})
     p1, p2 = (site, locs[0]), (site, locs[1])
     assert nc.check(p1, p2) is None
+
+
+NESTED_CREATE_SRC = """
+    mutex ma;
+    mutex mb;
+    int inner(int x) {
+        lock(&ma);
+        lock(&mb);
+        unlock(&mb);
+        unlock(&ma);
+        return 0;
+    }
+    int worker(int a) {
+        thread_t t2;
+        if (a == 0) {
+            create(&t2, inner, 0);
+        } else {
+            lock(&mb);
+            lock(&ma);
+            unlock(&ma);
+            unlock(&mb);
+        }
+        return 0;
+    }
+    int main() {
+        thread_t t;
+        int k;
+        k = 0;
+        while (k < 2) {
+            create(&t, worker, k);
+            k = k + 1;
+        }
+        return 0;
+    }
+"""
+
+
+def test_places_under_a_loop_created_ancestor_may_overlap(tmp_path):
+    # worker 0 runs inner while worker 1 takes mb then ma: two instances
+    # of the common ancestor thread hold the two places at once
+    a, res = analyzed(NESTED_CREATE_SRC)
+    assert res.witnesses and not res.truncated
+    assert check_all(a, res) == []
+    path = tmp_path / "nested_create.mc"
+    path.write_text(NESTED_CREATE_SRC)
+    assert main(["analyze", str(path)]) == 1
 
 
 def test_unreached_place(showcase_icfa):
@@ -251,6 +394,25 @@ def test_sound_against_oracle_corpus():
         assert check_nonconc(a, res, limit=400) == [], f"seed {seed}"
         checked += 1
     assert checked >= 15
+
+
+def test_lock_edge_copairs_are_never_pruned():
+    # every co-occupied pair of lock-acquiring places, with no pair limit
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed))
+                for seed in (*range(40), 119, 189)]
+    checked = 0
+    for src in sources:
+        res = oracle_of(src)
+        if res is None:
+            continue
+        a = analyze_icfa(icfa_of(src))
+        at_lock = {e.place for e in a.lock_edges}
+        for p1, p2 in res.copairs:
+            if p1 in at_lock and p2 in at_lock:
+                assert a.nonconc.check(p1, p2) is None, (p1, p2)
+                checked += 1
+    assert checked > 0
 
 
 def test_check_order_does_not_change_answers():
