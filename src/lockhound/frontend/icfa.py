@@ -7,7 +7,7 @@ of inter-function edges:
   func_entry    call site           -> callee entry     (argument binding)
   func_exit     callee exit         -> after call site  (return binding)
   thread_entry  create site         -> candidate entry  (thread argument)
-  thread_exit   thread fn exit      -> after every create site
+  thread_exit   thread fn exit      -> after each create site that starts it
   thread_join   thread fn exit     -> after every join statement
 
 func_exit and thread_exit edges record the call/create site they belong to
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
     JoinStmt, LockStmt, Program, Return, ExitJump, Stmt,
-    UnlockStmt, While, expr_text, walk_stmts,
+    UnlockStmt, While, expr_text,
 )
-from .transform import _is_canonical, address_taken_functions, fp_call_candidates
+from .transform import _is_canonical, fp_call_candidates
 from ..errors import MissingMainError
 
 
@@ -191,7 +191,6 @@ class ICFA:
         self.out_edges: dict[int, list[Edge]] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.create_sites: set[int] = set()  # creates with a candidate thread
-        self.address_taken: set[str] = set()
         self.warnings: list[str] = []
         self.entry_fn = prog.entry
 
@@ -291,9 +290,7 @@ class ICFA:
 
 def is_preprocessed(prog: Program) -> bool:
     """Every function ends in its only return and calls only by name."""
-    return all(_is_canonical(f) and not any(
-        isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef)
-        for s in walk_stmts(f.body)) for f in prog.functions.values())
+    return all(_is_canonical(f, fp_calls=False) for f in prog.functions.values())
 
 
 class _FunctionCompiler:
@@ -410,7 +407,6 @@ def build_icfa(prog: Program) -> ICFA:
         raise ValueError("program must go through remove_fp_calls and single_exit first")
 
     icfa = ICFA(prog)
-    icfa.address_taken = address_taken_functions(prog)
     icfa.warnings.extend(prog.warnings)
 
     compilers = []
@@ -429,14 +425,13 @@ def build_icfa(prog: Program) -> ICFA:
                           stmt.line, call_site=site)
 
     # thread entry edges, one per type-compatible candidate
-    thread_funcs: set[str] = set()
+    started: set[tuple[int, str]] = set()  # (create site, thread function)
     for c in compilers:
         for site, nxt, stmt in c.pending_creates:
             if isinstance(stmt.fn, FuncRef):
                 cands = [stmt.fn.name]
             else:
-                cands = [fn.name for fn in
-                         fp_call_candidates(prog, stmt.fn, icfa.address_taken)]
+                cands = [fn.name for fn in fp_call_candidates(prog, stmt.fn)]
             if not cands:
                 icfa.warnings.append(
                     f"line {stmt.line}: create() has no thread candidates")
@@ -445,17 +440,19 @@ def build_icfa(prog: Program) -> ICFA:
                 icfa.add_edge(site, fi.entry,
                               ThreadEntryOp(stmt.fn, stmt.arg, fi.params[0]),
                               stmt.line)
-                icfa.create_sites.add(site)
-                thread_funcs.add(name)
+                started.add((site, name))
+    icfa.create_sites = {site for site, _ in started}
 
-    # thread exit/join edges from every thread function's exit
+    # a thread function's exit resumes after each create that starts it and
+    # feeds every join
     creates = [(site, nxt) for c in compilers for site, nxt, _ in c.pending_creates]
     joins = [e for e in list(icfa.edges) if isinstance(e.op, JoinOp)]
-    for name in sorted(thread_funcs):
+    for name in sorted({name for _, name in started}):
         fi = icfa.functions[name]
         for site, nxt in creates:
-            icfa.add_edge(fi.exit, nxt, ThreadExitOp(), icfa.line_of(site),
-                          call_site=site)
+            if (site, name) in started:
+                icfa.add_edge(fi.exit, nxt, ThreadExitOp(), icfa.line_of(site),
+                              call_site=site)
         for je in joins:
             icfa.add_edge(fi.exit, je.tgt,
                           ThreadJoinOp(fi.ret_expr, je.op.ret), je.line)

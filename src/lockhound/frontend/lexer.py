@@ -1,8 +1,14 @@
-"""Tokenizer for the mini C dialect."""
+"""Tokenizer for the mini C dialect.
+
+One compiled pattern cuts the source into gapless pieces by maximal munch
+(symbols longest first, so '==' wins over '='); a piece's offset is the sum
+of the lengths before it, and its first character tells its kind.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -11,16 +17,26 @@ KEYWORDS = {
     "return", "lock", "unlock", "create", "join", "malloc",
 }
 
-# longest first so that e.g. '==' wins over '='
 SYMBOLS = [
     "==", "!=", "<=", ">=", "->",
     "<", ">", "=", "+", "-", "*", "&", "!", ".",
     "(", ")", "{", "}", "[", "]", ";", ",",
 ]
+_SYMBOLS = set(SYMBOLS)
+
+_PIECE = re.compile("|".join([
+    r"\n",
+    r"[ \t\r]+",
+    r"//[^\n]*",
+    r"/\*(?:.*?\*/|.*)",  # a block comment, or an unterminated one to the end
+    r"[0-9]+",
+    r"\w+",  # \w is exactly str.isalnum() or '_'
+    *map(re.escape, SYMBOLS),
+    r".",  # a bad character
+]), re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'kw' | symbol text | 'eof'
     text: str
     line: int
@@ -29,59 +45,33 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j < 0:
-                raise ParseError("unterminated comment", line, col)
-            for k in range(i, j + 2):
-                if source[k] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = j + 2
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            toks.append(Token("int", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            toks.append(Token("kw" if text in KEYWORDS else "ident", text, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                toks.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    make = Token._make  # half the cost of Token(...), which runs a Python __new__
+    line, line_start, end = 1, 0, 0  # line_start: offset of the line's first character
+    text = ""
+    for text in _PIECE.findall(source):
+        start, end = end, end + len(text)
+        c = text[0]
+        if text in _SYMBOLS:
+            kind = text
+        elif c.isalpha() or c == "_":
+            kind = "kw" if text in KEYWORDS else "ident"
+        elif "0" <= c <= "9":
+            kind = "int"
         else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    toks.append(Token("eof", "", line, col))
+            if c == "\n":
+                line += 1
+                line_start = end
+            elif text.startswith("/*"):
+                if len(text) < 4 or not text.endswith("*/"):
+                    raise ParseError("unterminated comment", line, start - line_start + 1)
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+            elif c not in " \t\r" and not text.startswith("//"):
+                raise ParseError(f"unexpected character {c!r}", line, start - line_start + 1)
+            continue
+        toks.append(make((kind, text, line, start - line_start + 1)))
+    if text.startswith("//"):
+        end = start  # the end of input sits at a trailing // comment
+    toks.append(Token("eof", "", line, end - line_start + 1))
     return toks

@@ -9,6 +9,7 @@ expressions; guards are call-free by construction.
 from __future__ import annotations
 
 from .lexer import Token, tokenize
+from .transform import address_taken_functions
 from .syntax import (
     INT, MUTEX, THREAD_ID, VOID, MUTEX_PTR,
     ArrayType, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FieldAccess,
@@ -20,6 +21,9 @@ from ..errors import ParseError, TypeCheckError
 
 BASE_TYPES = {"int": INT, "mutex": MUTEX, "thread_t": THREAD_ID, "void": VOID}
 
+# binary operators by precedence level, loosest first; all associate left
+BINARY = {"==": 0, "!=": 0, "<": 1, "<=": 1, ">": 1, ">=": 1, "+": 2, "-": 2}
+
 # Bound on nesting, so that the parser and the passes that recurse over the
 # tree stay within Python's stack. Every statement counts one level, and so
 # does every parenthesis and every unary, binary and postfix operator inside
@@ -29,14 +33,15 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, source: str):
-        self.toks = tokenize(source)
+        toks = tokenize(source)
+        self.toks = toks + [toks[-1]] * 2  # peek(2) never runs off the end
         self.pos = 0
         self.depth = 0
 
     # ------------------------------------------------------------- helpers
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -45,7 +50,7 @@ class _Parser:
         return t
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.peek()
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def expect(self, kind: str, text: str | None = None) -> Token:
@@ -293,7 +298,7 @@ class _Parser:
         if self.at("("):  # lhs = callee(args);
             args = self._parse_args()
             return CallStmt(first, args, lhs, t.line)
-        expr = self._parse_binary(0, first)
+        expr = self._parse_binary(first)
         return Assign(lhs, expr, t.line)
 
     def _parse_args(self) -> list[Expr]:
@@ -310,21 +315,16 @@ class _Parser:
 
     # --------------------------------------------------------- expressions
 
-    PRECEDENCE = [["==", "!="], ["<", "<=", ">", ">="], ["+", "-"]]
-
     def parse_expr(self) -> Expr:
-        return self._parse_binary(0)
+        return self._parse_binary(self.parse_unary())
 
-    def _parse_binary(self, level: int, left: Expr | None = None) -> Expr:
-        # precedence climbing over the three binary levels; left is the
-        # first unary operand when the caller has already parsed it
-        if level >= len(self.PRECEDENCE):
-            return self.parse_unary() if left is None else left
-        left = self._parse_binary(level + 1, left)
-        while self.peek().kind in self.PRECEDENCE[level]:
+    def _parse_binary(self, left: Expr, min_level: int = 0) -> Expr:
+        # precedence climbing: fold every operator of at least min_level into
+        # left; the right operand takes the tighter operators that follow it
+        while (level := BINARY.get(self.toks[self.pos].kind, -1)) >= min_level:
             op = self.next()
             self.nest(op)
-            right = self._parse_binary(level + 1)
+            right = self._parse_binary(self.parse_unary(), level + 1)
             left = Binary(op.text, left, right, op.line, op.col)
         return left
 
@@ -697,4 +697,6 @@ class _Checker:
 def parse(source: str) -> Program:
     """Parse, resolve and type check a program."""
     functions, globals_, structs = _Parser(source).parse_program()
-    return _Checker(functions, globals_, structs).run()
+    prog = _Checker(functions, globals_, structs).run()
+    prog.address_taken = address_taken_functions(prog)
+    return prog

@@ -293,6 +293,8 @@ class Program:
     entry: str = "main"
     var_types: dict[str, Type] = field(default_factory=dict, compare=False)
     warnings: list[str] = field(default_factory=list, compare=False)
+    # functions used as values, computed once by parse()
+    address_taken: set[str] = field(default_factory=set, compare=False)
 
 
 # ---------------------------------------------------------------------------

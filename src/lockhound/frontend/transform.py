@@ -29,18 +29,16 @@ def address_taken_functions(prog: Program) -> set[str]:
     return {e.name for e in exprs if isinstance(e, FuncRef)}
 
 
-def fp_call_candidates(prog: Program, callee: Expr, taken: set[str]) -> list[Function]:
+def fp_call_candidates(prog: Program, callee: Expr) -> list[Function]:
     """Address-taken functions type-compatible with a function-pointer expression."""
-    out = [
+    return [
         fn for name, fn in sorted(prog.functions.items())
-        if name in taken and PointerType(fn.func_type) == callee.typ
+        if name in prog.address_taken and PointerType(fn.func_type) == callee.typ
     ]
-    return out
 
 
 def remove_fp_calls(prog: Program) -> Program:
     """Replace calls through function pointers with direct-call dispatch chains."""
-    taken = address_taken_functions(prog)
 
     def rewrite(block: Block) -> None:
         for i, s in enumerate(block.stmts):
@@ -50,7 +48,7 @@ def remove_fp_calls(prog: Program) -> Program:
                 rewrite(b)
 
     def dispatch(s: CallStmt) -> Stmt:
-        cands = fp_call_candidates(prog, s.callee, taken)
+        cands = fp_call_candidates(prog, s.callee)
         if not cands:
             prog.warnings.append(
                 f"line {s.line}: call through function pointer has no candidates, dropped")
@@ -72,11 +70,15 @@ def remove_fp_calls(prog: Program) -> Program:
     return prog
 
 
-def _is_canonical(fn: Function) -> bool:
+def _is_canonical(fn: Function, fp_calls: bool = True) -> bool:
+    """fn ends in its only return, and calls through a function pointer
+    only if fp_calls."""
     body = fn.body.stmts
     if not body or not isinstance(body[-1], Return):
         return False
-    return sum(isinstance(s, Return) for s in walk_stmts(fn.body)) == 1
+    stmts = walk_stmts(fn.body)
+    return sum(isinstance(s, Return) for s in stmts) == 1 and (fp_calls or not any(
+        isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef) for s in stmts))
 
 
 def single_exit(prog: Program) -> Program:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import icfa_of
+from conftest import FIXTURES, icfa_of
 from lockhound.errors import MissingMainError, ParseError, TypeCheckError
 from lockhound.frontend import parse, remove_fp_calls, single_exit
 from lockhound.frontend.lexer import tokenize
@@ -9,9 +11,11 @@ from lockhound.frontend.icfa import (
     ThreadExitOp, ThreadJoinOp, UnlockOp,
 )
 from lockhound.frontend.syntax import (
-    INT, MUTEX, Binary, FuncRef, If, PointerType, Return, Unary, VarRef,
+    INT, MUTEX, Binary, FuncRef, If, PointerType, Return, Unary, VarRef, expr_text,
 )
 from lockhound.frontend.transform import address_taken_functions
+from lockhound.generator import generate, random_config
+from lockhound.pipeline import analyze_source
 
 
 # ----------------------------------------------------------------- lexer
@@ -43,6 +47,64 @@ def test_tokenize_errors():
         tokenize("/* never closed")
 
 
+# Exact messages, positions included, as the character-by-character
+# tokenizer printed them: columns count a tab or a '\r' as one character,
+# and the end of input after a trailing // comment sits at the comment.
+@pytest.mark.parametrize("src,message", [
+    ("int $;", "1:5: unexpected character '$'"),
+    ("int main() {\n  /* never closed\n  return 0; }", "2:3: unterminated comment"),
+    ("/* a\n   b */ int x; int main() { x = 1 # 2; return 0; }",
+     "2:35: unexpected character '#'"),
+    ("int main() { return 0; }\n/* one */ /* two\n\n */  ;", "4:6: expected type, found ';'"),
+    ("int main() {\n\tint x;\n\t\tx = 1 $ 2;\n\treturn 0; }", "3:9: unexpected character '$'"),
+    ("int main() {\r\n  int x;\r\n  x = 1 @;\r\n  return 0; }",
+     "3:9: unexpected character '@'"),
+    ("int main() { return 0; // tail", "1:24: unexpected 'eof' in expression"),
+    ("int x; int main() { x = ½; return 0; }", "1:25: unexpected character '½'"),
+    ("int main() { int a; a = 1 + (2 == ; return 0; }", "1:35: unexpected ';' in expression"),
+])
+def test_parse_error_messages(src, message):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("digit", ["²", "٣"])
+def test_non_ascii_digits_are_unexpected_characters(digit):
+    # '²'.isdigit() holds but int('²') fails, and int('٣') is 3: integer
+    # literals are ASCII digits only
+    with pytest.raises(ParseError) as err:
+        analyze_source(f"int x; int main() {{ x = {digit}; return 0; }}")
+    assert str(err.value) == f"1:25: unexpected character {digit!r}"
+    # inside an identifier they are still letters or digits
+    parse(f"int x{digit}; int main() {{ x{digit} = 1; return 0; }}")
+
+
+LEX_PIECES = [" ", "\t", "\r", "\n", "/*", "*/", "//", "/", "x", "_a9", "é", "Ł", "²",
+              "int", "while", "0", "42", "==", "=", "-", ">", "->", "!", "(", ";", "$"]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=30).map("".join))
+def test_tokens_and_errors_sit_at_their_positions(source):
+    lines = source.split("\n")
+
+    def text_at(line: int, col: int, n: int) -> str:
+        assert 1 <= line <= len(lines) and 1 <= col <= len(lines[line - 1]) + 1
+        return lines[line - 1][col - 1:col - 1 + n]
+
+    try:
+        toks = tokenize(source)
+    except ParseError as e:
+        if e.msg == "unterminated comment":
+            assert text_at(e.line, e.col, 2) == "/*"
+        else:
+            assert e.msg == f"unexpected character {text_at(e.line, e.col, 1)!r}"
+        return
+    for t in toks:
+        assert text_at(t.line, t.col, len(t.text)) == t.text
+
+
 # ---------------------------------------------------------------- parser
 
 
@@ -69,6 +131,22 @@ def test_parse_expression_structure():
     assign = prog.functions["main"].body.stmts[3]
     assert isinstance(assign.rhs, Binary) and assign.rhs.op == "=="
     assert isinstance(assign.rhs.left, Binary) and assign.rhs.left.op == "+"
+
+    def grouped(e) -> str:
+        if isinstance(e, Binary):
+            return f"({grouped(e.left)} {e.op} {grouped(e.right)})"
+        return expr_text(e)
+
+    # every binary operator associates left; '+'/'-' bind tighter than the
+    # comparisons, and '<'-like ones tighter than '=='/'!='
+    for src, want in [
+        ("a - b - c", "((a - b) - c)"),
+        ("a < b == c != a", "(((a < b) == c) != a)"),
+        ("a == b < c + d - 1", "(a == (b < ((c + d) - 1)))"),
+        ("-a + (b - c) >= !b", "((-a + (b - c)) >= !b)"),
+    ]:
+        prog = parse(f"int main() {{ int a; int b; int c; int d; a = {src}; return a; }}")
+        assert grouped(prog.functions["main"].body.stmts[4].rhs) == want
 
 
 def test_parse_function_pointer_declarator():
@@ -203,6 +281,36 @@ def test_address_taken_and_fp_dispatch():
         "t_ret", "t_lock"}
 
 
+def test_address_taken_is_the_parsed_programs():
+    # the set that preprocessing and build_icfa read is one walk over the
+    # program as parsed
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(40)]
+    for src in sources:
+        taken = icfa_of(src).prog.address_taken
+        assert taken and taken == address_taken_functions(parse(src))
+
+
+def test_code_after_a_return_still_takes_addresses():
+    # single_exit drops the dead assignment, but g stays a candidate for the
+    # create through fp, as it would for a call through fp
+    icfa = icfa_of("""
+        int f(int a) { return 0; }
+        int g(int a) { return 1; }
+        int main() {
+            int (*fp)(int);
+            thread_t t;
+            fp = f;
+            create(&t, fp, 0);
+            join(t);
+            return 0;
+            fp = &g;
+        }
+    """)
+    started = {icfa.func_of(e.tgt) for e in icfa.edges if isinstance(e.op, ThreadEntryOp)}
+    assert started == {"f", "g"}
+
+
 def test_fp_call_with_no_candidates_warns():
     prog = parse("""
         int main() { int (*fp)(int); int r; r = fp(3); return r; }
@@ -250,6 +358,30 @@ def test_icfa_showcase_wiring(showcase_icfa):
     # no plain intra edge skips over a call site
     call_src = fe[0].src
     assert all(isinstance(e.op, FuncEntryOp) for e in icfa.out_edges[call_src])
+
+
+def test_thread_exit_resumes_only_after_the_creates_that_start_it():
+    icfa = icfa_of("""
+        int worker(int a) { return 0; }
+        int other(int a) { return 0; }
+        int main() {
+            thread_t t1;
+            thread_t t2;
+            create(&t1, worker, 0);
+            create(&t2, other, 1);
+            join(t1);
+            join(t2);
+            return 0;
+        }
+    """)
+    after = {e.src: e.tgt for e in icfa.edges if isinstance(e.op, CreateOp)}
+    starts = {icfa.func_of(e.tgt): e.src for e in icfa.edges
+              if isinstance(e.op, ThreadEntryOp)}
+    exits = [e for e in icfa.edges if isinstance(e.op, ThreadExitOp)]
+    assert len(after) == 2 and len(exits) == 2
+    for e in exits:
+        site = starts[icfa.func_of(e.src)]
+        assert e.call_site == site and e.tgt == after[site]
 
 
 def test_icfa_seed_and_lock_helpers(showcase_icfa):

@@ -8,7 +8,7 @@ import shutil
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lockhound.pipeline
@@ -228,6 +228,7 @@ def mutated_programs(draw) -> str:
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(st.text())
+@example("int x; int main() { x = ²; return 0; }")
 def test_fuzz_any_text_gets_a_verdict_or_an_input_error(text):
     assert front_door(text) in FRONT_DOOR_OUTCOMES
 
