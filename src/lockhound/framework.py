@@ -17,6 +17,7 @@ two calls of the same lock wrapper from one caller stay distinguishable.
 from __future__ import annotations
 
 import random
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterator, Protocol
@@ -41,6 +42,10 @@ FpMap = dict  # var name -> function name | DIRTY
 
 
 class ClientAnalysis(Protocol):
+    # The op classes whose transfer can change the client state; on any
+    # other edge transfer must return the state it was given.
+    ops: tuple[type, ...]
+
     def initial(self) -> Any: ...
 
     def join(self, a: Any, b: Any) -> Any: ...
@@ -92,8 +97,12 @@ def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
     return out
 
 
+def _writes_fp(op: Op) -> bool:
+    return isinstance(op, AssignOp) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ)
+
+
 def _intra_fpm(fpm: FpMap, op: Op) -> FpMap:
-    if isinstance(op, AssignOp) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ):
+    if _writes_fp(op):
         out = dict(fpm)
         out[op.lhs.name] = DIRTY
         return out
@@ -107,12 +116,15 @@ def entry_place(icfa: ICFA, p: Place, entry_loc: int) -> Place:
     """Append the entered location, collapsing recursive re-entries.
 
     If some element of p already belongs to the entered function, the place
-    is cut back to the prefix before it, which bounds place lengths.
+    is cut back to the prefix before it, which bounds place lengths. That can
+    only happen when the function lies on a cycle of the call/create graph,
+    so for any other function p is not scanned.
     """
     f = icfa.func_of(entry_loc)
-    for i, loc in enumerate(p):
-        if icfa.func_of(loc) == f:
-            return p[:i] + (entry_loc,)
+    if f in icfa.recursive_functions:
+        for i, loc in enumerate(p):
+            if icfa.func_of(loc) == f:
+                return p[:i] + (entry_loc,)
     return p + (entry_loc,)
 
 
@@ -137,6 +149,52 @@ def _firing(fire: dict, where, edges: list[Edge], p: Place) -> list[Edge]:
     if got is None:
         fire[where, site] = got = [e for e in edges if e.call_site in (None, site)]
     return got
+
+
+# How solve_fs steps a place along an edge: the three cases of next_place.
+INTRA, ENTRY, RETURN = 0, 1, 2
+
+
+def _step(icfa: ICFA, op: Op, ops: tuple[type, ...]) -> tuple[int, bool]:
+    """(kind, plain) of an edge for a client that reads ops.
+
+    A plain edge neither writes the function-pointer map nor is read by the
+    client, so stepping it needs no transfer. A thread entry is never plain:
+    it must go through match_fp.
+    """
+    if isinstance(op, ThreadEntryOp):
+        return ENTRY, False
+    if isinstance(op, FuncEntryOp):
+        types = icfa.prog.var_types
+        kind, writes = ENTRY, any(is_fnptr(types.get(par)) for par in op.params)
+    elif isinstance(op, EXIT_OPS):
+        kind, writes = RETURN, False
+    else:
+        kind, writes = INTRA, _writes_fp(op)
+    return kind, not (writes or isinstance(op, ops))
+
+
+# ICFA -> client op set -> step table; built once per automaton and op set
+_STEP_TABLES: weakref.WeakKeyDictionary[ICFA, dict] = weakref.WeakKeyDictionary()
+
+
+def _step_table(icfa: ICFA, ops: tuple[type, ...]) -> list:
+    """solve_fs's step table: per location, (edge, kind, plain) for each of
+    its out-edges. At a function exit it holds instead, per call site p[-2],
+    the return edges that fire from there (key None: any other site), as
+    next_place would filter them."""
+    tables = _STEP_TABLES.get(icfa)
+    if tables is None:
+        tables = _STEP_TABLES[icfa] = {}
+    table = tables.get(ops)
+    if table is None:
+        table = tables[ops] = [[(e, *_step(icfa, e.op, ops)) for e in icfa.out_edges[loc]]
+                               for loc in range(len(icfa.locations))]
+        for fn in icfa.functions.values():
+            out = table[fn.exit]
+            table[fn.exit] = {site: [s for s in out if s[0].call_site in (None, site)]
+                              for site in {None} | {e.call_site for e, _, _ in out}}
+    return table
 
 
 def transfer(icfa: ICFA, client: ClientAnalysis, e: Edge, p: Place,
@@ -220,20 +278,36 @@ class _Worklist:
 
 def solve_fs(icfa: ICFA, client: ClientAnalysis,
              shuffle_seed: int | None = None) -> SolveResult:
-    """Flow-sensitive fixpoint from main's entry."""
+    """Flow-sensitive fixpoint from main's entry.
+
+    Places step as next_place steps them, through the automaton's step
+    table; edges the table marks plain pass the state on without a transfer.
+    """
     wl = _Worklist(icfa, client, FS_MAX_STEPS, shuffle_seed)
     bound = icfa.place_length_bound()
-    exits = {fn.exit for fn in icfa.functions.values()}
-    fire: dict[tuple[int, int | None], list[Edge]] = {}
+    table = _step_table(icfa, client.ops)
+    states = wl.states
     for pid, p in wl:
-        st = wl.states[pid]
-        edges = icfa.out_edges[top(p)]
-        for e in _firing(fire, top(p), edges, p) if top(p) in exits else edges:
-            p2 = next_place(icfa, e, p)
-            if p2 is None:
+        st = states[pid]
+        out = table[p[-1]]
+        if type(out) is dict:  # a function exit
+            out = out.get(p[-2] if len(p) > 1 else None, out[None])
+        for e, kind, plain in out:
+            if kind == INTRA:
+                p2 = p[:-1] + (e.tgt,)
+            elif kind == ENTRY:
+                p2 = entry_place(icfa, p, e.tgt)
+            elif len(p) < 2:
                 continue
+            else:
+                p2 = p[:-2] + (e.tgt,)
             assert len(p2) <= bound, "place length bound violated"
-            contrib = transfer(icfa, client, e, p, st)
+            if not plain:
+                contrib = transfer(icfa, client, e, p, st)
+            elif kind == INTRA:
+                contrib = st
+            else:  # an entry binding no function pointer, or a return
+                contrib = ({}, st[1])
             if contrib is not None:
                 wl.add(p2, contrib)
     return SolveResult(wl.places, wl.states, wl.steps)

@@ -17,6 +17,7 @@ so state exploration can skip the infeasible return edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
@@ -262,6 +263,28 @@ class ICFA:
                             seen.add(g)
                             work.append(g)
         return sorted(set(self.functions) - seen)
+
+    @cached_property
+    def recursive_functions(self) -> frozenset[str]:
+        """Functions on a cycle of the call/create graph."""
+        succ: dict[str, set[str]] = {f: set() for f in self.functions}
+        for e in self.edges:
+            if isinstance(e.op, ENTRY_OPS):
+                succ[self.func_of(e.src)].add(self.func_of(e.tgt))
+
+        def on_cycle(f: str) -> bool:
+            seen: set[str] = set()
+            work = list(succ[f])
+            while work:
+                g = work.pop()
+                if g == f:
+                    return True
+                if g not in seen:
+                    seen.add(g)
+                    work.extend(succ[g])
+            return False
+
+        return frozenset(filter(on_cycle, self.functions))
 
     def place_length_bound(self) -> int:
         return len(self.functions) + len(self.create_sites) + 1

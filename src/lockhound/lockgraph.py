@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from .frontend.icfa import ICFA, LockOp
 from .locksets import LocksetResults
 from .places import Place
-from .pointsto import STAR, PointsToResult, obj_key, obj_label
+from .pointsto import STAR, obj_key, obj_label
 from .nonconc import NonConcurrency
 
 
@@ -35,22 +34,19 @@ class LockEdge:
         return f"({obj_label(self.held)}, p{list(self.place)}, {obj_label(self.acquired)})"
 
 
-def build_lock_graph(icfa: ICFA, locks: LocksetResults,
-                     pt: PointsToResult) -> list[LockEdge]:
-    """Direct sweep over solved places; no extra fixpoint is needed."""
+def build_lock_graph(locks: LocksetResults) -> list[LockEdge]:
+    """Direct sweep over the solved lock places; no extra fixpoint is needed."""
     out: list[LockEdge] = []
     seen: set[tuple] = set()
-    for pid, (_, ls) in locks.may.states.items():
-        p = locks.may.places.resolve(pid)
-        for e in icfa.out_edges[p[-1]]:
-            if not isinstance(e.op, LockOp):
-                continue
-            vs = pt.value_set(p, e.op.arg, at_sync=True)
-            for l1 in ls:
-                for l2 in ([STAR] if vs is STAR else vs):
-                    if (l1, pid, l2) not in seen:
-                        seen.add((l1, pid, l2))
-                        out.append(LockEdge(l1, p, l2, e.line))
+    states = locks.may.states
+    for pid, p, e in locks.lock_places:
+        ls = states[pid][1]
+        vs = locks.operands.at(p, e)
+        for l1 in ls:
+            for l2 in ([STAR] if vs is STAR else vs):
+                if (l1, pid, l2) not in seen:
+                    seen.add((l1, pid, l2))
+                    out.append(LockEdge(l1, p, l2, e.line))
     # One lock statement per location, so this order is total.
     out.sort(key=lambda e: (e.line, e.place, obj_key(e.held), obj_key(e.acquired)))
     return out

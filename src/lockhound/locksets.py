@@ -8,6 +8,9 @@ May: grows on lock, shrinks on unlock only when the operand resolves to a
 single object. Must: grows only on unambiguous lock, shrinks by everything an
 unlock might release; merge is intersection, realized by the accumulating
 solver (first contribution is kept, later ones intersect).
+
+Both clients and the lock graph read each lock/unlock operand's value set
+from one LockOperands table, so it is looked up once per place.
 """
 
 from __future__ import annotations
@@ -16,12 +19,38 @@ from dataclasses import dataclass, field
 
 from .frontend.icfa import Edge, LockOp, ThreadEntryOp, UnlockOp
 from .places import Place
-from .pointsto import STAR, PointsToResult
+from .pointsto import STAR, PointsToResult, ValueSet
+
+SYNC_OPS = (LockOp, UnlockOp, ThreadEntryOp)  # what the clients transfer on
+
+
+class LockOperands(dict):
+    """Place -> value set of the lock/unlock operand leaving its location.
+
+    A location has at most one lock/unlock out-edge, so the place is the
+    whole key. A place missing from the table is looked up in pt on first
+    use, as pt.value_set(p, arg, at_sync=True). Equal value sets are kept
+    as one object: there are few distinct ones, and many places.
+    """
+
+    def __init__(self, pt: PointsToResult):
+        super().__init__()
+        self.pt = pt
+        self.sets: dict[ValueSet, ValueSet] = {}
+
+    def at(self, p: Place, e: Edge) -> ValueSet:
+        vs = self.get(p)
+        if vs is None:
+            vs = self.pt.value_set(p, e.op.arg, at_sync=True)
+            vs = self[p] = self.sets.setdefault(vs, vs)
+        return vs
 
 
 class MayLockset:
-    def __init__(self, pt: PointsToResult):
-        self.pt = pt
+    ops = SYNC_OPS
+
+    def __init__(self, pt: PointsToResult, operands: LockOperands | None = None):
+        self.operands = operands if operands is not None else LockOperands(pt)
         self.vs_queries = 0
         self.precise_queries = 0
 
@@ -32,7 +61,7 @@ class MayLockset:
         return a | b
 
     def _resolve(self, p: Place, e: Edge):
-        vs = self.pt.value_set(p, e.op.arg, at_sync=True)
+        vs = self.operands.at(p, e)
         self.vs_queries += 1
         if vs is not STAR and len(vs) == 1:
             self.precise_queries += 1
@@ -60,8 +89,10 @@ class SelfLockReport:
 
 
 class MustLockset:
-    def __init__(self, pt: PointsToResult):
-        self.pt = pt
+    ops = SYNC_OPS
+
+    def __init__(self, pt: PointsToResult, operands: LockOperands | None = None):
+        self.operands = operands if operands is not None else LockOperands(pt)
         self.self_locks: list[SelfLockReport] = []
         self._seen_self: set = set()
 
@@ -73,7 +104,7 @@ class MustLockset:
 
     def transfer(self, e: Edge, p: Place, ls: frozenset) -> frozenset:
         if isinstance(e.op, LockOp):
-            vs = self.pt.value_set(p, e.op.arg, at_sync=True)
+            vs = self.operands.at(p, e)
             if vs is STAR or len(vs) != 1:
                 return ls
             (lock,) = vs
@@ -82,7 +113,7 @@ class MustLockset:
                 self.self_locks.append(SelfLockReport(p, lock, e.line))
             return ls | vs
         if isinstance(e.op, UnlockOp):
-            vs = self.pt.value_set(p, e.op.arg, at_sync=True)
+            vs = self.operands.at(p, e)
             if vs is STAR:
                 return frozenset()  # could release anything definitely held
             return ls - vs
@@ -97,23 +128,28 @@ class LocksetResults:
     must: object  # SolveResult
     may_client: MayLockset
     must_client: MustLockset
+    operands: LockOperands
+    # (place id, place, lock edge) of each may place at a lock location
+    lock_places: list[tuple[int, Place, Edge]]
     stats: dict = field(default_factory=dict)
 
 
 def solve_locksets(icfa, pt: PointsToResult, shuffle_seed=None) -> LocksetResults:
     from .framework import solve_fs
 
-    may_client = MayLockset(pt)
-    must_client = MustLockset(pt)
+    operands = LockOperands(pt)
+    may_client = MayLockset(pt, operands)
+    must_client = MustLockset(pt, operands)
     may = solve_fs(icfa, may_client, shuffle_seed=shuffle_seed)
     must = solve_fs(icfa, must_client, shuffle_seed=shuffle_seed)
+    lock_at = {e.src: e for e in icfa.lock_edges()}
+    lock_places = [(pid, p, lock_at[p[-1]])
+                   for pid, p in enumerate(may.places.places()) if p[-1] in lock_at]
     q = may_client.vs_queries
     stats = {
-        "lock_places": sum(
-            1 for pid, (fpm, ls) in may.states.items()
-            if any(isinstance(e.op, LockOp)
-                   for e in icfa.out_edges[may.places.resolve(pid)[-1]])),
+        "lock_places": len(lock_places),
         "precise_fraction": (may_client.precise_queries / q) if q else 1.0,
         "self_locks": len(must_client.self_locks),
     }
-    return LocksetResults(may, must, may_client, must_client, stats)
+    return LocksetResults(may, must, may_client, must_client, operands,
+                          lock_places, stats)

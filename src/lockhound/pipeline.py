@@ -103,7 +103,7 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
 
     t0 = time.perf_counter()
     nc = None if cfg.no_nonconc else NonConcurrency(icfa, locks, pt)
-    edges = build_lock_graph(icfa, locks, pt)
+    edges = build_lock_graph(locks)
     # Enumerate over the STAR-closed graph; report the raw edges themselves.
     search = enumerate_cycles(close_lock_edges(edges), cap=cfg.cycle_cap)
     filter_cycles(search, nc)

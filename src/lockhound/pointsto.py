@@ -228,6 +228,8 @@ def lvalue_objects(model: ObjectModel, state: dict, e: Expr) -> ValueSet:
 class PointsToClient:
     """Framework client; plug into solve_fi."""
 
+    ops = (AssignOp, FuncEntryOp, ThreadEntryOp, FuncExitOp, ThreadJoinOp)
+
     def __init__(self, model: ObjectModel):
         self.model = model
         self.visits = 0  # applications of binding edges, for the pruning metric

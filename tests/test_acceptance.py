@@ -6,8 +6,12 @@ failure is the corresponding FAIL. Criteria 3 and 4 share one sweep over a
 program), provided by the session fixture below.
 """
 
+import multiprocessing
+import os
 import random
 import time
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import pytest
@@ -42,33 +46,65 @@ CORPUS_SIZE = 500
 ORACLE_BUDGET = 100_000
 
 
+def sweep_one(seed: int):
+    """Analyze and exhaustively execute corpus program `seed`.
+
+    Returns its source, whether the oracle was truncated, and the may,
+    deadlock and must violations; None when the oracle cannot run it.
+    """
+    src = generate(seed, random_config(seed))
+    icfa = icfa_of(src)
+    a = analyze_icfa(icfa)
+    try:
+        res = run_oracle(icfa, max_states=ORACLE_BUDGET, collect_copairs=False)
+    except OracleUnsupported:
+        return None
+    return (src, res.truncated, check_may_covers(a, res),
+            check_deadlocks_reported(a, res), check_must_subset(a, res))
+
+
 @pytest.fixture(scope="session")
 def corpus_sweep():
-    """Analyze + exhaustively execute 500 generated programs once."""
+    """Analyze + exhaustively execute 500 generated programs once.
+
+    The programs run on at most two worker processes; results are taken in
+    seed order, so the sweep covers the same programs as a serial one.
+    """
     t0 = time.perf_counter()
     sources: list[str] = []
     thm1: list[str] = []   # may-locksets cover every concrete arrival
     thm2: list[str] = []   # every concrete deadlock is reported
     must: list[str] = []   # must-locksets are held on every arrival
     truncated = unsupported = 0
-    seed = 0
-    while len(sources) < CORPUS_SIZE and seed < CORPUS_SIZE + 150:
-        src = generate(seed, random_config(seed))
-        seed += 1
-        icfa = icfa_of(src)
-        a = analyze_icfa(icfa)
-        try:
-            res = run_oracle(icfa, max_states=ORACLE_BUDGET,
-                             collect_copairs=False)
-        except OracleUnsupported:
-            unsupported += 1
-            continue
-        sources.append(src)
-        truncated += res.truncated
-        tag = f"[seed {seed - 1}]"
-        thm1 += [f"{tag} {v}" for v in check_may_covers(a, res)]
-        thm2 += [f"{tag} {v}" for v in check_deadlocks_reported(a, res)]
-        must += [f"{tag} {v}" for v in check_must_subset(a, res)]
+    workers = min(2, os.cpu_count() or 1)
+    seeds = iter(range(CORPUS_SIZE + 150))
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(workers, mp_context=spawn) as pool:
+        pending: deque = deque()
+
+        def submit() -> None:
+            seed = next(seeds, None)
+            if seed is not None:
+                pending.append((seed, pool.submit(sweep_one, seed)))
+
+        for _ in range(2 * workers):
+            submit()
+        while pending and len(sources) < CORPUS_SIZE:
+            seed, job = pending.popleft()
+            got = job.result()
+            if got is None:
+                unsupported += 1
+            else:
+                src, cut, may_bad, deadlock_bad, must_bad = got
+                sources.append(src)
+                truncated += cut
+                tag = f"[seed {seed}]"
+                thm1 += [f"{tag} {v}" for v in may_bad]
+                thm2 += [f"{tag} {v}" for v in deadlock_bad]
+                must += [f"{tag} {v}" for v in must_bad]
+            if len(sources) < CORPUS_SIZE:
+                submit()
+        pool.shutdown(cancel_futures=True)
     return SimpleNamespace(
         sources=sources, thm1=thm1, thm2=thm2, must=must,
         truncated=truncated, unsupported=unsupported,

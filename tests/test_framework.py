@@ -1,13 +1,17 @@
 import random
+from typing import get_args
 
 from conftest import FIXTURES, icfa_of, load
 from lockhound.framework import (
     DIRTY, entry_place, fi_context, join_fp, match_fp, next_place, solve_fi,
-    solve_fs,
+    solve_fs, transfer,
 )
-from lockhound.frontend.icfa import FuncExitOp
+from lockhound.frontend.icfa import FuncEntryOp, FuncExitOp, Op
 from lockhound.frontend.syntax import FuncRef, VarRef
 from lockhound.generator import generate, random_config
+from lockhound.locksets import MayLockset, MustLockset
+from lockhound.pipeline import analyze_icfa
+from lockhound.pointsto import PointsToClient
 
 
 def random_fpm(rng: random.Random) -> dict:
@@ -60,13 +64,40 @@ def test_match_fp():
     assert match_fp({"fp": DIRTY}, v, "worker")
 
 
+RECURSIVE = """
+int g;
+void walk(int n) {
+    if (g) { walk(n); }
+}
+void leaf() {
+    g = 0;
+}
+int main() {
+    walk(3);
+    leaf();
+    return 0;
+}
+"""
+
+
 def test_entry_place_collapses_reentry(showcase_icfa):
     icfa = showcase_icfa
     f2 = icfa.entry_of("func2")
     p = entry_place(icfa, (18, 26), f2)
     assert p == (18, 26, f2)
-    # re-entering a function already on the chain folds back to that frame
-    assert entry_place(icfa, p + (99,), f2) == (18, 26, f2)
+    # re-entering a function already on the chain folds back to that frame;
+    # only a function on a call cycle can be re-entered
+    rec = icfa_of(RECURSIVE)
+    assert rec.recursive_functions == {"walk"}
+    assert icfa.recursive_functions == frozenset()
+    walk = rec.entry_of("walk")
+    site = {rec.func_of(e.src): e for e in rec.edges
+            if isinstance(e.op, FuncEntryOp) and e.tgt == walk}
+    p = entry_place(rec, (site["main"].src,), site["main"].tgt)
+    assert p == (site["main"].src, site["main"].tgt)
+    assert entry_place(rec, p[:-1] + (site["walk"].src,), site["walk"].tgt) == p
+    leaf = rec.entry_of("leaf")  # not recursive: the chain is not scanned
+    assert entry_place(rec, (site["walk"].src,), leaf) == (site["walk"].src, leaf)
 
 
 def test_next_place_steps(showcase_icfa):
@@ -89,8 +120,13 @@ def test_fi_context_keeps_call_sites(showcase_icfa):
     assert fi_context(icfa, (22,)) == (icfa.entry_of("main"),)
 
 
+ALL_OPS = get_args(Op)
+
+
 class CountingClient:
     """Client whose state is a bounded step counter; join is max."""
+
+    ops = ALL_OPS
 
     def initial(self):
         return 0
@@ -144,3 +180,64 @@ def test_solve_fs_order_independent_generated():
         jittered = states_by_place(
             solve_fs(icfa, CountingClient(), shuffle_seed=seed + 1))
         assert base == jittered
+
+
+def lockset_sources():
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    return sources + [generate(k, random_config(k)) for k in range(40)]
+
+
+class EveryOp:
+    """A client with its transfer applied to every edge."""
+
+    ops = ALL_OPS
+
+    def __init__(self, client):
+        self.initial, self.join = client.initial, client.join
+        self.transfer = client.transfer
+
+
+def solved(res):
+    return res.places.places(), res.states, res.steps
+
+
+def test_plain_edges_pass_the_state_through():
+    # solve_fs calls no transfer on an edge outside client.ops; that must
+    # change nothing, and transfer must return the very state it was given
+    for src in lockset_sources():
+        icfa = icfa_of(src)
+        a = analyze_icfa(icfa)
+        for make in (MayLockset, MustLockset):
+            client = make(a.pt)
+            res = solve_fs(icfa, client)
+            assert solved(res) == solved(solve_fs(icfa, EveryOp(make(a.pt))))
+            for pid, p in enumerate(res.places.places()):
+                cs = res.states[pid][1]
+                for e in icfa.out_edges[p[-1]]:
+                    if not isinstance(e.op, client.ops):
+                        assert client.transfer(e, p, cs) is cs, (e, p)
+        client = PointsToClient(a.pt.model)
+        for pid, p in enumerate(a.pt.solve.places.places()):
+            cs = a.pt.solve.states[pid][1]
+            for e in icfa.edges:
+                if not isinstance(e.op, client.ops):
+                    assert client.transfer(e, p, cs) is cs, (e, p)
+
+
+def test_solve_fs_steps_places_as_next_place_does():
+    # the step table inlines next_place: the places solve_fs reaches are
+    # main's entry plus every feasible next_place step out of them
+    for src in lockset_sources() + [RECURSIVE]:
+        icfa = icfa_of(src)
+        client = CountingClient()
+        res = solve_fs(icfa, client)
+        places = res.places.places()
+        stepped = {(icfa.entry_of(icfa.entry_fn),)}
+        for pid, p in enumerate(places):
+            for e in icfa.out_edges[p[-1]]:
+                p2 = next_place(icfa, e, p)
+                if p2 is None:
+                    continue
+                if transfer(icfa, client, e, p, res.states[pid]) is not None:
+                    stepped.add(p2)
+        assert stepped == set(places)

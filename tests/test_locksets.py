@@ -1,10 +1,13 @@
+import sys
+from pathlib import Path
+
 from checks import check_may_covers, check_must_subset
-from conftest import analyzed, icfa_of
+from conftest import FIXTURES, analyzed, icfa_of, load
 from lockhound.frontend.icfa import Edge, LockOp, ThreadEntryOp, UnlockOp
 from lockhound.frontend.syntax import VarRef
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset, solve_locksets
-from lockhound.pipeline import analyze_source
+from lockhound.pipeline import analyze_icfa, analyze_source
 from lockhound.pointsto import GlobalObj, STAR
 
 
@@ -243,3 +246,34 @@ def test_soundness_against_oracle_corpus():
         assert check_must_subset(a, res) == [], f"seed {seed}"
         checked += 1
     assert checked >= 15
+
+
+def bench_sources():
+    """The scaled tier 200-215 and the diamond ladder of bench/workloads.py."""
+    sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import SCALED_CONFIG, diamond
+
+    return ([generate(k, SCALED_CONFIG) for k in range(200, 216)]
+            + [p.source for p in diamond(0)])
+
+
+def test_one_sync_edge_per_location():
+    # LockOperands keys a lock/unlock operand by place alone
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(k, random_config(k)) for k in range(500)]
+    for src in sources + bench_sources():
+        icfa = icfa_of(src)
+        for loc, edges in icfa.out_edges.items():
+            assert sum(isinstance(e.op, (LockOp, UnlockOp)) for e in edges) <= 1, loc
+
+
+def test_shared_operand_is_the_value_set():
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(k, random_config(k)) for k in range(40)]
+    for src in sources:
+        a = analyze_icfa(icfa_of(src))
+        for p in a.locks.may.places.places():
+            for e in a.icfa.out_edges[p[-1]]:
+                if isinstance(e.op, (LockOp, UnlockOp)):
+                    assert a.locks.operands[p] == a.pt.value_set(
+                        p, e.op.arg, at_sync=True), (e, p)
