@@ -6,6 +6,9 @@
 
 Exit codes for analyze: 0 proved deadlock-free, 1 potential deadlocks
 reported, 2 input/usage errors, internal errors or an inconclusive run.
+The oracle exits 1 when it found a deadlock, 0 when it searched every
+reachable state and found none, and 2 when its search was cut short without
+finding one.
 Every subcommand exits 2 on an internal error, so a crash never reads as a
 verdict.
 """
@@ -161,7 +164,9 @@ def cmd_oracle(args) -> int:
         } for w in res.witnesses],
     }
     print(json.dumps(out, indent=2))
-    return 1 if res.witnesses else 0
+    if res.witnesses:
+        return 1
+    return 2 if res.truncated else 0  # a cut search proves nothing
 
 
 # --------------------------------------------------------------------- gen
@@ -182,6 +187,13 @@ def cmd_gen(args) -> int:
 
 
 # -------------------------------------------------------------------- main
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -214,7 +226,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="exhaustively execute a program")
     po.add_argument("file")
-    po.add_argument("--max-states", type=int, default=100_000)
+    po.add_argument("--max-states", type=_positive_int, default=100_000)
     po.set_defaults(fn=cmd_oracle)
 
     pg = sub.add_parser("gen", help="generate a random well-defined program")

@@ -1,12 +1,12 @@
 """Concrete explicit-state reference executor.
 
-Runs a program over all schedules (DFS with state memoization and a budget),
-tracking for every thread the abstract place the static analysis would
-assign. Recursion is rejected, so the place is also the thread's call stack:
-its last location is where the thread stands, and the locations before it
-are the call sites to return to, down to the create site that started the
-thread (below it lies the creator's context); the main thread has none.
-Collected facts:
+Runs a program over all schedules and visits every reachable state (a DFS
+with state memoization, sleep sets and a budget), tracking for every thread
+the abstract place the static analysis would assign. Recursion is rejected,
+so the place is also the thread's call stack: its last location is where
+the thread stands, and the locations before it are the call sites to return
+to, down to the create site that started the thread (below it lies the
+creator's context); the main thread has none. Collected facts:
 
 * arrivals: (place, locks held) pairs seen on real executions,
 * copairs: place pairs simultaneously occupied by two live threads,
@@ -16,10 +16,51 @@ Collected facts:
 Per-state work is only what the state needs. A step table, built once per
 program, says what a thread standing at each location does next: call
 through the entry edge, leave the function, take the guard branch that
-holds, or run the one intra op. Expanding a state builds one read-only dict
+holds, or run the one intra op; the op's expressions are compiled into
+closures once, with the table. Expanding a state builds one read-only dict
 of its memory, only if some step evaluates an expression, and shares it
 among the steps of all threads; the steps that write derive the successor's
 memory from the frozen one instead of copying the dict.
+
+Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
+Concurrent Systems", LNCS 1032, 1996) keep the search from running two
+commuting steps in both orders. Every step records a footprint: the cells
+it read and the cells it wrote or killed (a return kills every local cell
+its frame can hold, from a list built once per function). State kept
+outside memory enters as write-only pseudo-cells: the mutex a step locks or
+unlocks, the thread table a create grows, the status of a thread that
+finishes or is joined, and the counter of a malloc site. Two steps of
+different threads are independent when neither writes a cell the other
+reads or writes. Then either order reaches the same state, and each step
+stays enabled, reads the same values and writes the same cells after the
+other: the only state a step reads outside its footprint is its own
+thread's entry, which no other step changes.
+
+A thread's step sleeps in a state when the search already ran it from an
+ancestor on the current path and every step since is independent of it.
+The successor that thread t's step reaches inherits the sleeping steps and
+the siblings explored before t that are independent of t's step; sleeping
+threads are not stepped. `visited` maps each state to a bitmask of the
+threads that slept on its visits. A revisit whose sleep set does not cover
+the stored mask steps the missing threads only, stores the intersection,
+and counts no state and records nothing. Every reachable state is still
+visited, and the facts are the same as without sleep sets:
+
+* A sleeping step is enabled and not undefined behaviour, since it ran
+  from the ancestor. So the threads that block or fault, and hence
+  ub_events, terminals and the blocked rings behind witnesses, are the
+  same in every state.
+* The state a sleeping step reaches was visited before the search got to
+  the state it sleeps in: it lies below the ancestor's earlier sibling, as
+  the same steps in another order. A revisit steps only threads that slept
+  earlier, so it reaches only visited states. New states are therefore
+  found in the same order and along the same paths as by the plain DFS, so
+  states, arrivals, copairs, the witnesses with their schedules, serials,
+  the state cap and truncation stay the same, on every search that the
+  depth bound does not cut.
+* A step that sleeps ran before with the same reads and writes, so rw is
+  the same union; pseudo-cells are footprint entries only and never reach
+  rw.
 
 Executions hitting undefined behavior (uninitialized reads, self-lock,
 foreign unlock, invalid join, dangling dereference) are pruned at the
@@ -28,10 +69,15 @@ offending step: facts from the poisoned step onwards don't count.
 Recursive calls are rejected: place abstraction folds them, and this
 executor's job is to be exact. A call is recursive exactly when entering the
 callee would not lengthen the place.
+
+The search allocates only acyclic tuples, sets and dicts, so the cyclic
+garbage collector is paused while it runs and restored afterwards.
 """
 
 from __future__ import annotations
 
+import gc
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -50,7 +96,6 @@ from .pointsto import (
     AllocObj, ArrayCellObj, FieldObj, GlobalObj, LocalObj, ObjectModel,
 )
 
-UNINIT = ("uninit",)
 MAX_DEPTH = 20_000  # longest schedule explored; deeper paths set truncated
 
 
@@ -109,16 +154,21 @@ class OracleResult:
 #   mem:    frozenset of (cell, value) pairs, one per cell
 #   locks:  frozenset of (cell, owner) pairs, one per held mutex
 #   allocs: tuple of allocations made so far, one count per malloc site
-# Values: int | ("ptr", cell) | ("fn", name) | ("tid", k) | UNINIT
-# Heap cells are ("h", serial, *path). A serial stands for the n-th
-# allocation at one site, numbered in the order the search first makes it,
-# so every serial names exactly one site on every path.
+# Values: int | ("ptr", cell) | ("fn", name) | ("tid", k)
+# Cells are ("g", name, *path), ("l", tid, name, *path) or ("h", serial,
+# *path). A serial stands for the n-th allocation at one site, numbered in
+# the order the search first makes it, so every serial names exactly one
+# site on every path. Pseudo-cells, which appear only in footprints, start
+# with "mutex", "threads", "status" or "alloc".
 #
 # Expanding a state shares one read-only dict of its mem among the steps of
 # all its threads, built for the first step that evaluates an expression. A
 # step that writes never copies that dict: it derives the successor's mem
 # from the frozenset by removing the pairs it overwrites or kills and adding
 # the pairs it writes.
+
+_EMPTY: frozenset = frozenset()
+_THREADS = ("threads",)  # the pseudo-cell of the thread table
 
 
 class Move(NamedTuple):
@@ -128,7 +178,8 @@ class Move(NamedTuple):
     arg: object      # the entry edge, the guard edges in order, the intra
                      # edge, None at an exit, or why there is no move
     reads_mem: bool  # does the step evaluate expressions?
-    run: Callable    # run(oracle, state, tid, arg, mem)
+    run: Callable    # run(oracle, state, tid, arg, code, mem, reads)
+    code: tuple      # the op's expressions, compiled (see _value, _address)
 
 
 class Oracle:
@@ -139,23 +190,34 @@ class Oracle:
         self.max_states = max_states
         self.collect_copairs = collect_copairs
         self.res = OracleResult()
-        self._reads: set = set()
         self._ret_reads: dict[int, frozenset] = {}
         self._witness_keys: set = set()
         self._moves = [self._move_at(loc) for loc in range(len(icfa.locations))]
         self._alloc_index: dict[int, int] = {}   # malloc site -> allocs slot
         self._serials: dict[tuple[int, int], int] = {}  # (site, n) -> serial
         self._thread_entries: dict[tuple[int, str], Edge] = {}
-        self._func_exits: dict[tuple[int, int], Edge] = {}  # (exit, site)
+        # (exit, site) -> (return edge, its compiled lhs address or None)
+        self._func_exits: dict[tuple[int, int], tuple] = {}
         for e in icfa.edges:
             op = e.op
             if isinstance(op, AssignOp) and isinstance(op.rhs, Malloc):
                 self._alloc_index.setdefault(e.src, len(self._alloc_index))
             elif isinstance(op, ThreadEntryOp):
                 self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
-            elif isinstance(op, FuncExitOp):
-                self._func_exits.setdefault((e.src, e.call_site), e)
-        self._is_mutex: dict[tuple, bool] = {}   # cell -> names a mutex?
+            elif isinstance(op, FuncExitOp) and (e.src, e.call_site) \
+                    not in self._func_exits:
+                self._func_exits[e.src, e.call_site] = (
+                    e, None if op.lhs is None else _address(op.lhs))
+        # function -> (name, *path) of every local cell its frame can hold;
+        # None -> those of every function (a finishing thread's cells)
+        self._locals: dict[str | None, list[tuple]] = {None: []}
+        for name, typ in icfa.prog.var_types.items():
+            if "::" in name:
+                cells = list(_cells((name,), typ, icfa.prog.structs))
+                self._locals.setdefault(name.split("::")[0], []).extend(cells)
+                self._locals[None].extend(cells)
+        self._frames: dict[tuple, frozenset] = {}  # (function, tid) -> cells
+        self._mutexes: dict[tuple, tuple | None] = {}  # cell -> pseudo-cell
 
     def _move_at(self, loc: int) -> Move:
         """The step table entry of loc: its entry edge first, then its
@@ -165,31 +227,50 @@ class Oracle:
         out = icfa.out_edges[loc]
         for e in out:
             if isinstance(e.op, FuncEntryOp):
-                return Move("call", e, True, Oracle._do_call)
-        if loc == icfa.exit_of(icfa.func_of(loc)):
-            return Move("exit", None, True, Oracle._do_return)
+                return Move("call", e, True, Oracle._do_call,
+                            tuple(map(_value, e.op.args)))
+        func = icfa.func_of(loc)
+        if loc == icfa.exit_of(func):
+            ret = icfa.functions[func].ret_expr
+            return Move("exit", None, True, Oracle._do_return,
+                        (func, None if ret is None else _value(ret)))
         intra = [e for e in out if not icfa.is_inter(e)]
         if not intra:
             return Move("none", f"no move at location {loc}", False,
-                        Oracle._no_move)
+                        Oracle._no_move, ())
         op = intra[0].op
         if isinstance(op, GuardOp):
-            return Move("guard", tuple(intra), True, Oracle._do_guard)
+            return Move("guard", tuple(intra), True, Oracle._do_guard,
+                        (_value(op.cond),))
         if type(op) not in _INTRA_STEPS:
-            return Move("none", f"unhandled op {op}", False, Oracle._no_move)
-        kind, reads_mem, run = _INTRA_STEPS[type(op)]
-        return Move(kind, intra[0], reads_mem, run)
+            return Move("none", f"unhandled op {op}", False, Oracle._no_move, ())
+        kind, reads_mem, run, compile_op = _INTRA_STEPS[type(op)]
+        return Move(kind, intra[0], reads_mem, run, compile_op(op))
 
     # ------------------------------------------------------------- driver
 
     def run(self) -> OracleResult:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._search()
+        finally:
+            if collecting:
+                gc.enable()
+        return self.res
+
+    def _search(self) -> None:
+        """The sleep-set DFS of the module docstring."""
         s0 = self._initial_state()
-        visited = {s0}
+        visited = {s0: 0}  # state -> threads asleep on every visit, as bits
         self._record_state(s0)
         path: list[tuple[int, str]] = []
-        stack = [iter(self._expand(s0, path))]
+        # one frame per state on the path: its successors still to try, and
+        # its sleep set (tid -> footprint), which gains each tried sibling
+        stack = [(iter(self._expand(s0, path, 0)), {})]
         while stack:
-            move = next(stack[-1], None)
+            succs, sleep = stack[-1]
+            move = next(succs, None)
             if move is None:
                 stack.pop()
                 if path:
@@ -198,24 +279,33 @@ class Oracle:
             if len(path) >= MAX_DEPTH:
                 self.res.truncated = True
                 continue
-            tid, tag, s2 = move
+            tid, tag, s2, fp = move
+            asleep = {u: f for u, f in sleep.items() if _independent(f, fp)}
+            sleep[tid] = fp
+            mask = 0
+            for u in asleep:
+                mask |= 1 << u
             seen = len(visited)
-            visited.add(s2)  # one hash: a known state leaves the size as is
-            if len(visited) == seen:
-                continue
-            if seen >= self.max_states:
-                visited.discard(s2)
-                self.res.truncated = True
-                break
-            path.append((tid, tag))
-            self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
-                               else (tid,))
-            stack.append(iter(self._expand(s2, path)))
+            old = visited.setdefault(s2, mask)  # one hash for a new state
+            if len(visited) > seen:
+                if seen >= self.max_states:
+                    del visited[s2]
+                    self.res.truncated = True
+                    break
+                path.append((tid, tag))
+                self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
+                                   else (tid,))
+                stack.append((iter(self._expand(s2, path, mask)), asleep))
+            elif old & ~mask:  # step the threads asleep before, awake now
+                visited[s2] = old & mask
+                path.append((tid, tag))
+                stack.append((iter(self._expand(s2, path, ~(old & ~mask))),
+                              asleep))
         self.res.states = len(visited)
-        return self.res
 
-    def _expand(self, state, path) -> list:
-        """Successors (tid, tag, state) of every runnable thread."""
+    def _expand(self, state, path, skip: int) -> list:
+        """Successors (tid, tag, state, footprint) of every runnable thread
+        whose bit is not set in skip; a footprint is (reads, writes)."""
         succs = []
         blocked: list[tuple[int, tuple]] = []   # (tid, lock cell)
         mem = None  # state[1] as a dict, once a step reads it
@@ -224,12 +314,17 @@ class Oracle:
             if th[1] != "run":
                 continue
             alive = True
-            _, arg, reads_mem, run = self._moves[th[0][-1]]
-            if reads_mem and mem is None:
-                mem = dict(state[1])
-            self._reads = set()
+            if skip >> tid & 1:
+                continue
+            _, arg, reads_mem, run, code = self._moves[th[0][-1]]
+            if reads_mem:
+                if mem is None:
+                    mem = dict(state[1])
+                reads = set()
+            else:
+                reads = _EMPTY
             try:
-                tag, s2 = run(self, state, tid, arg, mem)
+                tag, s2, writes = run(self, state, tid, arg, code, mem, reads)
             except _UB:
                 self.res.ub_events += 1
                 continue
@@ -237,7 +332,7 @@ class Oracle:
                 if s2 is not None:
                     blocked.append((tid, s2))
             else:
-                succs.append((tid, tag, s2))
+                succs.append((tid, tag, s2, (reads, writes)))
         if blocked:
             self._check_lag(state, blocked, path)
         if not succs and not alive:
@@ -261,7 +356,7 @@ class Oracle:
             if status != "run":
                 continue
             cells = [c for c, owner in locks if owner == t] if locks else None
-            arrivals.add((place, frozenset(cells) if cells else _NO_LOCKS))
+            arrivals.add((place, frozenset(cells) if cells else _EMPTY))
             if copairs is not None:
                 for u, (other, ustatus, _) in enumerate(threads):
                     if u != t and ustatus == "run":
@@ -301,38 +396,35 @@ class Oracle:
     # ------------------------------------------------------------ stepping
 
     def _initial_state(self):
-        mem: dict[tuple, object] = {}
-        for name, decl in self.icfa.prog.globals.items():
-            self._init_global(mem, ("g", name), decl.typ)
+        mem = {cell: 0 for name, decl in self.icfa.prog.globals.items()
+               for cell in _cells(("g", name), decl.typ, self.icfa.prog.structs)}
         entry = self.icfa.entry_of(self.icfa.entry_fn)
         threads = (((entry,), "run", None),)
         return (threads, frozenset(mem.items()), frozenset(),
                 (0,) * len(self._alloc_index))
 
-    def _init_global(self, mem, cell, typ) -> None:
-        if typ == MUTEX:
-            return  # lock state lives in the lock table
-        if isinstance(typ, StructType):
-            for f in self.icfa.prog.structs.get(typ.name, []):
-                self._init_global(mem, cell + (f.name,), f.typ)
-        elif isinstance(typ, ArrayType):
-            for i in range(typ.size):
-                self._init_global(mem, cell + (i,), typ.element)
-        else:
-            mem[cell] = 0
+    def _frame(self, func: str | None, tid: int) -> frozenset:
+        """Every local cell of func (of every function when None) that
+        thread tid can hold."""
+        cells = self._frames.get((func, tid))
+        if cells is None:
+            cells = self._frames[func, tid] = frozenset(
+                ("l", tid) + c for c in self._locals.get(func, ()))
+        return cells
 
     # helpers to rebuild the immutable state ------------------------------
 
-    def _advance(self, state, tid, e, tag, mem=None, locks=None, allocs=None):
-        """Move thread tid along intra edge e. The frozen mem, locks and
-        allocs given replace the state's; the others pass through."""
+    def _advance(self, state, tid, e, mem=None, locks=None, allocs=None):
+        """state with thread tid moved along intra edge e. The frozen mem,
+        locks and allocs given replace the state's; the others pass
+        through."""
         threads, mem0, locks0, allocs0 = state
         place, status, retval = threads[tid]
         th = (place[:-1] + (e.tgt,), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
-        return (tag, (threads, mem0 if mem is None else mem,
-                      locks0 if locks is None else locks,
-                      allocs0 if allocs is None else allocs))
+        return (threads, mem0 if mem is None else mem,
+                locks0 if locks is None else locks,
+                allocs0 if allocs is None else allocs)
 
     @staticmethod
     def _store(mem_t: frozenset, mem: dict, writes: dict, kills=()) -> frozenset:
@@ -344,32 +436,34 @@ class Oracle:
 
     # individual operations ----------------------------------------------
 
-    # Every step is run(oracle, state, tid, arg, mem) with the arg of its
-    # Move and the shared dict of state[1] (None when the step reads no
-    # memory). It returns (tag, successor), or (None, cell) when the thread
-    # blocks on the mutex cell, or (None, None) while it waits in a join; it
-    # raises _UB on poison.
+    # Every step is run(oracle, state, tid, arg, code, mem, reads) with the
+    # arg and code of its Move, the shared dict of state[1] (None when the
+    # step reads no memory) and the set that collects the cells it reads.
+    # It returns (tag, successor, writes), with writes the cells and
+    # pseudo-cells of its footprint; or (None, cell, None) when the thread
+    # blocks on the mutex cell, or (None, None, None) while it waits in a
+    # join. It raises _UB on poison.
 
-    def _no_move(self, state, tid, why, mem):
+    def _no_move(self, state, tid, why, code, mem, reads):
         raise AssertionError(why)
 
-    def _do_skip(self, state, tid, e, mem):
-        return self._advance(state, tid, e, "skip")
+    def _do_skip(self, state, tid, e, code, mem, reads):
+        return "skip", self._advance(state, tid, e), _EMPTY
 
-    def _do_ret_edge(self, state, tid, e, mem):
-        return self._advance(state, tid, e, "ret-edge")
+    def _do_ret_edge(self, state, tid, e, code, mem, reads):
+        return "ret-edge", self._advance(state, tid, e), _EMPTY
 
-    def _do_guard(self, state, tid, edges, mem):
-        v = bool(self._eval(mem, tid, edges[0].op.cond))
+    def _do_guard(self, state, tid, edges, code, mem, reads):
+        v = bool(code[0](mem, tid, reads))
         for e in edges:
             if v != e.op.negated:
-                return self._advance(state, tid, e, "guard")
+                return "guard", self._advance(state, tid, e), _EMPTY
         raise AssertionError("guard with no matching branch")
 
-    def _do_assign(self, state, tid, e, mem):
-        op = e.op
+    def _do_assign(self, state, tid, e, code, mem, reads):
+        rhs, lhs = code
         allocs = None
-        if isinstance(op.rhs, Malloc):
+        if rhs is None:  # malloc
             allocs = state[3]
             k = self._alloc_index[e.src]
             n = allocs[k]
@@ -380,55 +474,57 @@ class Oracle:
             v = ("ptr", ("h", serial))
             allocs = allocs[:k] + (n + 1,) + allocs[k + 1:]
         else:
-            v = self._eval(mem, tid, op.rhs)
-        cell = self._cell_of(mem, tid, op.lhs)
-        self._note_rw(e, self._reads, (cell,))
-        return self._advance(state, tid, e, "assign",
-                             mem=self._store(state[1], mem, {cell: v}),
-                             allocs=allocs)
+            v = rhs(mem, tid, reads)
+        cell = lhs(mem, tid, reads)
+        self._note_rw(e, reads, (cell,))
+        s2 = self._advance(state, tid, e, mem=self._store(state[1], mem, {cell: v}),
+                           allocs=allocs)
+        return "assign", s2, {cell} if allocs is None else {cell, ("alloc", e.src)}
 
-    def _do_lock(self, state, tid, e, mem):
-        cell = self._lock_operand(mem, tid, e.op.arg)
-        self._note_rw(e, self._reads, ())
+    def _do_lock(self, state, tid, e, code, mem, reads):
+        cell, mutex = self._lock_operand(code[0](mem, tid, reads))
+        self._note_rw(e, reads, ())
         locks = state[2]
         for c, owner in locks:
             if c == cell:
                 if owner == tid:
                     raise _UB("relock of a held mutex")
-                return (None, cell)
-        return self._advance(state, tid, e, "lock", locks=locks | {(cell, tid)})
+                return None, cell, None
+        return "lock", self._advance(state, tid, e, locks=locks | {(cell, tid)}), \
+            {mutex}
 
-    def _do_unlock(self, state, tid, e, mem):
-        cell = self._lock_operand(mem, tid, e.op.arg)
-        self._note_rw(e, self._reads, ())
+    def _do_unlock(self, state, tid, e, code, mem, reads):
+        cell, mutex = self._lock_operand(code[0](mem, tid, reads))
+        self._note_rw(e, reads, ())
         if (cell, tid) not in state[2]:
             raise _UB("unlock of a mutex not held by this thread")
-        return self._advance(state, tid, e, "unlock", locks=state[2] - {(cell, tid)})
+        return "unlock", self._advance(state, tid, e,
+                                       locks=state[2] - {(cell, tid)}), {mutex}
 
-    def _lock_operand(self, mem, tid, arg) -> tuple:
-        v = self._eval(mem, tid, arg)
-        if not (isinstance(v, tuple) and len(v) == 2 and v[0] == "ptr"):
+    def _lock_operand(self, v) -> tuple[tuple, tuple]:
+        """The mutex cell v points to, and its pseudo-cell."""
+        if not (isinstance(v, tuple) and v[0] == "ptr"):
             raise _UB("lock/unlock through a non-pointer value")
         cell = v[1]
-        is_mutex = self._is_mutex.get(cell)
-        if is_mutex is None:
-            is_mutex = self._is_mutex[cell] = \
-                self.model.type_of(self.res.abstract_cell(cell)) == MUTEX
-        if not is_mutex:
+        if cell not in self._mutexes:
+            is_mutex = self.model.type_of(self.res.abstract_cell(cell)) == MUTEX
+            self._mutexes[cell] = ("mutex", cell) if is_mutex else None
+        mutex = self._mutexes[cell]
+        if mutex is None:
             raise _UB("lock/unlock target is not a mutex")
-        return cell
+        return cell, mutex
 
-    def _do_create(self, state, tid, e, mem):
+    def _do_create(self, state, tid, e, code, mem, reads):
         threads = state[0]
-        op = e.op
-        tv = self._eval(mem, tid, op.tid)
+        tid_of, fn_of, arg_of = code
+        tv = tid_of(mem, tid, reads)
         if not (isinstance(tv, tuple) and tv[0] == "ptr"):
             raise _UB("thread id out-argument is not a pointer")
-        fv = self._eval(mem, tid, op.fn)
+        fv = fn_of(mem, tid, reads)
         if not (isinstance(fv, tuple) and fv[0] == "fn"):
             raise _UB("created start routine is not a function")
         fname = fv[1]
-        av = self._eval(mem, tid, op.arg)
+        av = arg_of(mem, tid, reads)
         te = self._thread_entries.get((e.src, fname))
         if te is None:
             raise _UB(f"function {fname} cannot be a thread start routine")
@@ -436,7 +532,7 @@ class Oracle:
         if new_tid > 16:
             raise OracleUnsupported("too many threads for exhaustive search")
         writes = {tv[1]: ("tid", new_tid)}
-        self._note_rw(e, self._reads, (tv[1],))
+        self._note_rw(e, reads, (tv[1],))
 
         place, status, retval = threads[tid]
         tf_place = entry_place(self.icfa, place, te.tgt)
@@ -444,18 +540,18 @@ class Oracle:
             raise OracleUnsupported("recursive thread creation")
         pcell = ("l", new_tid, te.op.param)
         writes[pcell] = av
-        self._note_rw(te, self._reads, (pcell,))
+        self._note_rw(te, reads, (pcell,))
 
         th = (place[:-1] + (e.tgt,), status, retval)
         new_th = (tf_place, "run", None)
         threads = threads[:tid] + (th,) + threads[tid + 1:] + (new_th,)
-        return ("create", (threads, self._store(state[1], mem, writes),
-                           state[2], state[3]))
+        return "create", (threads, self._store(state[1], mem, writes),
+                          state[2], state[3]), {tv[1], pcell, _THREADS}
 
-    def _do_join(self, state, tid, e, mem):
+    def _do_join(self, state, tid, e, code, mem, reads):
         threads = state[0]
-        op = e.op
-        tv = self._eval(mem, tid, op.tid)
+        tid_of, ret_of = code
+        tv = tid_of(mem, tid, reads)
         if not (isinstance(tv, tuple) and tv[0] == "tid"):
             raise _UB("join on an invalid thread id")
         target = tv[1]
@@ -463,173 +559,237 @@ class Oracle:
         if t_status == "joined":
             raise _UB("thread joined twice")
         if t_status == "run":
-            return (None, None)  # wait
-        self._note_rw(e, self._reads, ())
+            return None, None, None  # wait
+        self._note_rw(e, reads, ())
         threads = threads[:target] + ((t_place, "joined", t_retval),) \
             + threads[target + 1:]
         state = (threads,) + state[1:]
-        if op.ret is None:
-            return self._advance(state, tid, e, "join")
-        cell = self._cell_of(mem, tid, op.ret)
+        status = ("status", target)
+        if ret_of is None:
+            return "join", self._advance(state, tid, e), {status}
+        cell = ret_of(mem, tid, reads)
         for tj in self.icfa.out_edges[t_place[-1]]:
             if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
-                self._note_rw(tj, self._ret_reads.get(target, frozenset()), (cell,))
+                self._note_rw(tj, self._ret_reads.get(target, _EMPTY), (cell,))
                 break
-        return self._advance(state, tid, e, "join",
-                             mem=self._store(state[1], mem, {cell: t_retval}))
+        return "join", self._advance(state, tid, e, mem=self._store(
+            state[1], mem, {cell: t_retval})), {status, cell}
 
-    def _do_call(self, state, tid, e, mem):
+    def _do_call(self, state, tid, e, code, mem, reads):
         threads = state[0]
         place, status, retval = threads[tid]
         p2 = entry_place(self.icfa, place, e.tgt)
         if len(p2) != len(place) + 1:
             raise OracleUnsupported(
                 f"recursive call of {self.icfa.func_of(e.tgt)}")
-        op = e.op
-        vals = [self._eval(mem, tid, a) for a in op.args]
-        writes = {("l", tid, par): v for par, v in zip(op.params, vals)}
-        self._note_rw(e, self._reads, writes)
+        vals = [arg(mem, tid, reads) for arg in code]
+        writes = {("l", tid, par): v for par, v in zip(e.op.params, vals)}
+        self._note_rw(e, reads, writes)
         threads = threads[:tid] + ((p2, status, retval),) + threads[tid + 1:]
         mem_f = self._store(state[1], mem, writes) if writes else state[1]
-        return ("call", (threads, mem_f, state[2], state[3]))
+        return "call", (threads, mem_f, state[2], state[3]), writes.keys()
 
-    def _do_return(self, state, tid, _, mem):
+    def _do_return(self, state, tid, _, code, mem, reads):
+        func, ret = code
         threads = state[0]
         place, status, retval = threads[tid]
-        func = self.icfa.func_of(place[-1])
-        fi = self.icfa.functions[func]
-        v = 0
-        if fi.ret_expr is not None:
-            v = self._eval(mem, tid, fi.ret_expr)
+        v = 0 if ret is None else ret(mem, tid, reads)
 
         if len(place) == 1 or place[-2] in self.icfa.create_sites:
-            # the thread's bottom frame: the thread is done
-            self._ret_reads[tid] = frozenset(self._reads)
+            # the thread's bottom frame: the thread is done, and every local
+            # cell it holds dies, also one written through a dangling pointer
+            self._ret_reads[tid] = frozenset(reads)
             th = (place, "done", v)
             threads = threads[:tid] + (th,) + threads[tid + 1:]
-            dead = [c for c in mem if c[0] == "l" and c[1] == tid]
-            return ("finish", (threads, self._store(state[1], mem, {}, dead),
-                               state[2], state[3]))
+            frame = self._frame(None, tid)
+            dead = [c for c in frame if c in mem]
+            return "finish", (threads, self._store(state[1], mem, {}, dead),
+                              state[2], state[3]), frame | {("status", tid)}
 
-        e = self._func_exits[place[-1], place[-2]]
-        prefix = func + "::"
-        dead = [c for c in mem
-                if c[0] == "l" and c[1] == tid and c[2].startswith(prefix)]
+        e, lhs = self._func_exits[place[-1], place[-2]]
+        frame = self._frame(func, tid)
+        dead = [c for c in frame if c in mem]
         th = (next_place(self.icfa, e, place), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
         writes = {}
-        if e.op.lhs is not None:
-            live = dict(mem)
-            for c in dead:
-                del live[c]
-            writes[self._cell_of(live, tid, e.op.lhs)] = v
-        self._note_rw(e, self._reads, writes)  # the return value's and lhs's
-        return ("return", (threads, self._store(state[1], mem, writes, dead),
-                           state[2], state[3]))
+        if lhs is not None:
+            lhs_reads: set = set()
+            cell = lhs(mem, tid, lhs_reads)
+            if not lhs_reads.isdisjoint(frame):
+                raise _UB("read of a cell of the returning frame")
+            reads |= lhs_reads
+            writes[cell] = v
+        self._note_rw(e, reads, writes)  # the return value's and lhs's
+        return "return", (threads, self._store(state[1], mem, writes, dead),
+                          state[2], state[3]), frame | writes.keys()
 
-    # ---------------------------------------------------------- evaluation
 
-    def _read(self, mem, cell):
-        if cell not in mem:
-            raise _UB(f"read of dead or unmapped cell {cell!r}")
+def _independent(f, g) -> bool:
+    """Do the steps of two threads with footprints f and g commute?"""
+    return f[1].isdisjoint(g[0]) and f[1].isdisjoint(g[1]) \
+        and g[1].isdisjoint(f[0])
+
+
+# -------------------------------------------------------------- compiling
+
+# An expression compiles to value(mem, tid, reads) and an lvalue to
+# address(mem, tid, reads): closures that evaluate it in thread tid against
+# the dict mem, add every cell they read to the set reads, and raise _UB on
+# poison.
+
+
+def _cells(cell: tuple, typ, structs: dict):
+    """The memory cells of a variable at cell of type typ (mutexes live in
+    the lock table)."""
+    if typ == MUTEX:
+        return
+    if isinstance(typ, StructType):
+        for f in structs.get(typ.name, []):
+            yield from _cells(cell + (f.name,), f.typ, structs)
+    elif isinstance(typ, ArrayType):
+        for i in range(typ.size):
+            yield from _cells(cell + (i,), typ.element, structs)
+    else:
+        yield cell
+
+
+def _read(mem, cell, reads):
+    try:
         v = mem[cell]
-        if v == UNINIT:
-            raise _UB(f"read of uninitialized cell {cell!r}")
-        self._reads.add(cell)
-        return v
+    except KeyError:
+        raise _UB(f"read of dead or unmapped cell {cell!r}") from None
+    reads.add(cell)
+    return v
 
-    def _eval(self, mem, tid, e: Expr):
-        if isinstance(e, VarRef):  # the kinds in order of frequency
-            return self._read(mem, self._var_cell(tid, e.name))
-        if isinstance(e, IntLit):
-            return e.value
-        if isinstance(e, Unary):
-            if e.op == "&":
-                return ("ptr", self._cell_of(mem, tid, e.operand))
-            if e.op == "*":
-                v = self._eval(mem, tid, e.operand)
-                if not (isinstance(v, tuple) and v[0] == "ptr"):
-                    raise _UB("dereference of a non-pointer value")
-                return self._read(mem, v[1])
-            v = self._eval(mem, tid, e.operand)
-            if e.op == "!":
-                return 0 if v != 0 else 1
-            if e.op == "-":
+
+def _pointee(v, why: str) -> tuple:
+    if not (isinstance(v, tuple) and v[0] == "ptr"):
+        raise _UB(why)
+    return v[1]
+
+
+def _constant(v) -> Callable:
+    return lambda mem, tid, reads: v
+
+
+# Binary operators: op -> (integer operands only?, int-valued result).
+_BINARY = {
+    "==": (False, lambda a, b: int(a == b)),
+    "!=": (False, lambda a, b: int(a != b)),
+    "+": (True, operator.add),
+    "-": (True, operator.sub),
+    "<": (True, lambda a, b: int(a < b)),
+    "<=": (True, lambda a, b: int(a <= b)),
+    ">": (True, lambda a, b: int(a > b)),
+    ">=": (True, lambda a, b: int(a >= b)),
+}
+
+
+def _value(e: Expr) -> Callable:
+    if isinstance(e, VarRef):  # the kinds in order of frequency
+        name = e.name
+        if "::" not in name:
+            cell = ("g", name)
+            return lambda mem, tid, reads: _read(mem, cell, reads)
+        return lambda mem, tid, reads: _read(mem, ("l", tid, name), reads)
+    if isinstance(e, IntLit):
+        return _constant(e.value)
+    if isinstance(e, Unary):
+        if e.op == "&":
+            addr = _address(e.operand)
+            return lambda mem, tid, reads: ("ptr", addr(mem, tid, reads))
+        sub = _value(e.operand)
+        if e.op == "*":
+            return lambda mem, tid, reads: _read(mem, _pointee(
+                sub(mem, tid, reads), "dereference of a non-pointer value"), reads)
+        if e.op == "!":
+            return lambda mem, tid, reads: 0 if sub(mem, tid, reads) != 0 else 1
+        if e.op == "-":
+            def negate(mem, tid, reads):
+                v = sub(mem, tid, reads)
                 if not isinstance(v, int):
                     raise _UB("negation of a non-integer")
                 return -v
-            raise AssertionError(e.op)
-        if isinstance(e, Binary):
-            lv = self._eval(mem, tid, e.left)
-            rv = self._eval(mem, tid, e.right)
-            if e.op == "==":
-                return 1 if lv == rv else 0
-            if e.op == "!=":
-                return 1 if lv != rv else 0
-            if not (isinstance(lv, int) and isinstance(rv, int)):
-                raise _UB(f"arithmetic on non-integers via {e.op}")
-            if e.op == "+":
-                return lv + rv
-            if e.op == "-":
-                return lv - rv
-            if e.op == "<":
-                return 1 if lv < rv else 0
-            if e.op == "<=":
-                return 1 if lv <= rv else 0
-            if e.op == ">":
-                return 1 if lv > rv else 0
-            if e.op == ">=":
-                return 1 if lv >= rv else 0
-            raise AssertionError(e.op)
-        if isinstance(e, FuncRef):
-            return ("fn", e.name)
-        if isinstance(e, (FieldAccess, Index)):
-            return self._read(mem, self._cell_of(mem, tid, e))
+            return negate
+        raise AssertionError(e.op)
+    if isinstance(e, Binary):
+        return _binary(e.op, _value(e.left), _value(e.right))
+    if isinstance(e, FuncRef):
+        return _constant(("fn", e.name))
+    if isinstance(e, (FieldAccess, Index)):
+        addr = _address(e)
+        return lambda mem, tid, reads: _read(mem, addr(mem, tid, reads), reads)
+
+    def fail(mem, tid, reads):
         raise AssertionError(f"cannot evaluate {e!r}")
+    return fail
 
-    def _var_cell(self, tid, name: str) -> tuple:
+
+def _binary(op: str, left: Callable, right: Callable) -> Callable:
+    ints, fn = _BINARY[op]
+
+    def binary(mem, tid, reads):
+        lv = left(mem, tid, reads)
+        rv = right(mem, tid, reads)
+        if ints and not (isinstance(lv, int) and isinstance(rv, int)):
+            raise _UB(f"arithmetic on non-integers via {op}")
+        return fn(lv, rv)
+    return binary
+
+
+def _address(e: Expr) -> Callable:
+    if isinstance(e, VarRef):
+        name = e.name
         if "::" in name:
-            return ("l", tid, name)
-        return ("g", name)
+            return lambda mem, tid, reads: ("l", tid, name)
+        return _constant(("g", name))
+    if isinstance(e, Unary) and e.op == "*":
+        sub = _value(e.operand)
+        return lambda mem, tid, reads: _pointee(
+            sub(mem, tid, reads), "dereference of a non-pointer value")
+    if isinstance(e, FieldAccess):
+        name = (e.name,)
+        if e.arrow:
+            sub = _value(e.base)
+            return lambda mem, tid, reads: _pointee(
+                sub(mem, tid, reads), "-> applied to a non-pointer value") + name
+        base = _address(e.base)
+        return lambda mem, tid, reads: base(mem, tid, reads) + name
+    if isinstance(e, Index):
+        index, base = _value(e.index), _address(e.base)
+        bt = e.base.typ
+        size = bt.size if isinstance(bt, ArrayType) else None
 
-    def _cell_of(self, mem, tid, e: Expr) -> tuple:
-        if isinstance(e, VarRef):
-            return self._var_cell(tid, e.name)
-        if isinstance(e, Unary) and e.op == "*":
-            v = self._eval(mem, tid, e.operand)
-            if not (isinstance(v, tuple) and v[0] == "ptr"):
-                raise _UB("dereference of a non-pointer value")
-            return v[1]
-        if isinstance(e, FieldAccess):
-            if e.arrow:
-                v = self._eval(mem, tid, e.base)
-                if not (isinstance(v, tuple) and v[0] == "ptr"):
-                    raise _UB("-> applied to a non-pointer value")
-                return v[1] + (e.name,)
-            return self._cell_of(mem, tid, e.base) + (e.name,)
-        if isinstance(e, Index):
-            iv = self._eval(mem, tid, e.index)
+        def element(mem, tid, reads):
+            iv = index(mem, tid, reads)
             if not isinstance(iv, int):
                 raise _UB("array index is not an integer")
-            base = self._cell_of(mem, tid, e.base)
-            bt = e.base.typ
-            if isinstance(bt, ArrayType) and not (0 <= iv < bt.size):
+            cell = base(mem, tid, reads)
+            if size is not None and not (0 <= iv < size):
                 raise _UB("array index out of bounds")
-            return base + (iv,)
+            return cell + (iv,)
+        return element
+
+    def fail(mem, tid, reads):
         raise _UB(f"expression {e!r} is not an lvalue")
+    return fail
 
 
-_NO_LOCKS: frozenset = frozenset()
-
-# Intra ops other than guards: (kind and tag, reads memory?, step).
+# Intra ops other than guards: (kind and tag, reads memory?, step, the
+# op's expressions compiled in the order the step evaluates them).
 _INTRA_STEPS = {
-    SkipOp: ("skip", False, Oracle._do_skip),
-    ReturnOp: ("ret-edge", False, Oracle._do_ret_edge),
-    AssignOp: ("assign", True, Oracle._do_assign),
-    LockOp: ("lock", True, Oracle._do_lock),
-    UnlockOp: ("unlock", True, Oracle._do_unlock),
-    CreateOp: ("create", True, Oracle._do_create),
-    JoinOp: ("join", True, Oracle._do_join),
+    SkipOp: ("skip", False, Oracle._do_skip, lambda op: ()),
+    ReturnOp: ("ret-edge", False, Oracle._do_ret_edge, lambda op: ()),
+    AssignOp: ("assign", True, Oracle._do_assign, lambda op: (
+        None if isinstance(op.rhs, Malloc) else _value(op.rhs),
+        _address(op.lhs))),
+    LockOp: ("lock", True, Oracle._do_lock, lambda op: (_value(op.arg),)),
+    UnlockOp: ("unlock", True, Oracle._do_unlock,
+               lambda op: (_value(op.arg),)),
+    CreateOp: ("create", True, Oracle._do_create, lambda op: (
+        _value(op.tid), _value(op.fn), _value(op.arg))),
+    JoinOp: ("join", True, Oracle._do_join, lambda op: (
+        _value(op.tid), None if op.ret is None else _address(op.ret))),
 }
 
 

@@ -3,15 +3,18 @@
 Each test prints one PASS line with its headline numbers; any assertion
 failure is the corresponding FAIL. Criteria 3 and 4 share one sweep over a
 500-program generated corpus (analysis + exhaustive reference execution per
-program), provided by the session fixture below.
+program), provided by the session fixture below. The sweep also compares
+every oracle run with its entry in bench/corpus_labels.json, read-only.
 """
 
 import multiprocessing
 import os
 import random
+import sys
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -36,6 +39,9 @@ from lockhound.pointsto import (
 from lockhound.framework import solve_fi
 from lockhound.frontend.icfa import CreateOp, LockOp, UnlockOp
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import load_labels, oracle_fingerprint  # noqa: E402
+
 MUTANTS = [
     "mutant_nogate", "mutant_nojoin", "mutant_double", "mutant_ring",
     "mutant_heap", "mutant_wrapper", "mutant_loop_create",
@@ -49,8 +55,9 @@ ORACLE_BUDGET = 100_000
 def sweep_one(seed: int):
     """Analyze and exhaustively execute corpus program `seed`.
 
-    Returns its source, whether the oracle was truncated, and the may,
-    deadlock and must violations; None when the oracle cannot run it.
+    Returns its source, the oracle's fingerprint (as the labels record it),
+    and the may, deadlock and must violations; None when the oracle cannot
+    run it.
     """
     src = generate(seed, random_config(seed))
     icfa = icfa_of(src)
@@ -59,8 +66,20 @@ def sweep_one(seed: int):
         res = run_oracle(icfa, max_states=ORACLE_BUDGET, collect_copairs=False)
     except OracleUnsupported:
         return None
-    return (src, res.truncated, check_may_covers(a, res),
+    return (src, oracle_fingerprint(res), check_may_covers(a, res),
             check_deadlocks_reported(a, res), check_must_subset(a, res))
+
+
+def label_mismatches(label: dict, got: dict | None) -> list[str]:
+    """Where an oracle run (None: unsupported) differs from its label, on
+    the keys bench/run.py's check_oracle compares."""
+    if got is None or "unsupported" in label:
+        same = got is None and "unsupported" in label
+        return [] if same else [f"supported {got is not None}, label {label}"]
+    keys = ("states", "truncated") if label["truncated"] else \
+        ("states", "truncated", "arrivals", "arrivals_sha256", "witnesses")
+    return [f"oracle {k} {got[k]!r}, label {label[k]!r}"
+            for k in keys if got[k] != label[k]]
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +94,9 @@ def corpus_sweep():
     thm1: list[str] = []   # may-locksets cover every concrete arrival
     thm2: list[str] = []   # every concrete deadlock is reported
     must: list[str] = []   # must-locksets are held on every arrival
-    truncated = unsupported = 0
+    labels = load_labels()
+    mislabelled: list[str] = []  # oracle facts that differ from the labels
+    truncated = unsupported = labelled = 0
     workers = min(2, os.cpu_count() or 1)
     seeds = iter(range(CORPUS_SIZE + 150))
     spawn = multiprocessing.get_context("spawn")
@@ -92,13 +113,17 @@ def corpus_sweep():
         while pending and len(sources) < CORPUS_SIZE:
             seed, job = pending.popleft()
             got = job.result()
+            tag = f"[seed {seed}]"
+            if seed in labels:
+                labelled += 1
+                mislabelled += [f"{tag} {v}" for v in label_mismatches(
+                    labels[seed], got and got[1])]
             if got is None:
                 unsupported += 1
             else:
-                src, cut, may_bad, deadlock_bad, must_bad = got
+                src, facts, may_bad, deadlock_bad, must_bad = got
                 sources.append(src)
-                truncated += cut
-                tag = f"[seed {seed}]"
+                truncated += facts["truncated"]
                 thm1 += [f"{tag} {v}" for v in may_bad]
                 thm2 += [f"{tag} {v}" for v in deadlock_bad]
                 must += [f"{tag} {v}" for v in must_bad]
@@ -107,6 +132,7 @@ def corpus_sweep():
         pool.shutdown(cancel_futures=True)
     return SimpleNamespace(
         sources=sources, thm1=thm1, thm2=thm2, must=must,
+        mislabelled=mislabelled, labelled=labelled,
         truncated=truncated, unsupported=unsupported,
         runtime=time.perf_counter() - t0)
 
@@ -147,10 +173,13 @@ def test_criterion_3_soundness_sweep(corpus_sweep):
     assert len(s.sources) == CORPUS_SIZE
     assert s.thm1 == [], s.thm1[:5]
     assert s.thm2 == [], s.thm2[:5]
+    assert s.mislabelled == [], s.mislabelled[:5]
+    assert s.labelled == CORPUS_SIZE
     assert s.runtime < 600.0
     print(f"\nACCEPTANCE 3 PASS: {CORPUS_SIZE} programs, 0 may-lockset "
           f"violations, 0 missed deadlocks ({s.truncated} truncated, "
-          f"{s.unsupported} skipped as unsupported), {s.runtime:.0f}s")
+          f"{s.unsupported} skipped as unsupported), oracle facts equal to "
+          f"the labels on {s.labelled}, {s.runtime:.0f}s")
 
 
 def test_criterion_4_must_locksets_sound(corpus_sweep):

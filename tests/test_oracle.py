@@ -1,6 +1,9 @@
 """Exhaustive-interleaving reference executor: witnesses, UB, determinism."""
 
+import gc
 import json
+from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -11,7 +14,7 @@ from lockhound.frontend.icfa import (
     UnlockOp,
 )
 from lockhound.generator import generate, random_config
-from lockhound.oracle import Oracle, OracleUnsupported, run_oracle
+from lockhound.oracle import Oracle, OracleUnsupported, _independent, run_oracle
 from lockhound.pointsto import ArrayCellObj, FieldObj, GlobalObj, obj_label
 
 MUTANTS = [
@@ -250,3 +253,138 @@ def test_oracle_facts_match_golden(name):
     source = UB_PROGRAMS[name] if name in UB_PROGRAMS else load(name)
     want = json.loads(GOLDEN_FACTS.read_text())[name]
     assert oracle_facts(run_oracle(icfa_of(source))) == want
+
+
+def commuting_pairs(icfa, limit: int) -> int:
+    """Check the independence premise of the sleep sets on the first `limit`
+    states in breadth-first order: two steps whose footprints are
+    independent stay enabled after each other, keep their footprints, and
+    reach the same state in either order. Returns the pairs checked."""
+    oracle = Oracle(icfa, collect_copairs=False)
+
+    def steps(state) -> dict:
+        return {tid: (s2, (set(reads), set(writes)))
+                for tid, _, s2, (reads, writes) in oracle._expand(state, [], 0)}
+
+    s0 = oracle._initial_state()
+    seen, queue, pairs = {s0}, deque([s0]), 0
+    while queue and len(seen) < limit:
+        here = steps(queue.popleft())
+        for s2, _ in here.values():
+            if s2 not in seen:
+                seen.add(s2)
+                queue.append(s2)
+        for t, u in combinations(here, 2):
+            (st, ft), (su, fu) = here[t], here[u]
+            if not _independent(ft, fu):
+                continue
+            after_t, after_u = steps(st), steps(su)
+            assert u in after_t and t in after_u, (t, u)
+            assert after_t[u][1] == fu and after_u[t][1] == ft, (t, u)
+            assert after_t[u][0] == after_u[t][0], (t, u)
+            pairs += 1
+    return pairs
+
+
+# Programs whose threads race: on a global one reads and one writes, on a
+# cell of a returning frame, or on state that lives outside memory, where
+# each pseudo-cell of the footprint keeps one of them apart.
+RACES = {
+    "creators": """
+int leaf(int a) { return a; }
+int spawner(int a) { thread_t t; create(&t, leaf, a); join(t); return 0; }
+int main() {
+    thread_t t1; thread_t t2;
+    create(&t1, spawner, 1); create(&t2, spawner, 2);
+    join(t1); join(t2); return 0;
+}
+""",
+    "joiners": """
+thread_t g;
+int leaf(int a) { return a; }
+int joiner(int a) { join(g); return 0; }
+int main() {
+    thread_t t1; thread_t t2;
+    create(&g, leaf, 0); create(&t1, joiner, 1); create(&t2, joiner, 2);
+    join(t1); join(t2); return 0;
+}
+""",
+    "one-malloc-site": """
+struct node { int v; };
+int worker(int a) { struct node *p; p = malloc(struct node); p->v = a; return 0; }
+int main() {
+    thread_t t1; thread_t t2;
+    create(&t1, worker, 1); create(&t2, worker, 2);
+    join(t1); join(t2); return 0;
+}
+""",
+    "reader-writer": """
+int g;
+int reader(int a) { int v; v = g; return v; }
+int writer(int a) { g = a; return 0; }
+int main() {
+    thread_t t1; thread_t t2;
+    create(&t1, reader, 0); create(&t2, writer, 1);
+    join(t1); join(t2); return 0;
+}
+""",
+    "dying-frame": """
+int reader(int *p) { int v; v = *p; return v; }
+void spawn() { int x; thread_t t; x = 1; create(&t, reader, &x); }
+int main() { spawn(); return 0; }
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RACES))
+def test_independent_steps_commute_in_races(name):
+    assert commuting_pairs(icfa_of(RACES[name]), 1_000) >= 1
+
+
+def test_independent_steps_commute():
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(40)]
+    pairs = 0
+    for src in sources:
+        try:
+            pairs += commuting_pairs(icfa_of(src), 300)
+        except OracleUnsupported:
+            continue
+    assert pairs >= 1000  # the premise must not hold vacuously
+
+
+def test_rw_holds_only_memory_cells():
+    # Pseudo-cells (mutexes, thread table, statuses, malloc counters) are
+    # footprint entries only; rw names memory cells.
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(40)]
+    for src in sources:
+        try:
+            res = run_oracle(icfa_of(src), max_states=2_000,
+                             collect_copairs=False)
+        except OracleUnsupported:
+            continue
+        for idx, (reads, writes) in res.rw.items():
+            assert all(c[0] in ("g", "l", "h") for c in reads | writes), idx
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_oracle_restores_the_collector(enabled, showcase_icfa, monkeypatch):
+    during = []
+    record = Oracle._record_state
+    monkeypatch.setattr(Oracle, "_record_state", lambda self, *a: (
+        during.append(gc.isenabled()), record(self, *a)))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        run_oracle(showcase_icfa, max_states=50)
+        assert gc.isenabled() == enabled
+        with pytest.raises(OracleUnsupported):  # raised by a step mid-search
+            run_oracle(icfa_of("""
+int f(int n) { if (n == 0) { return 0; } int r; r = f(n - 1); return r; }
+int main() { int x; x = f(3); return x; }
+"""))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during and not any(during)  # paused while the search runs

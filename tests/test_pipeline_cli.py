@@ -332,6 +332,26 @@ def test_oracle_command(capsys):
     assert d["deadlocked"] == 0 and d["terminals"] >= 1
 
 
+def test_oracle_truncated_without_witness_exits_2(capsys):
+    # A search cut short has not shown the program deadlock-free.
+    assert main(["oracle", SHOWCASE, "--max-states", "1"]) == 2
+    d = json.loads(capsys.readouterr().out)
+    assert d["truncated"] and d["deadlocked"] == 0 and d["states"] == 1
+    # A witness found before the cut is still a deadlock.
+    assert main(["oracle", NOGATE, "--max-states", "30"]) == 1
+    d = json.loads(capsys.readouterr().out)
+    assert d["truncated"] and d["deadlocked"] == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_oracle_rejects_a_state_budget_below_one(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", SHOWCASE, "--max-states", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max-states" in err and "must be at least 1" in err
+
+
 def test_oracle_rejects_recursion(tmp_path, capsys):
     rec = tmp_path / "rec.mc"
     rec.write_text("""
