@@ -189,11 +189,15 @@ def cmd_gen(args) -> int:
 # -------------------------------------------------------------------- main
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
-    return n
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, not {n}")
+        return n
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -215,7 +219,7 @@ def make_parser() -> argparse.ArgumentParser:
                     help="report every cycle, skipping concurrency pruning")
     pa.add_argument("--ctx-insensitive", action="store_true",
                     help="merge pointer analysis contexts (ablation)")
-    pa.add_argument("--cycle-cap", type=int, default=2000)
+    pa.add_argument("--cycle-cap", type=_int_at_least(0), default=2000)
     pa.add_argument("--verbose", action="store_true")
     pa.add_argument("--dump-places", action="store_true")
     pa.add_argument("--dump-points-to", action="store_true")
@@ -226,7 +230,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     po = sub.add_parser("oracle", help="exhaustively execute a program")
     po.add_argument("file")
-    po.add_argument("--max-states", type=_positive_int, default=100_000)
+    po.add_argument("--max-states", type=_int_at_least(1), default=100_000)
     po.set_defaults(fn=cmd_oracle)
 
     pg = sub.add_parser("gen", help="generate a random well-defined program")

@@ -2,16 +2,34 @@
 
 States are pairs of a function-pointer map (tracking which functions a
 pointer parameter can start as a thread) and a client state. The framework
-walks the automaton forward from main's entry, maintaining one state per
-place; client analyses plug in initial/join/transfer.
+walks the automaton forward from main's entry, keeping one state per place;
+client analyses plug in initial/join/transfer.
 
-One worklist keeps the states; two traversals step over it with next_place
-and transfer. solve_fs explores flow-sensitive places (call-site chains
-ending at the current location). solve_fi explores their fi_context images
-(the same call-site chains with the final location canonicalized to the
-function's entry, each function's intra edges composed to a local
-fixpoint). Keeping call sites in the flow-insensitive contexts is what lets
-two calls of the same lock wrapper from one caller stay distinguishable.
+solve_fs works on flow-sensitive places (call-site chains ending at the
+current location), in two parts:
+
+* The exploration needs no client. It steps places with next_place and the
+  function-pointer transfer until their maps reach a fixpoint, and records a
+  PlaceGraph: the places in intern order, each place's function-pointer map,
+  and each place's feasible steps as (edge, target id). It runs once per
+  automaton, so the may- and must-lockset solves share it.
+* The propagation runs the client over that graph by place id. It calls
+  transfer only on edges whose op the client reads and passes the state on
+  along every other step; it interns no place.
+
+The split gives the interleaved fixpoint exactly. The function-pointer
+transfer never reads the client state, and no client reads the map. The map
+only decides which thread entries are feasible, and a thread entry that
+becomes feasible as the map degrades never becomes infeasible again. So the
+client's least fixpoint over the final graph is the one a walk that steps
+both parts of the state together reaches.
+
+solve_fi works on the fi_context images of places: the same call-site chains
+with the final location canonicalized to the function's entry, each
+function's intra edges composed to a local fixpoint, both parts of the state
+in one worklist. Keeping call sites in the flow-insensitive contexts is what
+lets two calls of the same lock wrapper from one caller stay
+distinguishable.
 """
 
 from __future__ import annotations
@@ -19,6 +37,7 @@ from __future__ import annotations
 import random
 import weakref
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any, Iterator, Protocol
 
@@ -109,6 +128,30 @@ def _intra_fpm(fpm: FpMap, op: Op) -> FpMap:
     return fpm
 
 
+def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
+    """The function-pointer map after an edge; None when the edge is a
+    thread entry that cannot start its function under fpm."""
+    op = e.op
+    if isinstance(op, ThreadEntryOp):
+        if not match_fp(fpm, op.thr, icfa.func_of(e.tgt)):
+            return None
+        return _bind_params(icfa, fpm, [(op.arg, op.param)])
+    if isinstance(op, FuncEntryOp):
+        return _bind_params(icfa, fpm, zip(op.args, op.params))
+    if isinstance(op, EXIT_OPS):
+        return {}
+    return _intra_fpm(fpm, op)
+
+
+def transfer(icfa: ICFA, client: ClientAnalysis, e: Edge, p: Place,
+             state: tuple[FpMap, Any]) -> tuple[FpMap, Any] | None:
+    """Full framework transfer; None means no contribution (bottom)."""
+    fpm = fp_transfer(icfa, e, state[0])
+    if fpm is None:
+        return None
+    return fpm, client.transfer(e, p, state[1])
+
+
 # ------------------------------------------------------------- place steps
 
 
@@ -151,112 +194,72 @@ def _firing(fire: dict, where, edges: list[Edge], p: Place) -> list[Edge]:
     return got
 
 
-# How solve_fs steps a place along an edge: the three cases of next_place.
+# How the exploration steps a place along an edge: the three cases of
+# next_place.
 INTRA, ENTRY, RETURN = 0, 1, 2
 
 
-def _step(icfa: ICFA, op: Op, ops: tuple[type, ...]) -> tuple[int, bool]:
-    """(kind, plain) of an edge for a client that reads ops.
+def _step(icfa: ICFA, op: Op) -> tuple[int, bool]:
+    """(kind, plain) of an edge.
 
-    A plain edge neither writes the function-pointer map nor is read by the
-    client, so stepping it needs no transfer. A thread entry is never plain:
-    it must go through match_fp.
+    On a plain edge the function-pointer transfer is trivial: the map
+    passes an intra edge unchanged, and entering or returning empties it.
+    A thread entry is never plain: it must go through match_fp.
     """
     if isinstance(op, ThreadEntryOp):
         return ENTRY, False
     if isinstance(op, FuncEntryOp):
         types = icfa.prog.var_types
-        kind, writes = ENTRY, any(is_fnptr(types.get(par)) for par in op.params)
-    elif isinstance(op, EXIT_OPS):
-        kind, writes = RETURN, False
-    else:
-        kind, writes = INTRA, _writes_fp(op)
-    return kind, not (writes or isinstance(op, ops))
-
-
-# ICFA -> client op set -> step table; built once per automaton and op set
-_STEP_TABLES: weakref.WeakKeyDictionary[ICFA, dict] = weakref.WeakKeyDictionary()
-
-
-def _step_table(icfa: ICFA, ops: tuple[type, ...]) -> list:
-    """solve_fs's step table: per location, (edge, kind, plain) for each of
-    its out-edges. At a function exit it holds instead, per call site p[-2],
-    the return edges that fire from there (key None: any other site), as
-    next_place would filter them."""
-    tables = _STEP_TABLES.get(icfa)
-    if tables is None:
-        tables = _STEP_TABLES[icfa] = {}
-    table = tables.get(ops)
-    if table is None:
-        table = tables[ops] = [[(e, *_step(icfa, e.op, ops)) for e in icfa.out_edges[loc]]
-                               for loc in range(len(icfa.locations))]
-        for fn in icfa.functions.values():
-            out = table[fn.exit]
-            table[fn.exit] = {site: [s for s in out if s[0].call_site in (None, site)]
-                              for site in {None} | {e.call_site for e, _, _ in out}}
-    return table
-
-
-def transfer(icfa: ICFA, client: ClientAnalysis, e: Edge, p: Place,
-             state: tuple[FpMap, Any]) -> tuple[FpMap, Any] | None:
-    """Full framework transfer; None means no contribution (bottom)."""
-    fpm, cs = state
-    op = e.op
-    if isinstance(op, ThreadEntryOp):
-        if not match_fp(fpm, op.thr, icfa.func_of(e.tgt)):
-            return None
-        return _bind_params(icfa, fpm, [(op.arg, op.param)]), client.transfer(e, p, cs)
-    if isinstance(op, FuncEntryOp):
-        return _bind_params(icfa, fpm, zip(op.args, op.params)), client.transfer(e, p, cs)
+        return ENTRY, not any(is_fnptr(types.get(par)) for par in op.params)
     if isinstance(op, EXIT_OPS):
-        return {}, client.transfer(e, p, cs)
-    return _intra_fpm(fpm, op), client.transfer(e, p, cs)
+        return RETURN, True
+    return INTRA, not _writes_fp(op)
+
+
+def _step_table(icfa: ICFA) -> list:
+    """Per location, (edge, kind, plain) for each of its out-edges. At a
+    function exit it holds instead, per call site p[-2], the return edges
+    that fire from there (key None: any other site), as next_place would
+    filter them."""
+    table = [[(e, *_step(icfa, e.op)) for e in icfa.out_edges[loc]]
+             for loc in range(len(icfa.locations))]
+    for fn in icfa.functions.values():
+        out = table[fn.exit]
+        table[fn.exit] = {site: [s for s in out if s[0].call_site in (None, site)]
+                          for site in {None} | {e.call_site for e, _, _ in out}}
+    return table
 
 
 # ------------------------------------------------------------------ solve
 
 
-@dataclass
-class SolveResult:
-    places: PlaceMap
-    states: dict[int, tuple[FpMap, Any]]
-    steps: int
-
-    def at(self, place: Place) -> Any:
-        """The client state at a place, or None when it was never reached."""
-        pid = self.places.lookup(place)
-        return None if pid is None else self.states[pid][1]
-
-
-FS_MAX_STEPS = 2_000_000  # worklist pops before solve_fs gives up
+FS_MAX_STEPS = 2_000_000  # pops before either part of solve_fs gives up
 FI_MAX_STEPS = 500_000    # worklist pops before solve_fi gives up
 
 
 class _Worklist:
-    """One state per place, starting from main's entry.
+    """One state per place id; id 0, main's entry, starts with `initial`.
 
     add() joins a contribution into its place and re-queues the place only
-    when its state grew; iterating pops the queued places until none is left.
+    when its state grew; iterating pops the queued ids until none is left,
+    first in first out or, given rng, in a random order. Each pop is a step,
+    and a step past max_steps raises DivergedError.
     """
 
-    def __init__(self, icfa: ICFA, client: ClientAnalysis, max_steps: int,
-                 shuffle_seed: int | None = None):
-        self.client = client
+    def __init__(self, initial: Any, join, max_steps: int,
+                 rng: random.Random | None = None):
+        self.join = join
         self.max_steps = max_steps
-        self.rng = random.Random(shuffle_seed) if shuffle_seed is not None else None
-        self.places = PlaceMap()
-        self.states: dict[int, tuple[FpMap, Any]] = {}
-        self.work: deque[int] = deque()
-        self.queued: set[int] = set()
+        self.rng = rng
+        self.states: dict[int, Any] = {0: initial}
+        self.work: deque[int] = deque([0])
+        self.queued: set[int] = {0}
         self.steps = 0
-        self.add((icfa.entry_of(icfa.entry_fn),), ({}, client.initial()))
 
-    def add(self, place: Place, contrib: tuple[FpMap, Any]) -> None:
-        pid = self.places.intern(place)
+    def add(self, pid: int, contrib: Any) -> None:
         old = self.states.get(pid)
         if old is not None:
-            contrib = (join_fp(old[0], contrib[0]),
-                       self.client.join(old[1], contrib[1]))
+            contrib = self.join(old, contrib)
             if contrib == old:
                 return
         self.states[pid] = contrib
@@ -264,7 +267,7 @@ class _Worklist:
             self.queued.add(pid)
             self.work.append(pid)
 
-    def __iter__(self) -> Iterator[tuple[int, Place]]:
+    def __iter__(self) -> Iterator[int]:
         while self.work:
             self.steps += 1
             if self.steps > self.max_steps:
@@ -273,25 +276,42 @@ class _Worklist:
                 self.work.rotate(-self.rng.randrange(len(self.work)))
             pid = self.work.popleft()
             self.queued.discard(pid)
-            yield pid, self.places.resolve(pid)
+            yield pid
 
 
-def solve_fs(icfa: ICFA, client: ClientAnalysis,
-             shuffle_seed: int | None = None) -> SolveResult:
-    """Flow-sensitive fixpoint from main's entry.
+@dataclass
+class PlaceGraph:
+    """The flow-sensitive places reachable from main's entry.
 
-    Places step as next_place steps them, through the automaton's step
-    table; edges the table marks plain pass the state on without a transfer.
+    Ids are dense and in first-intern order; place[pid] is the place itself,
+    read without PlaceMap.resolve. fpm[pid] is its function-pointer map at
+    the fixpoint, and steps[pid] holds (edge, target id) for each out-edge
+    that next_place and that map make feasible, in out-edge order.
     """
-    wl = _Worklist(icfa, client, FS_MAX_STEPS, shuffle_seed)
+    places: PlaceMap
+    place: list[Place]
+    fpm: dict[int, FpMap]
+    steps: list[list[tuple[Edge, int]]]
+
+
+def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
+    """The client-free exploration of the module docstring."""
+    table = _step_table(icfa)
     bound = icfa.place_length_bound()
-    table = _step_table(icfa, client.ops)
-    states = wl.states
-    for pid, p in wl:
-        st = states[pid]
+    entry = (icfa.entry_of(icfa.entry_fn),)
+    places = PlaceMap()
+    intern = places.intern
+    intern(entry)
+    place: list[Place] = [entry]
+    steps: list = [None]
+    wl = _Worklist({}, join_fp, FS_MAX_STEPS, rng)
+    fpms = wl.states
+    for pid in wl:
+        p, fpm = place[pid], fpms[pid]
         out = table[p[-1]]
         if type(out) is dict:  # a function exit
             out = out.get(p[-2] if len(p) > 1 else None, out[None])
+        feasible = []
         for e, kind, plain in out:
             if kind == INTRA:
                 p2 = p[:-1] + (e.tgt,)
@@ -303,14 +323,84 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
                 p2 = p[:-2] + (e.tgt,)
             assert len(p2) <= bound, "place length bound violated"
             if not plain:
-                contrib = transfer(icfa, client, e, p, st)
-            elif kind == INTRA:
-                contrib = st
-            else:  # an entry binding no function pointer, or a return
-                contrib = ({}, st[1])
-            if contrib is not None:
-                wl.add(p2, contrib)
-    return SolveResult(wl.places, wl.states, wl.steps)
+                fpm2 = fp_transfer(icfa, e, fpm)
+                if fpm2 is None:
+                    continue
+            else:
+                fpm2 = fpm if kind == INTRA else {}
+            q = intern(p2)
+            if q == len(place):
+                place.append(p2)
+                steps.append(None)
+            wl.add(q, fpm2)
+            feasible.append((e, q))
+        steps[pid] = feasible  # the last pop of a place sees its final map
+    return PlaceGraph(places, place, fpms, steps)
+
+
+_PLACE_GRAPHS: weakref.WeakKeyDictionary[ICFA, PlaceGraph] = \
+    weakref.WeakKeyDictionary()
+
+
+def place_graph(icfa: ICFA) -> PlaceGraph:
+    """The automaton's exploration, built on first use and kept with it."""
+    graph = _PLACE_GRAPHS.get(icfa)
+    if graph is None:
+        graph = _PLACE_GRAPHS[icfa] = _explore(icfa)
+    return graph
+
+
+class _Paired(Mapping):
+    """Place id -> (function-pointer map, client state), read off the two
+    tables without storing the pairs."""
+
+    def __init__(self, fpm: dict[int, FpMap], client: dict[int, Any]):
+        self.fpm, self.client = fpm, client
+
+    def __getitem__(self, pid: int) -> tuple[FpMap, Any]:
+        return self.fpm[pid], self.client[pid]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(len(self.client)))
+
+    def __len__(self) -> int:
+        return len(self.client)
+
+
+@dataclass
+class SolveResult:
+    places: PlaceMap
+    states: Mapping[int, tuple[FpMap, Any]]  # place id -> (fp map, client state)
+    steps: int
+
+    def at(self, place: Place) -> Any:
+        """The client state at a place, or None when it was never reached."""
+        pid = self.places.lookup(place)
+        return None if pid is None else self.states[pid][1]
+
+
+def solve_fs(icfa: ICFA, client: ClientAnalysis,
+             shuffle_seed: int | None = None) -> SolveResult:
+    """Flow-sensitive fixpoint from main's entry: the propagation of the
+    module docstring over the automaton's place graph.
+
+    With shuffle_seed, both worklists pop in a seeded random order, over a
+    fresh exploration rather than the shared one.
+    """
+    if shuffle_seed is None:
+        rng, graph = None, place_graph(icfa)
+    else:
+        rng = random.Random(shuffle_seed)
+        graph = _explore(icfa, rng)
+    ops, step = client.ops, client.transfer
+    place, steps = graph.place, graph.steps
+    wl = _Worklist(client.initial(), client.join, FS_MAX_STEPS, rng)
+    states, add = wl.states, wl.add
+    for pid in wl:
+        cs = states[pid]
+        for e, q in steps[pid]:
+            add(q, step(e, place[pid], cs) if isinstance(e.op, ops) else cs)
+    return SolveResult(graph.places, _Paired(graph.fpm, states), wl.steps)
 
 
 def fi_context(icfa: ICFA, p: Place) -> Place:
@@ -346,9 +436,14 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
     def allowed(e: Edge) -> bool:
         return edge_filter is None or edge_filter(e)
 
-    wl = _Worklist(icfa, client, FI_MAX_STEPS)
+    places = PlaceMap()
+    places.intern((icfa.entry_of(icfa.entry_fn),))
+    wl = _Worklist(({}, client.initial()),
+                   lambda a, b: (join_fp(a[0], b[0]), client.join(a[1], b[1])),
+                   FI_MAX_STEPS)
     fire: dict[tuple[str, int | None], list[Edge]] = {}
-    for pid, p in wl:
+    for pid in wl:
+        p = places.resolve(pid)
         f = icfa.func_of(top(p))
         fpm, cs = wl.states[pid]
 
@@ -378,5 +473,5 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
             else:
                 contrib = transfer(icfa, _PassThrough, e, p, (fpm, cs))
             if contrib is not None:
-                wl.add(fi_context(icfa, p2), contrib)
-    return SolveResult(wl.places, wl.states, wl.steps)
+                wl.add(places.intern(fi_context(icfa, p2)), contrib)
+    return SolveResult(places, wl.states, wl.steps)

@@ -10,40 +10,62 @@ unlock might release; merge is intersection, realized by the accumulating
 solver (first contribution is kept, later ones intersect).
 
 Both clients and the lock graph read each lock/unlock operand's value set
-from one LockOperands table, so it is looked up once per place.
+from one LockOperands table, so it is looked up once per place, or once per
+edge when it does not depend on the context.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .frontend.icfa import Edge, LockOp, ThreadEntryOp, UnlockOp
+from .frontend.icfa import ICFA, Edge, LockOp, ThreadEntryOp, UnlockOp
+from .frontend.syntax import Unary, VarRef
 from .places import Place
-from .pointsto import STAR, PointsToResult, ValueSet
+from .pointsto import STAR, TOP_STATE, PointsToResult, ValueSet
 
 SYNC_OPS = (LockOp, UnlockOp, ThreadEntryOp)  # what the clients transfer on
 
 
 class LockOperands(dict):
-    """Place -> value set of the lock/unlock operand leaving its location.
+    """Value set of the lock/unlock operand leaving a place's location.
 
     A location has at most one lock/unlock out-edge, so the place is the
-    whole key. A place missing from the table is looked up in pt on first
-    use, as pt.value_set(p, arg, at_sync=True). Equal value sets are kept
-    as one object: there are few distinct ones, and many places.
+    whole key. An operand at one of the by_location locations has one value
+    set in every context, so there it is keyed by the location instead and
+    looked up once per edge. A key missing from the table is looked up in pt
+    on first use, as pt.value_set(p, arg, at_sync=True). Equal value sets
+    are kept as one object: there are few distinct ones, and many places.
     """
 
-    def __init__(self, pt: PointsToResult):
+    def __init__(self, pt: PointsToResult, by_location: Collection[int] = ()):
         super().__init__()
         self.pt = pt
+        self.by_location = by_location
         self.sets: dict[ValueSet, ValueSet] = {}
 
     def at(self, p: Place, e: Edge) -> ValueSet:
-        vs = self.get(p)
+        key = e.src if e.src in self.by_location else p
+        vs = self.get(key)
         if vs is None:
             vs = self.pt.value_set(p, e.op.arg, at_sync=True)
-            vs = self[p] = self.sets.setdefault(vs, vs)
+            vs = self[key] = self.sets.setdefault(vs, vs)
         return vs
+
+
+def context_free_operands(icfa: ICFA, pt: PointsToResult) -> set[int]:
+    """Locations of the lock/unlock operands whose value set needs no context.
+
+    `&v` denotes v in every points-to state but TOP_STATE, where it reads as
+    STAR. So it needs no context when no context is TOP_STATE. (With merged
+    contexts, the one merged state is TOP_STATE exactly when some context
+    is.)
+    """
+    if any(cs is TOP_STATE for _, cs in pt.solve.states.values()):
+        return set()
+    return {e.src for e in icfa.edges
+            if isinstance(e.op, (LockOp, UnlockOp)) and isinstance(e.op.arg, Unary)
+            and e.op.arg.op == "&" and isinstance(e.op.arg.operand, VarRef)}
 
 
 class MayLockset:
@@ -137,7 +159,7 @@ class LocksetResults:
 def solve_locksets(icfa, pt: PointsToResult, shuffle_seed=None) -> LocksetResults:
     from .framework import solve_fs
 
-    operands = LockOperands(pt)
+    operands = LockOperands(pt, context_free_operands(icfa, pt))
     may_client = MayLockset(pt, operands)
     must_client = MustLockset(pt, operands)
     may = solve_fs(icfa, may_client, shuffle_seed=shuffle_seed)

@@ -76,11 +76,11 @@ garbage collector is paused while it runs and restored afterwards.
 
 from __future__ import annotations
 
-import gc
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
+from .collector import collector_paused
 from .errors import SourceError
 from .framework import entry_place, next_place
 from .frontend.icfa import (
@@ -249,14 +249,9 @@ class Oracle:
 
     # ------------------------------------------------------------- driver
 
+    @collector_paused()
     def run(self) -> OracleResult:
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            self._search()
-        finally:
-            if collecting:
-                gc.enable()
+        self._search()
         return self.res
 
     def _search(self) -> None:

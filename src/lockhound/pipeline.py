@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
+from .collector import collector_paused
 from .depend import DependResult, affecting_edges
 from .errors import DivergedError
 from .framework import solve_fi
@@ -57,6 +58,7 @@ class Analysis:
         return [c for c in self.search.cycles if c.pruned_by is None]
 
 
+@collector_paused()
 def analyze_source(source: str, cfg: Config | None = None) -> Analysis:
     cfg = cfg if cfg is not None else Config()
     timings: dict[str, float] = {}
@@ -67,6 +69,7 @@ def analyze_source(source: str, cfg: Config | None = None) -> Analysis:
     return analyze_icfa(icfa, cfg, timings)
 
 
+@collector_paused()
 def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
                  timings: dict[str, float] | None = None) -> Analysis:
     cfg = cfg if cfg is not None else Config()

@@ -1,16 +1,18 @@
 import random
+from collections import deque
 from typing import get_args
 
 from conftest import FIXTURES, icfa_of, load
 from lockhound.framework import (
-    DIRTY, entry_place, fi_context, join_fp, match_fp, next_place, solve_fi,
-    solve_fs, transfer,
+    DIRTY, entry_place, fi_context, join_fp, match_fp, next_place,
+    place_graph, solve_fi, solve_fs, transfer,
 )
-from lockhound.frontend.icfa import FuncEntryOp, FuncExitOp, Op
+from lockhound.frontend.icfa import FuncEntryOp, FuncExitOp, Op, ThreadEntryOp
 from lockhound.frontend.syntax import FuncRef, VarRef
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset
 from lockhound.pipeline import analyze_icfa
+from lockhound.places import PlaceMap
 from lockhound.pointsto import PointsToClient
 
 
@@ -177,9 +179,11 @@ def test_solve_fs_order_independent_generated():
     for seed in range(20):
         icfa = icfa_of(generate(seed, random_config(seed)))
         base = states_by_place(solve_fs(icfa, CountingClient()))
-        jittered = states_by_place(
-            solve_fs(icfa, CountingClient(), shuffle_seed=seed + 1))
-        assert base == jittered
+        jittered = solve_fs(icfa, CountingClient(), shuffle_seed=seed + 1)
+        assert base == states_by_place(jittered)
+        # a shuffled solve explores afresh, so the fp-map fixpoint is
+        # reached in the shuffled order too
+        assert jittered.places is not place_graph(icfa).places
 
 
 def lockset_sources():
@@ -241,3 +245,104 @@ def test_solve_fs_steps_places_as_next_place_does():
                 if transfer(icfa, client, e, p, res.states[pid]) is not None:
                     stepped.add(p2)
         assert stepped == set(places)
+
+
+# A thread started through a function-pointer parameter that the loop body
+# overwrites: the create is first stepped with g = w1, and w2's entry becomes
+# feasible only once the loop's back edge has degraded g to DIRTY.
+LATE_ENTRY = """
+mutex m0;
+mutex m1;
+int w1(int a) { lock(&m0); unlock(&m0); return 0; }
+int w2(int a) { lock(&m1); unlock(&m1); return 0; }
+int starter(int (*g)(int)) {
+    thread_t t;
+    int k;
+    k = 0;
+    while (k < 2) {
+        create(&t, g, 0);
+        g = w2;
+        k = k + 1;
+    }
+    return 0;
+}
+int main() {
+    int r;
+    r = starter(w1);
+    return r;
+}
+"""
+
+
+def reference_solve(icfa, client):
+    """One worklist over (fp map, client state) pairs that steps every place
+    with next_place and the full transfer, the two interleaved.
+
+    Returns the places in id order, the state of each, the number of pops,
+    and the (place id, edge) of each thread entry first feasible on a later
+    pop of its place than the first.
+    """
+    places = PlaceMap()
+    states, work, queued = {}, deque(), set()
+
+    def add(p, contrib):
+        pid = places.intern(p)
+        old = states.get(pid)
+        if old is not None:
+            contrib = (join_fp(old[0], contrib[0]),
+                       client.join(old[1], contrib[1]))
+            if contrib == old:
+                return
+        states[pid] = contrib
+        if pid not in queued:
+            queued.add(pid)
+            work.append(pid)
+
+    add((icfa.entry_of(icfa.entry_fn),), ({}, client.initial()))
+    steps, first, late = 0, {}, []
+    while work:
+        steps += 1
+        pid = work.popleft()
+        queued.discard(pid)
+        p = places.resolve(pid)
+        fired = set()
+        for e in icfa.out_edges[p[-1]]:
+            p2 = next_place(icfa, e, p)
+            contrib = None if p2 is None else transfer(icfa, client, e, p,
+                                                       states[pid])
+            if contrib is not None:
+                fired.add(e)
+                add(p2, contrib)
+        if pid in first:
+            late += [(pid, e) for e in fired - first[pid]
+                     if isinstance(e.op, ThreadEntryOp)]
+        first.setdefault(pid, fired)
+    return places.places(), states, steps, late
+
+
+def test_place_graph_solve_equals_the_interleaved_reference():
+    for src in lockset_sources() + [RECURSIVE]:
+        icfa = icfa_of(src)
+        a = analyze_icfa(icfa)
+        for make in (lambda: MayLockset(a.pt), lambda: MustLockset(a.pt),
+                     CountingClient):
+            res = solve_fs(icfa, make())
+            places, states, steps, late = reference_solve(icfa, make())
+            assert res.places.places() == places
+            assert dict(res.states) == states
+            assert res.steps == steps
+            assert not late
+
+
+def test_thread_entry_feasible_only_late():
+    icfa = icfa_of(LATE_ENTRY)
+    for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
+        places, states, _, late = reference_solve(icfa, client())
+        assert late  # w2's entry, once g is DIRTY
+        base = states_by_place(solve_fs(icfa, client()))
+        assert base == {p: states[pid] for pid, p in enumerate(places)}
+        assert base == states_by_place(solve_fs(icfa, client(), shuffle_seed=3))
+    graph = place_graph(icfa)
+    for pid, e in late:  # the graph keeps the late step
+        p = places[pid]
+        assert e in [e2 for e2, _ in graph.steps[graph.places.lookup(p)]]

@@ -6,9 +6,12 @@ from conftest import FIXTURES, analyzed, icfa_of, load
 from lockhound.frontend.icfa import Edge, LockOp, ThreadEntryOp, UnlockOp
 from lockhound.frontend.syntax import VarRef
 from lockhound.generator import generate, random_config
-from lockhound.locksets import MayLockset, MustLockset, solve_locksets
-from lockhound.pipeline import analyze_icfa, analyze_source
-from lockhound.pointsto import GlobalObj, STAR
+from lockhound.framework import SolveResult
+from lockhound.locksets import (
+    LockOperands, MayLockset, MustLockset, context_free_operands, solve_locksets,
+)
+from lockhound.pipeline import Config, analyze_icfa, analyze_source
+from lockhound.pointsto import STAR, TOP_STATE, GlobalObj, PointsToResult
 
 
 class StubPt:
@@ -267,13 +270,64 @@ def test_one_sync_edge_per_location():
             assert sum(isinstance(e.op, (LockOp, UnlockOp)) for e in edges) <= 1, loc
 
 
+# Under no_depend the store through pp, an int made a pointer, is kept:
+# it sets every points-to context to TOP_STATE, where even &m0 reads as *.
+TOP_CONTEXT = """
+mutex m0;
+mutex m1;
+int main() {
+    int laundry;
+    mutex *q;
+    mutex **pp;
+    laundry = &q;
+    pp = laundry;
+    *pp = &m1;
+    lock(&m0);
+    unlock(&m0);
+    return 0;
+}
+"""
+
+
 def test_shared_operand_is_the_value_set():
+    # LockOperands answers for every sync place what points-to does, also
+    # where it keys an &v operand by its location alone
     sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
-    sources += [generate(k, random_config(k)) for k in range(40)]
-    for src in sources:
-        a = analyze_icfa(icfa_of(src))
-        for p in a.locks.may.places.places():
-            for e in a.icfa.out_edges[p[-1]]:
-                if isinstance(e.op, (LockOp, UnlockOp)):
-                    assert a.locks.operands[p] == a.pt.value_set(
-                        p, e.op.arg, at_sync=True), (e, p)
+    sources += [generate(k, random_config(k)) for k in range(100)]
+    configs = [Config(), Config(ctx_insensitive=True), Config(no_depend=True)]
+    for src in sources + [TOP_CONTEXT]:
+        icfa = icfa_of(src)
+        for cfg in configs:
+            a = analyze_icfa(icfa, cfg)
+            for p in a.locks.may.places.places():
+                for e in a.icfa.out_edges[p[-1]]:
+                    if isinstance(e.op, (LockOp, UnlockOp)):
+                        assert a.locks.operands.at(p, e) == a.pt.value_set(
+                            p, e.op.arg, at_sync=True), (cfg, e, p)
+    a = analyze_source(TOP_CONTEXT, Config(no_depend=True))
+    (_, p, e), = a.locks.lock_places
+    assert a.locks.operands.at(p, e) is STAR
+
+
+def test_operand_in_a_top_context_is_star():
+    # The pipeline spreads TOP_STATE to every context it reaches, so mix the
+    # contexts by hand: take()'s second context alone reads everything as *
+    a = analyze_source("""
+mutex m0;
+void take() { lock(&m0); unlock(&m0); }
+int main() { take(); take(); return 0; }
+""")
+    fi = a.pt.solve
+    contexts = [pid for pid, ctx in enumerate(fi.places.places()) if len(ctx) > 1]
+    assert len(contexts) == 2
+    states = dict(fi.states)
+    states[contexts[1]] = (states[contexts[1]][0], TOP_STATE)
+    pt = PointsToResult(a.icfa, a.pt.model, SolveResult(fi.places, states, fi.steps))
+    operands = LockOperands(pt, context_free_operands(a.icfa, pt))
+    answers = set()
+    for p in a.locks.may.places.places():
+        for e in a.icfa.out_edges[p[-1]]:
+            if isinstance(e.op, (LockOp, UnlockOp)):
+                answers.add(operands.at(p, e))
+                assert operands.at(p, e) == pt.value_set(p, e.op.arg, at_sync=True)
+    assert answers == {frozenset([GlobalObj("m0")]), STAR}

@@ -1,5 +1,6 @@
 """End-to-end pipeline results, report formats, and the command line."""
 
+import gc
 import importlib.util
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import lockhound.framework
 import lockhound.pipeline
 from conftest import FIXTURES, icfa_of, load
 from lockhound.cli import _want_color, main
@@ -70,6 +72,44 @@ def test_diverged_fixpoint_ends_inconclusive(stage, message, showcase_source,
     assert main(["analyze", SHOWCASE, "--dump-places", "--dump-points-to",
                  "--dump-locksets", "may"]) == 2
     assert "INCONCLUSIVE" in capsys.readouterr().out
+
+
+def test_lockset_step_budget_ends_inconclusive(showcase_source, monkeypatch,
+                                               capsys):
+    # the real solver, not a stand-in: both its exploration and its
+    # propagation count steps against FS_MAX_STEPS
+    icfa = icfa_of(showcase_source)
+    lockhound.framework.place_graph(icfa)  # explored within the budget
+    monkeypatch.setattr(lockhound.framework, "FS_MAX_STEPS", 1)
+    explored = analyze_icfa(icfa)
+    fresh = analyze_source(showcase_source)
+    for a in (explored, fresh):
+        assert a.verdict == INCONCLUSIVE
+        assert a.error.startswith("lockset analysis: fixpoint exceeded 1 steps")
+        assert a.locks is None and a.pt is not None
+    assert fresh.icfa not in lockhound.framework._PLACE_GRAPHS  # gave up exploring
+    assert main(["analyze", SHOWCASE]) == 2
+    assert "fixpoint exceeded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_analyze_source_restores_the_collector(enabled, showcase_source,
+                                               monkeypatch):
+    during = []
+    solve = lockhound.pipeline.solve_locksets
+    monkeypatch.setattr(lockhound.pipeline, "solve_locksets", lambda *a: (
+        during.append(gc.isenabled()), solve(*a))[1])
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        analyze_source(showcase_source)
+        assert gc.isenabled() == enabled
+        with pytest.raises(SourceError):  # raised by the parser mid-parse
+            analyze_source(showcase_source.replace("return 0;", "return 0"))
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False]  # paused while the lockset solve runs
 
 
 def test_bench_tracer_sees_every_stage(showcase_source, monkeypatch):
@@ -350,6 +390,15 @@ def test_oracle_rejects_a_state_budget_below_one(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--max-states" in err and "must be at least 1" in err
+
+
+@pytest.mark.parametrize("value", ["-1", "-5"])
+def test_analyze_rejects_a_negative_cycle_cap(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", RING, "--cycle-cap", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--cycle-cap" in err and "must be at least 0" in err
 
 
 def test_oracle_rejects_recursion(tmp_path, capsys):
