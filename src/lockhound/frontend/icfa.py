@@ -26,6 +26,7 @@ from .syntax import (
 )
 from .transform import _is_canonical, fp_call_candidates
 from ..errors import MissingMainError
+from ..graphs import sccs
 
 
 # --------------------------------------------------------------------- ops
@@ -266,25 +267,14 @@ class ICFA:
 
     @cached_property
     def recursive_functions(self) -> frozenset[str]:
-        """Functions on a cycle of the call/create graph."""
+        """Functions on a cycle of the call/create graph: those whose
+        strongly connected component has two functions or a self edge."""
         succ: dict[str, set[str]] = {f: set() for f in self.functions}
         for e in self.edges:
             if isinstance(e.op, ENTRY_OPS):
                 succ[self.func_of(e.src)].add(self.func_of(e.tgt))
-
-        def on_cycle(f: str) -> bool:
-            seen: set[str] = set()
-            work = list(succ[f])
-            while work:
-                g = work.pop()
-                if g == f:
-                    return True
-                if g not in seen:
-                    seen.add(g)
-                    work.extend(succ[g])
-            return False
-
-        return frozenset(filter(on_cycle, self.functions))
+        return frozenset(f for c in sccs(succ) for f in c
+                         if len(c) > 1 or f in succ[f])
 
     def place_length_bound(self) -> int:
         return len(self.functions) + len(self.create_sites) + 1

@@ -2,11 +2,12 @@
 
 A graph edge (l1, p, l2) records that at place p some thread already holding
 l1 may acquire l2. Cycles over at least two locks are deadlock candidates,
-searched shortest first up to the cycle cap, which bounds the search itself;
-each is kept only if every pair of its places can overlap in time (see
-nonconc). STAR is a lock that aliases everything: before cycle enumeration
-the edge set is closed so that every STAR endpoint also stands for each
-concrete lock, which lets a cycle pass through an unresolved acquisition.
+searched shortest first (graphs.cycles) up to the cycle cap, which bounds
+the search itself; each is kept only if every pair of its places can
+overlap in time (see nonconc). STAR is a lock that aliases everything:
+before cycle enumeration the edge set is closed so that every STAR endpoint
+also stands for each concrete lock, which lets a cycle pass through an
+unresolved acquisition.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from .graphs import cycles, sccs
 from .locksets import LocksetResults
 from .places import Place
 from .pointsto import STAR, obj_key, obj_label
@@ -115,33 +115,34 @@ class CycleSearch:
 def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     """Elementary cycles over >= 2 locks, expanded to edge combinations.
 
-    Cycles are searched one length at a time, shortest first, each rotated
-    to start at its smallest node and sorted by nodes within a length.
-    Parallel edges between the same pair of locks multiply out in line
-    order. The search itself stops at the first combination past cap, so
-    cap bounds the work. Graph nodes are the locks' obj_key positions.
+    One strongly connected component pass gives the longest possible
+    cycle; graphs.cycles then yields the cycles of each length in turn,
+    shortest first, each from its smallest node and sorted by nodes within
+    a length. Parallel edges between the same pair of locks multiply out
+    in line order. The search is lazy and stops at the first combination
+    past cap, so cap bounds the work. Graph nodes are the locks' obj_key
+    positions.
     """
     names = lock_names(edges)
     node = {lock: i for i, lock in enumerate(sorted(names, key=obj_key))}
-    g = nx.DiGraph()
+    succ: dict[int, list[int]] = {i: [] for i in node.values()}
+    pred: dict[int, list[int]] = {i: [] for i in node.values()}
     parallel: dict[tuple[int, int], list[LockEdge]] = {}
     for e in edges:
         leg = (node[e.held], node[e.acquired])
-        g.add_edge(*leg)
-        parallel.setdefault(leg, []).append(e)
+        if leg not in parallel:
+            succ[leg[0]].append(leg[1])
+            pred[leg[1]].append(leg[0])
+            parallel[leg] = []
+        parallel[leg].append(e)
     for es in parallel.values():
         es.sort(key=lambda e: (e.line, e.place))
 
     res = CycleSearch()
-    longest = max(map(len, nx.strongly_connected_components(g)), default=0)
-    # Each bound re-yields the shorter cycles: fewer than cap, or we are done.
-    for k in range(2, longest + 1):
-        rotated = []
-        for c in nx.simple_cycles(g, length_bound=k):
-            if len(c) == k:
-                i = c.index(min(c))
-                rotated.append(tuple(c[i:] + c[:i]))
-        for nodes in sorted(rotated):
+    comps = sccs(succ)
+    comp = {n: i for i, c in enumerate(comps) for n in c}
+    for k in range(2, max(map(len, comps), default=0) + 1):
+        for nodes in cycles(succ, pred, comp, k):
             pools = [parallel[nodes[j], nodes[(j + 1) % k]] for j in range(k)]
             for combo in itertools.product(*pools):
                 if res.combos_seen >= cap:

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from functools import cached_property
 
-import networkx as nx
-
 from .frontend.icfa import (
     ICFA, INTER_OPS, Edge, FuncEntryOp, JoinOp, ThreadEntryOp,
 )
+from .graphs import idoms, sccs
 from .locksets import LocksetResults
 from .places import MAIN_THREAD, Place, common_prefix_len, get_thread, \
     multiple_thread_guard
@@ -35,8 +34,10 @@ UNREACHED = "unreached"
 class GraphFacts:
     """Paths, dominators and loops for the create/join argument.
 
-    `in_loop` asks the stitched graph: a location is in a loop when it lies
-    on a cycle of the whole program, calls and returns included.
+    The graphs are adjacency dicts; their components and dominators come
+    from lockhound.graphs. `in_loop` asks the stitched graph: a location is
+    in a loop when it lies on a cycle of the whole program, calls and
+    returns included (its component has two locations or a self edge).
 
     `has_path`, `on_all_paths` and `on_all_cycles` ask the local graph of
     the one function f that holds the queried locations. That graph has f's
@@ -69,61 +70,62 @@ class GraphFacts:
 
     def __init__(self, icfa: ICFA):
         self.icfa = icfa
-        self._local: dict[str, nx.DiGraph] = {}
+        self._local: dict[str, tuple[dict, dict]] = {}  # succ, pred
         self._idom: dict[int, dict[int, int]] = {}
 
     @cached_property
     def _stitched(self) -> tuple[dict[int, int], set[int]]:
         """The component of each location in the stitched graph, and the
         locations that lie on a cycle of it."""
-        g = nx.DiGraph()
-        g.add_nodes_from(loc.id for loc in self.icfa.locations)
-        g.add_edges_from((e.src, e.tgt) for e in self.icfa.edges
-                         if not isinstance(e.op, ThreadEntryOp))
-        comp: dict[int, int] = {}
-        loops: set[int] = set()
-        for k, c in enumerate(nx.strongly_connected_components(g)):
-            comp.update(dict.fromkeys(c, k))
-            if len(c) > 1 or any(g.has_edge(n, n) for n in c):
-                loops |= c
-        return comp, loops
+        succ = {loc: [e.tgt for e in out
+                      if not isinstance(e.op, ThreadEntryOp)]
+                for loc, out in self.icfa.out_edges.items()}
+        comps = sccs(succ)
+        loops = {loc for c in comps if len(c) > 1 or c[0] in succ[c[0]]
+                 for loc in c}
+        return {loc: k for k, c in enumerate(comps) for loc in c}, loops
 
     @cached_property
     def _call_comp(self) -> dict[str, int]:
         """The component of each function in the call graph."""
         icfa = self.icfa
-        g = nx.DiGraph()
-        g.add_nodes_from(icfa.functions)
-        g.add_edges_from((icfa.func_of(e.src), icfa.func_of(e.tgt))
-                         for e in icfa.edges if isinstance(e.op, FuncEntryOp))
-        return {f: k for k, c in enumerate(nx.strongly_connected_components(g))
-                for f in c}
+        succ: dict[str, set[str]] = {f: set() for f in icfa.functions}
+        for e in icfa.edges:
+            if isinstance(e.op, FuncEntryOp):
+                succ[icfa.func_of(e.src)].add(icfa.func_of(e.tgt))
+        return {f: k for k, c in enumerate(sccs(succ)) for f in c}
 
-    def _graph(self, f: str) -> nx.DiGraph:
-        """The local graph of f (see the class docstring), cached."""
+    def _graph(self, f: str) -> tuple[dict[int, set[int]], dict]:
+        """The local graph of f (see the class docstring) as successor and
+        predecessor sets, cached."""
         g = self._local.get(f)
         if g is not None:
             return g
         icfa = self.icfa
         fi = icfa.functions[f]
-        self._local[f] = g = nx.DiGraph()
-        for loc in range(fi.entry, fi.exit + 1):  # f's locations, in order
-            g.add_node(loc)
+        locs = range(fi.entry, fi.exit + 1)  # f's locations, in order
+        succ: dict[int, set[int]] = {loc: set() for loc in locs}
+        for loc in locs:
             for e in icfa.out_edges[loc]:
                 if isinstance(e.op, FuncEntryOp):
                     callee = icfa.func_of(e.tgt)
                     ret = next(x.tgt for x in
                                icfa.out_edges[icfa.exit_of(callee)]
                                if x.call_site == loc)
-                    g.add_edge(loc, ret)
+                    succ[loc].add(ret)
                     if self._call_comp[callee] == self._call_comp[f]:
-                        g.add_edge(loc, fi.entry)
-                        g.add_edge(fi.exit, ret)
+                        succ[loc].add(fi.entry)
+                        succ[fi.exit].add(ret)
                 elif not isinstance(e.op, INTER_OPS):
-                    g.add_edge(loc, e.tgt)
+                    succ[loc].add(e.tgt)
         comp = self._stitched[0]
         if comp[fi.exit] == comp[fi.entry]:
-            g.add_edge(fi.exit, fi.entry)
+            succ[fi.exit].add(fi.entry)
+        pred: dict[int, set[int]] = {loc: set() for loc in locs}
+        for loc, tgts in succ.items():
+            for tgt in tgts:
+                pred[tgt].add(loc)
+        self._local[f] = g = (succ, pred)
         return g
 
     def _dominators(self, a: int) -> dict[int, int]:
@@ -131,8 +133,8 @@ class GraphFacts:
         locations a reaches (a itself left out)."""
         idom = self._idom.get(a)
         if idom is None:
-            g = self._graph(self.icfa.func_of(a))
-            self._idom[a] = idom = nx.immediate_dominators(g, a)
+            succ, pred = self._graph(self.icfa.func_of(a))
+            self._idom[a] = idom = idoms(succ, pred, a)
         return idom
 
     @staticmethod
@@ -170,7 +172,7 @@ class GraphFacts:
         # a cycle through a is a path from a to a predecessor, then one edge
         idom = self._dominators(a)
         return all(p != a and (p not in idom or self._dominates(idom, a, b, p))
-                   for p in self._graph(f).pred[a])
+                   for p in self._graph(f)[1][a])
 
     def in_loop(self, a: int) -> bool:
         return a in self._stitched[1]

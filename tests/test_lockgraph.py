@@ -12,6 +12,7 @@ import networkx as nx
 from checks import check_deadlocks_reported
 from conftest import SCALED, analyzed, close_triples, icfa_of, load, \
     triple_locks
+from lockhound import lockgraph
 from lockhound.generator import generate
 from lockhound.lockgraph import (
     Cycle,
@@ -422,22 +423,24 @@ def test_enumerate_matches_unbounded_reference():
 
 
 def test_cycle_cap_bounds_the_search(monkeypatch):
-    # Seed 202's closed lock graph has about 1.27M elementary cycles; the
-    # search stops at the cap after a few thousand.
-    yielded = 0
-    simple_cycles = nx.simple_cycles
-
-    def counting(*args, **kw):
-        nonlocal yielded
-        for c in simple_cycles(*args, **kw):
-            yielded += 1
-            yield c
-
-    monkeypatch.setattr(nx, "simple_cycles", counting)
+    # Seed 202's closed lock graph has about 1.27M elementary cycles, and
+    # seed 240's search once exhausted 4 GB; each search stops at the cap
+    # after a few thousand node cycles.
+    search = lockgraph.cycles
     cfg = Config()
-    a = analyze_icfa(icfa_of(generate(202, SCALED)), cfg)
-    assert a.search.truncated and a.search.combos_seen == cfg.cycle_cap
-    assert 0 < yielded < 20 * cfg.cycle_cap
+    for seed in (202, 240):
+        yielded = 0
+
+        def counting(*args, **kw):
+            nonlocal yielded
+            for c in search(*args, **kw):
+                yielded += 1
+                yield c
+
+        monkeypatch.setattr(lockgraph, "cycles", counting)
+        a = analyze_icfa(icfa_of(generate(seed, SCALED)), cfg)
+        assert a.search.truncated and a.search.combos_seen == cfg.cycle_cap
+        assert 0 < yielded < 20 * cfg.cycle_cap, (seed, yielded)
 
 
 # ------------------------------------------------------------ pruning
