@@ -61,14 +61,14 @@ def _fmt_lockset(ls) -> str:
 
 
 def _dumps(a: Analysis, args) -> None:
-    if a.locks is None:
-        return  # a fixpoint diverged: there is nothing to dump
+    # Each dump reads one stage's result, which is None if its fixpoint
+    # diverged or the stage never ran.
     icfa = a.icfa
-    if args.dump_places:
+    if args.dump_places and a.locks is not None:
         print("# flow-sensitive places")
         for pid, p in enumerate(a.locks.may.places.places()):
             print(f"  {pid}: {place_str(icfa, p)}")
-    if args.dump_points_to:
+    if args.dump_points_to and a.pt is not None:
         print("# points-to states per context")
         for ctx in a.pt.solve.places.places():
             st = a.pt.solve.at(ctx)
@@ -85,7 +85,7 @@ def _dumps(a: Analysis, args) -> None:
         print(f"# dependency pruning: {len(d.edges)}/{len(icfa.edges)} edges, "
               f"functions: {', '.join(sorted(d.functions))}")
         print(f"  symbols: {', '.join(sorted(d.symbols))}")
-    if args.dump_locksets:
+    if args.dump_locksets and a.locks is not None:
         which = args.dump_locksets
         solve = a.locks.may if which == "may" else a.locks.must
         print(f"# {which}-locksets")

@@ -13,24 +13,17 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .frontend.icfa import (
-    ICFA, AssignOp, CreateOp, Edge, FuncEntryOp, FuncExitOp, JoinOp, LockOp,
-    Op, ThreadEntryOp, ThreadJoinOp, UnlockOp, ENTRY_OPS,
+    ICFA, Edge, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp, ThreadJoinOp,
+    ENTRY_OPS, SEED_OPS,
 )
-from .frontend.syntax import Expr, expr_vars
+from .frontend.syntax import Assign, Expr, expr_vars, stmt_exprs
 
 
 def seed_symbols(op: Op) -> set[str]:
-    """Variables read by one lock/thread operation."""
-    if isinstance(op, (LockOp, UnlockOp)):
-        return expr_vars(op.arg)
-    if isinstance(op, CreateOp):
-        return expr_vars(op.tid) | expr_vars(op.fn) | expr_vars(op.arg)
-    if isinstance(op, JoinOp):
-        out = expr_vars(op.tid)
-        if op.ret is not None:
-            out |= expr_vars(op.ret)
-        return out
-    return set()
+    """Variables read by one lock/thread statement."""
+    if not isinstance(op, SEED_OPS):
+        return set()
+    return set().union(*map(expr_vars, stmt_exprs(op)))
 
 
 def _binding_groups(op: Op) -> list[set[str]]:
@@ -47,7 +40,7 @@ def _binding_groups(op: Op) -> list[set[str]]:
             out |= expr_vars(b)
         return out
 
-    if isinstance(op, AssignOp):
+    if isinstance(op, Assign):
         return [pair(op.lhs, op.rhs)]
     if isinstance(op, FuncEntryOp):
         return [expr_vars(a) | {p} for a, p in zip(op.args, op.params)]
@@ -111,7 +104,7 @@ def affecting_edges(icfa: ICFA) -> DependResult:
 
     # Binding edges whose symbols intersect the closure are significant.
     for e in icfa.edges:
-        if isinstance(e.op, (AssignOp, FuncExitOp, ThreadJoinOp)):
+        if isinstance(e.op, (Assign, FuncExitOp, ThreadJoinOp)):
             if any(groups[gi] & handled for gi in edge_groups.get(e.idx, ())):
                 significant.add(e.idx)
 

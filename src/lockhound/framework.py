@@ -43,10 +43,10 @@ from typing import Any, Iterator, Protocol
 
 from .errors import DivergedError
 from .frontend.icfa import (
-    ICFA, AssignOp, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op,
+    ICFA, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op,
     ThreadEntryOp, ThreadExitOp,
 )
-from .frontend.syntax import FuncRef, VarRef, is_fnptr
+from .frontend.syntax import Assign, FuncRef, VarRef, is_fnptr
 from .places import Place, PlaceMap, top
 
 
@@ -117,7 +117,7 @@ def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
 
 
 def _writes_fp(op: Op) -> bool:
-    return isinstance(op, AssignOp) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ)
+    return isinstance(op, Assign) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ)
 
 
 def _intra_fpm(fpm: FpMap, op: Op) -> FpMap:

@@ -1,8 +1,11 @@
 """Interprocedural control flow automaton.
 
-Each function body becomes a control flow automaton whose edges carry
-operations; the per-function automata are stitched together with five kinds
-of inter-function edges:
+Each function body becomes a control flow automaton. An edge for an
+assignment, lock, unlock, create or join carries that checked statement
+itself, and every edge into a function's exit carries the function's final
+Return. The other ops exist only in the automaton: a guard (a branch
+condition with the side taken), a skip, and five kinds of inter-function
+edges that stitch the per-function automata together:
 
   func_entry    call site           -> callee entry     (argument binding)
   func_exit     callee exit         -> after call site  (return binding)
@@ -30,46 +33,14 @@ from ..graphs import sccs
 
 
 # --------------------------------------------------------------------- ops
-
-
-@dataclass(frozen=True)
-class AssignOp:
-    lhs: Expr
-    rhs: Expr
+# The automaton's own ops: a guard, a skip and the inter-function edges.
+# Every other edge's op is the checked statement it was compiled from.
 
 
 @dataclass(frozen=True)
 class GuardOp:
     cond: Expr
     negated: bool = False
-
-
-@dataclass(frozen=True)
-class LockOp:
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class UnlockOp:
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class CreateOp:
-    tid: Expr
-    fn: Expr
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class JoinOp:
-    tid: Expr
-    ret: Expr | None
-
-
-@dataclass(frozen=True)
-class ReturnOp:
-    expr: Expr | None
 
 
 @dataclass(frozen=True)
@@ -108,30 +79,35 @@ class ThreadJoinOp:
 
 
 Op = (
-    AssignOp | GuardOp | LockOp | UnlockOp | CreateOp | JoinOp | ReturnOp | SkipOp
+    Assign | LockStmt | UnlockStmt | CreateStmt | JoinStmt | Return
+    | GuardOp | SkipOp
     | FuncEntryOp | FuncExitOp | ThreadEntryOp | ThreadExitOp | ThreadJoinOp
 )
 
+# The straight-line statements, each compiled to one edge that carries it.
+STMT_OPS = (Assign, LockStmt, UnlockStmt, CreateStmt, JoinStmt)
+# The statements whose operands name locks or thread ids.
+SEED_OPS = (LockStmt, UnlockStmt, CreateStmt, JoinStmt)
 INTER_OPS = (FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp)
 EXIT_OPS = (FuncExitOp, ThreadExitOp, ThreadJoinOp)
 ENTRY_OPS = (FuncEntryOp, ThreadEntryOp)
 
 
 def op_text(op: Op) -> str:
-    if isinstance(op, AssignOp):
+    if isinstance(op, Assign):
         return f"{expr_text(op.lhs)} = {expr_text(op.rhs)}"
     if isinstance(op, GuardOp):
         return ("!" if op.negated else "") + f"[{expr_text(op.cond)}]"
-    if isinstance(op, LockOp):
+    if isinstance(op, LockStmt):
         return f"lock({expr_text(op.arg)})"
-    if isinstance(op, UnlockOp):
+    if isinstance(op, UnlockStmt):
         return f"unlock({expr_text(op.arg)})"
-    if isinstance(op, CreateOp):
+    if isinstance(op, CreateStmt):
         return f"create({expr_text(op.tid)}, {expr_text(op.fn)}, {expr_text(op.arg)})"
-    if isinstance(op, JoinOp):
+    if isinstance(op, JoinStmt):
         pre = f"{expr_text(op.ret)} = " if op.ret is not None else ""
         return f"{pre}join({expr_text(op.tid)})"
-    if isinstance(op, ReturnOp):
+    if isinstance(op, Return):
         return "return" + (f" {expr_text(op.expr)}" if op.expr is not None else "")
     if isinstance(op, SkipOp):
         return "skip"
@@ -165,7 +141,7 @@ class Edge:
     idx: int
     src: int
     tgt: int
-    op: Op
+    op: Op  # the checked statement, or an automaton-only op
     line: int = 0
     call_site: int | None = None  # func_exit / thread_exit feasibility anchor
 
@@ -228,51 +204,49 @@ class ICFA:
         return self.locations[loc].line
 
     def lock_edges(self) -> list[Edge]:
-        return [e for e in self.edges if isinstance(e.op, LockOp)]
+        return [e for e in self.edges if isinstance(e.op, LockStmt)]
 
     def seed_edges(self) -> list[Edge]:
-        """Edges whose operations name locks or thread ids."""
-        return [e for e in self.edges
-                if isinstance(e.op, (LockOp, UnlockOp, CreateOp, JoinOp))]
+        """Edges whose statements name locks or thread ids."""
+        return [e for e in self.edges if isinstance(e.op, SEED_OPS)]
 
     def assign_edges(self) -> list[Edge]:
-        return [e for e in self.edges if isinstance(e.op, AssignOp)]
+        return [e for e in self.edges if isinstance(e.op, Assign)]
 
     def is_inter(self, e: Edge) -> bool:
         return isinstance(e.op, INTER_OPS)
 
-    def create_op_at(self, loc: int) -> CreateOp:
+    def create_op_at(self, loc: int) -> CreateStmt:
         for e in self.out_edges[loc]:
-            if isinstance(e.op, CreateOp):
+            if isinstance(e.op, CreateStmt):
                 return e.op
         raise KeyError(f"location {loc} is not a create site")
+
+    @cached_property
+    def callees(self) -> dict[str, set[str]]:
+        """The call/create graph: per function, the functions that its call
+        and thread entry edges enter."""
+        succ: dict[str, set[str]] = {f: set() for f in self.functions}
+        for e in self.edges:
+            if isinstance(e.op, ENTRY_OPS):
+                succ[self.func_of(e.src)].add(self.func_of(e.tgt))
+        return succ
 
     def dead_functions(self) -> list[str]:
         """Functions never reached from the entry via call or create edges."""
         seen = {self.entry_fn}
         work = [self.entry_fn]
         while work:
-            f = work.pop()
-            lo, hi = self.functions[f].entry, self.functions[f].exit
-            for loc in range(lo, hi + 1):
-                if self.func_of(loc) != f:
-                    continue
-                for e in self.out_edges[loc]:
-                    if isinstance(e.op, ENTRY_OPS):
-                        g = self.func_of(e.tgt)
-                        if g not in seen:
-                            seen.add(g)
-                            work.append(g)
+            for g in self.callees[work.pop()] - seen:
+                seen.add(g)
+                work.append(g)
         return sorted(set(self.functions) - seen)
 
     @cached_property
     def recursive_functions(self) -> frozenset[str]:
         """Functions on a cycle of the call/create graph: those whose
         strongly connected component has two functions or a self edge."""
-        succ: dict[str, set[str]] = {f: set() for f in self.functions}
-        for e in self.edges:
-            if isinstance(e.op, ENTRY_OPS):
-                succ[self.func_of(e.src)].add(self.func_of(e.tgt))
+        succ = self.callees
         return frozenset(f for c in sccs(succ) for f in c
                          if len(c) > 1 or f in succ[f])
 
@@ -323,7 +297,7 @@ class _FunctionCompiler:
         cur = self.compile_stmts(body[:-1], entry)
         exit_loc = icfa.new_loc(fn.name, final.line)
         for src in ([cur] if cur is not None else []) + self.exit_sources:
-            icfa.add_edge(src, exit_loc, ReturnOp(final.expr), final.line)
+            icfa.add_edge(src, exit_loc, final, final.line)
         return FuncInfo(fn.name, entry, exit_loc, tuple(p.name for p in fn.params),
                         final.expr)
 
@@ -340,26 +314,11 @@ class _FunctionCompiler:
             return cur
         if isinstance(s, Block):
             return self.compile_stmts(s.stmts, cur)
-        if isinstance(s, Assign):
+        if isinstance(s, STMT_OPS):
             nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, AssignOp(s.lhs, s.rhs), s.line)
-            return nxt
-        if isinstance(s, LockStmt):
-            nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, LockOp(s.arg), s.line)
-            return nxt
-        if isinstance(s, UnlockStmt):
-            nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, UnlockOp(s.arg), s.line)
-            return nxt
-        if isinstance(s, CreateStmt):
-            nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, CreateOp(s.tid, s.fn, s.arg), s.line)
-            self.pending_creates.append((cur, nxt, s))
-            return nxt
-        if isinstance(s, JoinStmt):
-            nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, JoinOp(s.tid, s.ret), s.line)
+            icfa.add_edge(cur, nxt, s, s.line)
+            if isinstance(s, CreateStmt):
+                self.pending_creates.append((cur, nxt, s))
             return nxt
         if isinstance(s, CallStmt):
             assert isinstance(s.callee, FuncRef)
@@ -459,7 +418,7 @@ def build_icfa(prog: Program) -> ICFA:
     # a thread function's exit resumes after each create that starts it and
     # feeds every join
     creates = [(site, nxt) for c in compilers for site, nxt, _ in c.pending_creates]
-    joins = [e for e in list(icfa.edges) if isinstance(e.op, JoinOp)]
+    joins = [e for e in list(icfa.edges) if isinstance(e.op, JoinStmt)]
     for name in sorted({name for _, name in started}):
         fi = icfa.functions[name]
         for site, nxt in creates:

@@ -19,12 +19,12 @@ from __future__ import annotations
 from collections.abc import Collection
 from dataclasses import dataclass, field
 
-from .frontend.icfa import ICFA, Edge, LockOp, ThreadEntryOp, UnlockOp
-from .frontend.syntax import Unary, VarRef
+from .frontend.icfa import ICFA, Edge, ThreadEntryOp
+from .frontend.syntax import LockStmt, Unary, UnlockStmt, VarRef
 from .places import Place
 from .pointsto import STAR, TOP_STATE, PointsToResult, ValueSet
 
-SYNC_OPS = (LockOp, UnlockOp, ThreadEntryOp)  # what the clients transfer on
+SYNC_OPS = (LockStmt, UnlockStmt, ThreadEntryOp)  # what the clients transfer on
 
 
 class LockOperands(dict):
@@ -64,7 +64,7 @@ def context_free_operands(icfa: ICFA, pt: PointsToResult) -> set[int]:
     if any(cs is TOP_STATE for _, cs in pt.solve.states.values()):
         return set()
     return {e.src for e in icfa.edges
-            if isinstance(e.op, (LockOp, UnlockOp)) and isinstance(e.op.arg, Unary)
+            if isinstance(e.op, (LockStmt, UnlockStmt)) and isinstance(e.op.arg, Unary)
             and e.op.arg.op == "&" and isinstance(e.op.arg.operand, VarRef)}
 
 
@@ -90,10 +90,10 @@ class MayLockset:
         return vs
 
     def transfer(self, e: Edge, p: Place, ls: frozenset) -> frozenset:
-        if isinstance(e.op, LockOp):
+        if isinstance(e.op, LockStmt):
             vs = self._resolve(p, e)
             return ls | (frozenset([STAR]) if vs is STAR else vs)
-        if isinstance(e.op, UnlockOp):
+        if isinstance(e.op, UnlockStmt):
             vs = self._resolve(p, e)
             if vs is not STAR and len(vs) == 1:
                 return ls - vs
@@ -125,7 +125,7 @@ class MustLockset:
         return a & b
 
     def transfer(self, e: Edge, p: Place, ls: frozenset) -> frozenset:
-        if isinstance(e.op, LockOp):
+        if isinstance(e.op, LockStmt):
             vs = self.operands.at(p, e)
             if vs is STAR or len(vs) != 1:
                 return ls
@@ -134,7 +134,7 @@ class MustLockset:
                 self._seen_self.add((p, lock))
                 self.self_locks.append(SelfLockReport(p, lock, e.line))
             return ls | vs
-        if isinstance(e.op, UnlockOp):
+        if isinstance(e.op, UnlockStmt):
             vs = self.operands.at(p, e)
             if vs is STAR:
                 return frozenset()  # could release anything definitely held

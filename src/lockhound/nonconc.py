@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .frontend.icfa import (
-    ICFA, INTER_OPS, Edge, FuncEntryOp, JoinOp, ThreadEntryOp,
-)
+from .frontend.icfa import ICFA, INTER_OPS, Edge, FuncEntryOp, ThreadEntryOp
+from .frontend.syntax import JoinStmt
 from .graphs import idoms, sccs
 from .locksets import LocksetResults
 from .places import MAIN_THREAD, Place, common_prefix_len, get_thread, \
@@ -190,7 +189,7 @@ class NonConcurrency:
         for e in icfa.edges:
             if isinstance(e.op, FuncEntryOp):
                 self._calls_in.setdefault(icfa.func_of(e.src), []).append(e)
-            elif isinstance(e.op, JoinOp):
+            elif isinstance(e.op, JoinStmt):
                 self._joins_in.setdefault(icfa.func_of(e.src), []).append(e)
         self._memo: dict[frozenset, str | None] = {}
         self._covers: dict[tuple[int, int], tuple[list[Edge], list[Edge]]] = {}
@@ -315,7 +314,7 @@ class NonConcurrency:
         create = self.icfa.create_op_at(p_c[-1])
         join_op = None
         for e in self.icfa.out_edges[p_join[-1]]:
-            if isinstance(e.op, JoinOp):
+            if isinstance(e.op, JoinStmt):
                 join_op = e.op
                 break
         if join_op is None:

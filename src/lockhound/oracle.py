@@ -84,12 +84,13 @@ from .collector import collector_paused
 from .errors import SourceError
 from .framework import entry_place, next_place
 from .frontend.icfa import (
-    ICFA, AssignOp, CreateOp, Edge, FuncEntryOp, FuncExitOp, GuardOp, JoinOp,
-    LockOp, ReturnOp, SkipOp, ThreadEntryOp, ThreadJoinOp, UnlockOp,
+    ICFA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp, ThreadEntryOp,
+    ThreadJoinOp,
 )
 from .frontend.syntax import (
-    MUTEX, ArrayType, Binary, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc,
-    StructType, Unary, VarRef,
+    MUTEX, ArrayType, Assign, Binary, CreateStmt, Expr, FieldAccess, FuncRef,
+    Index, IntLit, JoinStmt, LockStmt, Malloc, Return, StructType, Unary,
+    UnlockStmt, VarRef,
 )
 from .places import Place
 from .pointsto import (
@@ -200,7 +201,7 @@ class Oracle:
         self._func_exits: dict[tuple[int, int], tuple] = {}
         for e in icfa.edges:
             op = e.op
-            if isinstance(op, AssignOp) and isinstance(op.rhs, Malloc):
+            if isinstance(op, Assign) and isinstance(op.rhs, Malloc):
                 self._alloc_index.setdefault(e.src, len(self._alloc_index))
             elif isinstance(op, ThreadEntryOp):
                 self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
@@ -774,16 +775,16 @@ def _address(e: Expr) -> Callable:
 # op's expressions compiled in the order the step evaluates them).
 _INTRA_STEPS = {
     SkipOp: ("skip", False, Oracle._do_skip, lambda op: ()),
-    ReturnOp: ("ret-edge", False, Oracle._do_ret_edge, lambda op: ()),
-    AssignOp: ("assign", True, Oracle._do_assign, lambda op: (
+    Return: ("ret-edge", False, Oracle._do_ret_edge, lambda op: ()),
+    Assign: ("assign", True, Oracle._do_assign, lambda op: (
         None if isinstance(op.rhs, Malloc) else _value(op.rhs),
         _address(op.lhs))),
-    LockOp: ("lock", True, Oracle._do_lock, lambda op: (_value(op.arg),)),
-    UnlockOp: ("unlock", True, Oracle._do_unlock,
-               lambda op: (_value(op.arg),)),
-    CreateOp: ("create", True, Oracle._do_create, lambda op: (
+    LockStmt: ("lock", True, Oracle._do_lock, lambda op: (_value(op.arg),)),
+    UnlockStmt: ("unlock", True, Oracle._do_unlock,
+                 lambda op: (_value(op.arg),)),
+    CreateStmt: ("create", True, Oracle._do_create, lambda op: (
         _value(op.tid), _value(op.fn), _value(op.arg))),
-    JoinOp: ("join", True, Oracle._do_join, lambda op: (
+    JoinStmt: ("join", True, Oracle._do_join, lambda op: (
         _value(op.tid), None if op.ret is None else _address(op.ret))),
 }
 

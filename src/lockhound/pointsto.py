@@ -17,10 +17,10 @@ from typing import Any
 
 from .framework import fi_context
 from .frontend.icfa import (
-    ICFA, AssignOp, Edge, FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadJoinOp,
+    ICFA, Edge, FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadJoinOp,
 )
 from .frontend.syntax import (
-    ArrayType, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc, StructType,
+    ArrayType, Assign, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc, StructType,
     Type, Unary, VarRef, is_pointer, points_to_values,
 )
 from .places import Place
@@ -118,7 +118,7 @@ class ObjectModel:
         self.structs = icfa.prog.structs
         self.alloc_types: dict[int, Type] = {}
         for e in icfa.edges:
-            if isinstance(e.op, AssignOp) and isinstance(e.op.rhs, Malloc):
+            if isinstance(e.op, Assign) and isinstance(e.op.rhs, Malloc):
                 self.alloc_types[e.src] = e.op.rhs.alloc_type
 
     def var_obj(self, name: str) -> AbstractObject:
@@ -228,7 +228,7 @@ def lvalue_objects(model: ObjectModel, state: dict, e: Expr) -> ValueSet:
 class PointsToClient:
     """Framework client; plug into solve_fi."""
 
-    ops = (AssignOp, FuncEntryOp, ThreadEntryOp, FuncExitOp, ThreadJoinOp)
+    ops = (Assign, FuncEntryOp, ThreadEntryOp, FuncExitOp, ThreadJoinOp)
 
     def __init__(self, model: ObjectModel):
         self.model = model
@@ -252,7 +252,7 @@ class PointsToClient:
 
     def transfer(self, e: Edge, place: Place, state):
         op = e.op
-        if isinstance(op, AssignOp):
+        if isinstance(op, Assign):
             self.visits += 1
             return self._store(state, op.lhs, self._rhs_values(state, op.lhs, op.rhs, e))
         if isinstance(op, FuncEntryOp):

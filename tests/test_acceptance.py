@@ -37,7 +37,7 @@ from lockhound.pointsto import (
     STAR, GlobalObj, ObjectModel, PointsToClient, PointsToResult,
 )
 from lockhound.framework import solve_fi
-from lockhound.frontend.icfa import CreateOp, LockOp, UnlockOp
+from lockhound.frontend.syntax import CreateStmt, LockStmt, UnlockStmt
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 from workloads import load_labels, oracle_fingerprint  # noqa: E402
@@ -233,9 +233,9 @@ def _seed_value_sets(a):
     for pid in a.locks.may.states:
         p = a.locks.may.places.resolve(pid)
         for e in a.icfa.out_edges[p[-1]]:
-            if isinstance(e.op, (LockOp, UnlockOp)):
+            if isinstance(e.op, (LockStmt, UnlockStmt)):
                 exprs = [e.op.arg]
-            elif isinstance(e.op, CreateOp):
+            elif isinstance(e.op, CreateStmt):
                 exprs = [e.op.tid]
             else:
                 continue

@@ -1,7 +1,7 @@
 from checks import check_depend_complete, semantic_depend_edges
 from conftest import analyzed, icfa_of, load
 from lockhound.depend import affecting_edges, seed_symbols
-from lockhound.frontend.icfa import AssignOp
+from lockhound.frontend.syntax import Assign
 from lockhound.generator import generate, random_config
 from lockhound.pipeline import Config, analyze_source
 
@@ -25,11 +25,11 @@ def test_seed_symbols():
     by_op = {}
     for e in icfa.edges:
         by_op.setdefault(type(e.op).__name__, []).append(e.op)
-    assert seed_symbols(by_op["LockOp"][-1]) == {"p"}
-    assert seed_symbols(by_op["UnlockOp"][-1]) == {"p"}
-    assert seed_symbols(by_op["CreateOp"][0]) == {"main::t"}
-    assert seed_symbols(by_op["JoinOp"][0]) == {"main::t", "r"}
-    assert seed_symbols(by_op["AssignOp"][0]) == set()
+    assert seed_symbols(by_op["LockStmt"][-1]) == {"p"}
+    assert seed_symbols(by_op["UnlockStmt"][-1]) == {"p"}
+    assert seed_symbols(by_op["CreateStmt"][0]) == {"main::t"}
+    assert seed_symbols(by_op["JoinStmt"][0]) == {"main::t", "r"}
+    assert seed_symbols(by_op["Assign"][0]) == set()
 
 
 def test_closure_follows_chains():
@@ -53,7 +53,7 @@ def test_closure_follows_chains():
     assert {"main::a", "main::b", "ma"} <= dep.symbols
     assert "unrelated" not in dep.symbols
     kept = {repr(icfa.edges[i].op) for i in dep.edges
-            if isinstance(icfa.edges[i].op, AssignOp)}
+            if isinstance(icfa.edges[i].op, Assign)}
     assert any("ma" in s for s in kept)
     assert not any("unrelated" in s for s in kept)
 
@@ -146,14 +146,14 @@ def test_filter_preserves_lock_value_sets():
 
 
 def lock_values(a):
-    from lockhound.frontend.icfa import LockOp, UnlockOp
+    from lockhound.frontend.syntax import LockStmt, UnlockStmt
     from lockhound.pointsto import STAR
     out = {}
     may = a.locks.may
     for pid in may.states:
         p = may.places.resolve(pid)
         for e in a.icfa.out_edges[p[-1]]:
-            if isinstance(e.op, (LockOp, UnlockOp)):
+            if isinstance(e.op, (LockStmt, UnlockStmt)):
                 vs = a.pt.value_set(p, e.op.arg, at_sync=True)
                 key = (p, e.idx)
                 out[key] = "*" if vs is STAR else frozenset(map(repr, vs))

@@ -7,11 +7,11 @@ from lockhound.errors import MissingMainError, ParseError, TypeCheckError
 from lockhound.frontend import parse, remove_fp_calls, single_exit
 from lockhound.frontend.lexer import tokenize
 from lockhound.frontend.icfa import (
-    CreateOp, FuncEntryOp, FuncExitOp, JoinOp, LockOp, ThreadEntryOp,
-    ThreadExitOp, ThreadJoinOp, UnlockOp,
+    FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
 )
 from lockhound.frontend.syntax import (
-    INT, MUTEX, Binary, FuncRef, If, PointerType, Return, Unary, VarRef, expr_text,
+    INT, MUTEX, Assign, Binary, CreateStmt, FuncRef, If, JoinStmt, LockStmt,
+    PointerType, Return, Unary, UnlockStmt, VarRef, expr_text, walk_stmts,
 )
 from lockhound.frontend.transform import address_taken_functions
 from lockhound.generator import generate, random_config
@@ -336,7 +336,7 @@ def test_icfa_showcase_wiring(showcase_icfa):
     kinds = {}
     for e in icfa.edges:
         kinds.setdefault(type(e.op).__name__, []).append(e)
-    assert len(kinds["LockOp"]) == 10 and len(kinds["UnlockOp"]) == 10
+    assert len(kinds["LockStmt"]) == 10 and len(kinds["UnlockStmt"]) == 10
     assert len(kinds["ThreadEntryOp"]) == 1
     te = kinds["ThreadEntryOp"][0]
     assert icfa.func_of(te.tgt) == "thread1" and te.src == 18
@@ -345,7 +345,7 @@ def test_icfa_showcase_wiring(showcase_icfa):
     tx = kinds["ThreadExitOp"][0]
     assert tx.call_site == 18 and icfa.func_of(tx.tgt) == "main"
     tj = kinds["ThreadJoinOp"][0]
-    join_edges = [e for e in icfa.edges if isinstance(e.op, JoinOp)]
+    join_edges = [e for e in icfa.edges if isinstance(e.op, JoinStmt)]
     assert len(join_edges) == 1 and tj.tgt == join_edges[0].tgt
 
     # direct call wiring for func2: entry from main, exit back after the call
@@ -358,6 +358,20 @@ def test_icfa_showcase_wiring(showcase_icfa):
     # no plain intra edge skips over a call site
     call_src = fe[0].src
     assert all(isinstance(e.op, FuncEntryOp) for e in icfa.out_edges[call_src])
+
+    # statement edges carry the program's own statements, each on one edge
+    stmt_kinds = (Assign, LockStmt, UnlockStmt, CreateStmt, JoinStmt)
+    stmts = {id(s): s for fn in icfa.prog.functions.values()
+             for s in walk_stmts(fn.body) if isinstance(s, stmt_kinds)}
+    carried = [e.op for e in icfa.edges if isinstance(e.op, stmt_kinds)]
+    assert all(stmts.get(id(op)) is op for op in carried)
+    assert len({id(op) for op in carried}) == len(carried) == len(stmts)
+    # and every edge into an exit carries its function's final return
+    for name, fi in icfa.functions.items():
+        final = icfa.prog.functions[name].body.stmts[-1]
+        into = [e for e in icfa.edges if e.tgt == fi.exit]
+        assert isinstance(final, Return) and into
+        assert all(e.op is final for e in into)
 
 
 def test_thread_exit_resumes_only_after_the_creates_that_start_it():
@@ -374,7 +388,7 @@ def test_thread_exit_resumes_only_after_the_creates_that_start_it():
             return 0;
         }
     """)
-    after = {e.src: e.tgt for e in icfa.edges if isinstance(e.op, CreateOp)}
+    after = {e.src: e.tgt for e in icfa.edges if isinstance(e.op, CreateStmt)}
     starts = {icfa.func_of(e.tgt): e.src for e in icfa.edges
               if isinstance(e.op, ThreadEntryOp)}
     exits = [e for e in icfa.edges if isinstance(e.op, ThreadExitOp)]
@@ -388,18 +402,22 @@ def test_icfa_seed_and_lock_helpers(showcase_icfa):
     icfa = showcase_icfa
     seeds = icfa.seed_edges()
     assert {type(e.op).__name__ for e in seeds} == \
-        {"LockOp", "UnlockOp", "CreateOp", "JoinOp"}
+        {"LockStmt", "UnlockStmt", "CreateStmt", "JoinStmt"}
     assert len(icfa.lock_edges()) == 10
     assert icfa.place_length_bound() >= 3
 
 
 def test_icfa_dead_function_warning():
     icfa = icfa_of("""
-        void unused() { }
-        int main() { return 0; }
+        void helper() { }
+        void unused() { helper(); }
+        int worker(int a) { return 0; }
+        int main() { thread_t t; create(&t, worker, 0); join(t); return 0; }
     """)
-    assert list(icfa.dead_functions()) == ["unused"]
+    # worker is reached only through create; helper only from dead code
+    assert list(icfa.dead_functions()) == ["helper", "unused"]
     assert any("unused" in w for w in icfa.warnings)
+    assert any("helper" in w for w in icfa.warnings)
 
 
 def test_icfa_to_dot_smoke(showcase_icfa):

@@ -3,8 +3,8 @@ from pathlib import Path
 
 from checks import check_may_covers, check_must_subset
 from conftest import FIXTURES, analyzed, icfa_of, load
-from lockhound.frontend.icfa import Edge, LockOp, ThreadEntryOp, UnlockOp
-from lockhound.frontend.syntax import VarRef
+from lockhound.frontend.icfa import Edge, ThreadEntryOp
+from lockhound.frontend.syntax import LockStmt, UnlockStmt, VarRef
 from lockhound.generator import generate, random_config
 from lockhound.framework import SolveResult
 from lockhound.locksets import (
@@ -29,11 +29,11 @@ ARG = VarRef("p")
 
 
 def lock_edge():
-    return Edge(0, 0, 1, LockOp(ARG), 1)
+    return Edge(0, 0, 1, LockStmt(ARG), 1)
 
 
 def unlock_edge():
-    return Edge(0, 0, 1, UnlockOp(ARG), 1)
+    return Edge(0, 0, 1, UnlockStmt(ARG), 1)
 
 
 def test_may_transfer():
@@ -81,7 +81,7 @@ def locksets_by_line(a):
     out = {}
     for p in a.locks.may.places.places():
         for e in a.icfa.out_edges[p[-1]]:
-            if isinstance(e.op, (LockOp, UnlockOp)):
+            if isinstance(e.op, (LockStmt, UnlockStmt)):
                 out[e.line] = (a.locks.may.at(p), a.locks.must.at(p))
     return out
 
@@ -267,7 +267,7 @@ def test_one_sync_edge_per_location():
     for src in sources + bench_sources():
         icfa = icfa_of(src)
         for loc, edges in icfa.out_edges.items():
-            assert sum(isinstance(e.op, (LockOp, UnlockOp)) for e in edges) <= 1, loc
+            assert sum(isinstance(e.op, (LockStmt, UnlockStmt)) for e in edges) <= 1, loc
 
 
 # Under no_depend the store through pp, an int made a pointer, is kept:
@@ -301,7 +301,7 @@ def test_shared_operand_is_the_value_set():
             a = analyze_icfa(icfa, cfg)
             for p in a.locks.may.places.places():
                 for e in a.icfa.out_edges[p[-1]]:
-                    if isinstance(e.op, (LockOp, UnlockOp)):
+                    if isinstance(e.op, (LockStmt, UnlockStmt)):
                         assert a.locks.operands.at(p, e) == a.pt.value_set(
                             p, e.op.arg, at_sync=True), (cfg, e, p)
     a = analyze_source(TOP_CONTEXT, Config(no_depend=True))
@@ -327,7 +327,7 @@ int main() { take(); take(); return 0; }
     answers = set()
     for p in a.locks.may.places.places():
         for e in a.icfa.out_edges[p[-1]]:
-            if isinstance(e.op, (LockOp, UnlockOp)):
+            if isinstance(e.op, (LockStmt, UnlockStmt)):
                 answers.add(operands.at(p, e))
                 assert operands.at(p, e) == pt.value_set(p, e.op.arg, at_sync=True)
     assert answers == {frozenset([GlobalObj("m0")]), STAR}

@@ -7,9 +7,8 @@ import pytest
 from checks import check_all, check_nonconc
 from conftest import FIXTURES, SCALED, analyzed, icfa_of, load, oracle_of
 from lockhound.cli import main
-from lockhound.frontend.icfa import (
-    ICFA, FuncEntryOp, FuncInfo, LockOp, SkipOp, UnlockOp,
-)
+from lockhound.frontend.icfa import ICFA, FuncEntryOp, FuncInfo, SkipOp
+from lockhound.frontend.syntax import LockStmt, UnlockStmt
 from lockhound.generator import generate, random_config
 from lockhound.nonconc import (
     CREATE_JOIN, GATELOCK, GraphFacts, NonConcurrency, SINGLE_THREAD,
@@ -99,7 +98,7 @@ def test_in_loop():
     assert not g.in_loop(1)
 
 
-def loc_at(icfa, line: int, op=LockOp) -> int:
+def loc_at(icfa, line: int, op=LockStmt) -> int:
     """The location of the statement of type op on a source line."""
     return next(e.src for e in icfa.edges
                 if isinstance(e.op, op) and e.line == line)
@@ -128,7 +127,7 @@ def test_local_graph_reenters_a_function_called_from_a_loop(calls):
     # exit(f) -> entry(f) only when f can run again after it returns
     icfa = icfa_of(REENTRY_SRC.replace("CALLS", calls))
     g = GraphFacts(icfa)
-    locked, unlocked = loc_at(icfa, 4), loc_at(icfa, 5, UnlockOp)
+    locked, unlocked = loc_at(icfa, 4), loc_at(icfa, 5, UnlockStmt)
     assert g.has_path(locked, unlocked)
     assert g.has_path(unlocked, locked) == (calls == LOOPED)
     assert g.on_all_cycles(locked, unlocked)
@@ -154,7 +153,7 @@ def test_local_graph_follows_recursion():
     # call -> entry(f): the callee runs f's body again
     assert g.has_path(loc_at(icfa, 6, FuncEntryOp), loc_at(icfa, 4))
     # exit(f) -> return site: an inner frame returns into an outer one
-    assert g.has_path(icfa.exit_of("f"), loc_at(icfa, 8, UnlockOp))
+    assert g.has_path(icfa.exit_of("f"), loc_at(icfa, 8, UnlockStmt))
 
 
 def test_local_graph_keeps_the_path_past_a_callee_that_never_returns():
@@ -175,7 +174,7 @@ def test_local_graph_keeps_the_path_past_a_callee_that_never_returns():
     site, locked = loc_at(icfa, 8, FuncEntryOp), loc_at(icfa, 9)
     # spin's exit is unreachable, but the summary edge keeps the path
     assert g.has_path(site, locked)
-    assert g.on_all_paths(site, locked, loc_at(icfa, 10, UnlockOp))
+    assert g.on_all_paths(site, locked, loc_at(icfa, 10, UnlockStmt))
 
 
 def test_cross_function_queries_are_conservative():
@@ -312,7 +311,7 @@ def test_loop_created_thread_may_pair_with_itself():
     nc = a.nonconc
     (site,) = a.icfa.create_sites
     assert nc.multiple_thread((site,))
-    locs = sorted({e.src for e in a.icfa.edges if isinstance(e.op, LockOp)
+    locs = sorted({e.src for e in a.icfa.edges if isinstance(e.op, LockStmt)
                    and a.icfa.func_of(e.src) != "main"})
     p1, p2 = (site, locs[0]), (site, locs[1])
     assert nc.check(p1, p2) is None

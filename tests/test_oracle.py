@@ -9,9 +9,9 @@ import pytest
 
 from checks import check_may_covers, check_must_subset, oracle_facts
 from conftest import FIXTURES, analyzed, icfa_of, load
-from lockhound.frontend.icfa import (
-    AssignOp, CreateOp, FuncEntryOp, GuardOp, JoinOp, LockOp, ReturnOp, SkipOp,
-    UnlockOp,
+from lockhound.frontend.icfa import FuncEntryOp, GuardOp, SkipOp
+from lockhound.frontend.syntax import (
+    Assign, CreateStmt, JoinStmt, LockStmt, Return, UnlockStmt,
 )
 from lockhound.generator import generate, random_config
 from lockhound.oracle import Oracle, OracleUnsupported, _independent, run_oracle
@@ -116,9 +116,9 @@ def test_state_cap_is_exact_at_every_budget(showcase_icfa):
         assert res.truncated == (cap < full), cap
 
 
-INTRA_KINDS = {SkipOp: "skip", ReturnOp: "ret-edge", AssignOp: "assign",
-               LockOp: "lock", UnlockOp: "unlock", CreateOp: "create",
-               JoinOp: "join"}
+INTRA_KINDS = {SkipOp: "skip", Return: "ret-edge", Assign: "assign",
+               LockStmt: "lock", UnlockStmt: "unlock", CreateStmt: "create",
+               JoinStmt: "join"}
 
 
 def reference_move(icfa, loc):

@@ -92,6 +92,25 @@ def test_lockset_step_budget_ends_inconclusive(showcase_source, monkeypatch,
     assert "fixpoint exceeded" in capsys.readouterr().out
 
 
+def test_dumps_of_solved_stages_survive_a_diverged_lockset_solve(
+        monkeypatch, capsys):
+    # points-to and dependency pruning were solved before the lockset solve
+    # gave up, so their dumps still print; the place and lockset dumps
+    # have nothing to read
+    monkeypatch.setattr(lockhound.framework, "FS_MAX_STEPS", 1)
+    assert main(["analyze", SHOWCASE, "--dump-places", "--dump-points-to",
+                 "--dump-deps", "--dump-locksets", "may",
+                 "--dump-nonconc"]) == 2
+    out = capsys.readouterr().out
+    assert "fixpoint exceeded" in out
+    assert "# points-to states per context" in out and "  context " in out
+    assert "# dependency pruning: " in out
+    assert out.index("# points-to states") < out.index("# dependency pruning")
+    for absent in ("# flow-sensitive places", "# may-locksets",
+                   "# non-concurrency"):
+        assert absent not in out
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_analyze_source_restores_the_collector(enabled, showcase_source,
                                                monkeypatch):

@@ -1,7 +1,7 @@
 from conftest import icfa_of
-from lockhound.frontend.icfa import FuncEntryOp, LockOp
+from lockhound.frontend.icfa import FuncEntryOp
 from lockhound.frontend.syntax import (
-    INT, MUTEX, IntLit, PointerType, StructType, Unary, VarRef,
+    INT, MUTEX, IntLit, LockStmt, PointerType, StructType, Unary, VarRef,
 )
 from lockhound.pipeline import Config, analyze_source
 from lockhound.pointsto import (
@@ -24,7 +24,7 @@ def lock_points(a):
     for pid in may.states:
         p = may.places.resolve(pid)
         for e in a.icfa.out_edges[p[-1]]:
-            if isinstance(e.op, LockOp):
+            if isinstance(e.op, LockStmt):
                 vs = a.pt.value_set(p, e.op.arg, at_sync=True)
                 out[e.line] = vs_union(out.get(e.line, EMPTY), vs)
     return out
@@ -210,7 +210,7 @@ def test_unset_pointer_degrades_at_sync_only():
         }
     """)
     icfa = a.icfa
-    lk = next(e for e in icfa.edges if isinstance(e.op, LockOp))
+    lk = next(e for e in icfa.edges if isinstance(e.op, LockStmt))
     place = (lk.src,)
     assert a.pt.value_set(place, lk.op.arg) == EMPTY  # plain query: no info
     assert a.pt.value_set(place, lk.op.arg, at_sync=True) is STAR
@@ -288,7 +288,7 @@ def call_site_at(icfa, line: int) -> int:
 def test_param_binding_is_per_call_site():
     a = analyze_source(WRAPPER_SRC)
     icfa = a.icfa
-    lk = next(e for e in icfa.edges if isinstance(e.op, LockOp))
+    lk = next(e for e in icfa.edges if isinstance(e.op, LockStmt))
     cs_ma = call_site_at(icfa, line_no(WRAPPER_SRC, "acquire(&ma)"))
     cs_mb = call_site_at(icfa, line_no(WRAPPER_SRC, "acquire(&mb)"))
     assert names(a.pt.value_set((cs_ma, lk.src), lk.op.arg, at_sync=True)) == {"ma"}
@@ -298,7 +298,7 @@ def test_param_binding_is_per_call_site():
 def test_merged_contexts_blur_call_sites():
     a = analyze_source(WRAPPER_SRC, Config(ctx_insensitive=True))
     icfa = a.icfa
-    lk = next(e for e in icfa.edges if isinstance(e.op, LockOp))
+    lk = next(e for e in icfa.edges if isinstance(e.op, LockStmt))
     for snippet in ("acquire(&ma)", "acquire(&mb)"):
         cs = call_site_at(icfa, line_no(WRAPPER_SRC, snippet))
         vs = a.pt.value_set((cs, lk.src), lk.op.arg, at_sync=True)

@@ -17,7 +17,9 @@ Per program the digest covers:
 * the --dump-places, --dump-points-to, --dump-deps and --dump-locksets
   may/must output, which includes the place numbering,
 * every solved state in place-id order: the may- and must-lockset places and
-  the points-to contexts, each with its function-pointer map.
+  the points-to contexts, each with its function-pointer map,
+* the automaton as ICFA.to_dot renders it, with every edge's op as its
+  label.
 
 Abstract objects are written by obj_label and sets are sorted, so the digest
 does not depend on PYTHONHASHSEED.
@@ -100,6 +102,7 @@ def program_text(source: str) -> str:
         parts += _states("points-to", a.pt.solve)
     if a.locks is not None:
         parts += _states("may", a.locks.may) + _states("must", a.locks.must)
+    parts.append(a.icfa.to_dot())
     return "\n".join(parts) + "\n"
 
 
