@@ -24,7 +24,7 @@ from pathlib import Path
 from .errors import MissingMainError, SourceError
 from .generator import GenConfig, generate
 from .lockgraph import lockgraph_dot
-from .oracle import OracleUnsupported, run_oracle
+from .oracle import run_oracle
 from .pipeline import (
     Analysis, Config, POTENTIAL, PROVED_FREE, analyze_source,
     place_str, report_dict, report_text,
@@ -105,7 +105,7 @@ def _dumps(a: Analysis, args) -> None:
 def cmd_analyze(args) -> int:
     try:
         source = _read_source(args.file)
-    except OSError as ex:
+    except (OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     cfg = Config(no_depend=args.no_depend, no_nonconc=args.no_nonconc,
@@ -145,7 +145,7 @@ def cmd_oracle(args) -> int:
     try:
         icfa = build_icfa(preprocess(parse(_read_source(args.file))))
         res = run_oracle(icfa, max_states=args.max_states)
-    except (SourceError, MissingMainError, OracleUnsupported, OSError) as ex:
+    except (SourceError, MissingMainError, OSError, UnicodeDecodeError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     out = {

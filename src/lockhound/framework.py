@@ -5,10 +5,13 @@ pointer parameter can start as a thread) and a client state. The framework
 walks the automaton forward from main's entry, keeping one state per place;
 client analyses plug in initial/join/transfer.
 
+Both solvers step places by one rule, step_place, on the edge kind that
+_step gives; a return edge fires only for the call site on the chain.
+
 solve_fs works on flow-sensitive places (call-site chains ending at the
 current location), in two parts:
 
-* The exploration needs no client. It steps places with next_place and the
+* The exploration needs no client. It steps places with step_place and the
   function-pointer transfer until their maps reach a fixpoint, and records a
   PlaceGraph: the places in intern order, each place's function-pointer map,
   and each place's feasible steps as (edge, target id). It runs once per
@@ -25,11 +28,10 @@ client's least fixpoint over the final graph is the one a walk that steps
 both parts of the state together reaches.
 
 solve_fi works on the fi_context images of places: the same call-site chains
-with the final location canonicalized to the function's entry, each
-function's intra edges composed to a local fixpoint, both parts of the state
-in one worklist. Keeping call sites in the flow-insensitive contexts is what
-lets two calls of the same lock wrapper from one caller stay
-distinguishable.
+with the final location canonicalized to the function's entry, so two calls
+of one lock wrapper from one caller stay distinguishable. Each function's
+intra edges are composed to a local fixpoint, and both parts of the state
+share one worklist.
 """
 
 from __future__ import annotations
@@ -42,12 +44,9 @@ from dataclasses import dataclass
 from typing import Any, Iterator, Protocol
 
 from .errors import DivergedError
-from .frontend.icfa import (
-    ICFA, Edge, ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op,
-    ThreadEntryOp, ThreadExitOp,
-)
+from .frontend.icfa import ICFA, Edge, EXIT_OPS, FuncEntryOp, Op, ThreadEntryOp
 from .frontend.syntax import Assign, FuncRef, VarRef, is_fnptr
-from .places import Place, PlaceMap, top
+from .places import Place, PlaceMap
 
 
 class _Dirty:
@@ -120,17 +119,9 @@ def _writes_fp(op: Op) -> bool:
     return isinstance(op, Assign) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ)
 
 
-def _intra_fpm(fpm: FpMap, op: Op) -> FpMap:
-    if _writes_fp(op):
-        out = dict(fpm)
-        out[op.lhs.name] = DIRTY
-        return out
-    return fpm
-
-
 def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
-    """The function-pointer map after an edge; None when the edge is a
-    thread entry that cannot start its function under fpm."""
+    """The function-pointer map after an entry or intra edge (a return
+    empties it); None for a thread entry fpm cannot start."""
     op = e.op
     if isinstance(op, ThreadEntryOp):
         if not match_fp(fpm, op.thr, icfa.func_of(e.tgt)):
@@ -138,18 +129,7 @@ def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
         return _bind_params(icfa, fpm, [(op.arg, op.param)])
     if isinstance(op, FuncEntryOp):
         return _bind_params(icfa, fpm, zip(op.args, op.params))
-    if isinstance(op, EXIT_OPS):
-        return {}
-    return _intra_fpm(fpm, op)
-
-
-def transfer(icfa: ICFA, client: ClientAnalysis, e: Edge, p: Place,
-             state: tuple[FpMap, Any]) -> tuple[FpMap, Any] | None:
-    """Full framework transfer; None means no contribution (bottom)."""
-    fpm = fp_transfer(icfa, e, state[0])
-    if fpm is None:
-        return None
-    return fpm, client.transfer(e, p, state[1])
+    return {**fpm, op.lhs.name: DIRTY} if _writes_fp(op) else fpm
 
 
 # ------------------------------------------------------------- place steps
@@ -171,32 +151,7 @@ def entry_place(icfa: ICFA, p: Place, entry_loc: int) -> Place:
     return p + (entry_loc,)
 
 
-def next_place(icfa: ICFA, e: Edge, p: Place) -> Place | None:
-    """Successor place along an edge, or None when the edge is infeasible."""
-    if isinstance(e.op, ENTRY_OPS):
-        return entry_place(icfa, p, e.tgt)
-    if isinstance(e.op, EXIT_OPS):
-        if len(p) < 2:
-            return None
-        if isinstance(e.op, (FuncExitOp, ThreadExitOp)) and p[-2] != e.call_site:
-            return None  # return edge belonging to a different call site
-        return p[:-2] + (e.tgt,)
-    return p[:-1] + (e.tgt,)
-
-
-def _firing(fire: dict, where, edges: list[Edge], p: Place) -> list[Edge]:
-    """edges (out of `where`, in order) less the return edges (those with a
-    call_site) of call sites other than p[-2], cached per (where, p[-2])."""
-    site = p[-2] if len(p) > 1 else None
-    got = fire.get((where, site))
-    if got is None:
-        fire[where, site] = got = [e for e in edges if e.call_site in (None, site)]
-    return got
-
-
-# How the exploration steps a place along an edge: the three cases of
-# next_place.
-INTRA, ENTRY, RETURN = 0, 1, 2
+INTRA, ENTRY, RETURN = 0, 1, 2  # the kinds of step a place takes along an edge
 
 
 def _step(icfa: ICFA, op: Op) -> tuple[int, bool]:
@@ -216,11 +171,20 @@ def _step(icfa: ICFA, op: Op) -> tuple[int, bool]:
     return INTRA, not _writes_fp(op)
 
 
+def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place | None:
+    """The place after p along e, an edge of the given kind out of p[-1];
+    None for a return with no frame. Callers match return edges to p[-2]."""
+    if kind == INTRA:
+        return p[:-1] + (e.tgt,)
+    if kind == ENTRY:
+        return entry_place(icfa, p, e.tgt)
+    return p[:-2] + (e.tgt,) if len(p) > 1 else None
+
+
 def _step_table(icfa: ICFA) -> list:
-    """Per location, (edge, kind, plain) for each of its out-edges. At a
-    function exit it holds instead, per call site p[-2], the return edges
-    that fire from there (key None: any other site), as next_place would
-    filter them."""
+    """Per location, (edge, kind, plain) for each of its out-edges; at a
+    function exit instead, per call site p[-2], the return edges of that
+    site or of none (key None: any other site)."""
     table = [[(e, *_step(icfa, e.op)) for e in icfa.out_edges[loc]]
              for loc in range(len(icfa.locations))]
     for fn in icfa.functions.values():
@@ -286,7 +250,7 @@ class PlaceGraph:
     Ids are dense and in first-intern order; place[pid] is the place itself,
     read without PlaceMap.resolve. fpm[pid] is its function-pointer map at
     the fixpoint, and steps[pid] holds (edge, target id) for each out-edge
-    that next_place and that map make feasible, in out-edge order.
+    that step_place and that map make feasible, in out-edge order.
     """
     places: PlaceMap
     place: list[Place]
@@ -313,21 +277,14 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
             out = out.get(p[-2] if len(p) > 1 else None, out[None])
         feasible = []
         for e, kind, plain in out:
-            if kind == INTRA:
-                p2 = p[:-1] + (e.tgt,)
-            elif kind == ENTRY:
-                p2 = entry_place(icfa, p, e.tgt)
-            elif len(p) < 2:
+            p2 = step_place(icfa, p, e, kind)
+            if p2 is None:
                 continue
-            else:
-                p2 = p[:-2] + (e.tgt,)
             assert len(p2) <= bound, "place length bound violated"
-            if not plain:
-                fpm2 = fp_transfer(icfa, e, fpm)
-                if fpm2 is None:
-                    continue
-            else:
+            if plain:
                 fpm2 = fpm if kind == INTRA else {}
+            elif (fpm2 := fp_transfer(icfa, e, fpm)) is None:
+                continue
             q = intern(p2)
             if q == len(place):
                 place.append(p2)
@@ -413,47 +370,42 @@ def fi_context(icfa: ICFA, p: Place) -> Place:
     return p[:-1] + (icfa.entry_of(icfa.func_of(p[-1])),)
 
 
-class _PassThrough:
-    """Stands in for the client on edges the dependency filter rejects."""
-    transfer = staticmethod(lambda e, p, state: state)
-
-
 def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResult:
     """Flow-insensitive fixpoint: one state per fi_context.
 
     Each processing round composes the function's intra-edge transfers to a
     local fixpoint, then steps along the function's inter-function edges
-    with next_place and transfer, as solve_fs would from the edge's source.
-    edge_filter (if given) decides which edges the client is applied to: a
-    rejected entry edge is not followed, any other rejected edge passes the
-    client state through.
+    with step_place, from the edge's source, as solve_fs would, into the
+    target's fi_context. edge_filter (if given) decides which edges the
+    client is applied to: a rejected entry edge is not followed, any other
+    rejected edge passes the client state through.
     """
-    intra: dict[str, list[Edge]] = {f: [] for f in icfa.functions}
-    inter: dict[str, list[Edge]] = {f: [] for f in icfa.functions}
+    # per function, (edge, kind, plain) of its intra and inter-function edges
+    intra: dict[str, list] = {f: [] for f in icfa.functions}
+    inter: dict[str, list] = {f: [] for f in icfa.functions}
     for e in icfa.edges:
-        (inter if icfa.is_inter(e) else intra)[icfa.func_of(e.src)].append(e)
-
-    def allowed(e: Edge) -> bool:
-        return edge_filter is None or edge_filter(e)
+        step = (e, *_step(icfa, e.op))
+        (intra if step[1] == INTRA else inter)[icfa.func_of(e.src)].append(step)
+    allowed = edge_filter if edge_filter is not None else lambda e: True
 
     places = PlaceMap()
     places.intern((icfa.entry_of(icfa.entry_fn),))
     wl = _Worklist(({}, client.initial()),
                    lambda a, b: (join_fp(a[0], b[0]), client.join(a[1], b[1])),
                    FI_MAX_STEPS)
-    fire: dict[tuple[str, int | None], list[Edge]] = {}
     for pid in wl:
         p = places.resolve(pid)
-        f = icfa.func_of(top(p))
+        f = icfa.func_of(p[-1])
         fpm, cs = wl.states[pid]
 
         # local fixpoint over the function's own edges
-        for e in intra[f]:
-            fpm = _intra_fpm(fpm, e.op)
+        for e, _, plain in intra[f]:
+            if not plain:
+                fpm = fp_transfer(icfa, e, fpm)
         changed = True
         while changed:
             changed = False
-            for e in intra[f]:
+            for e, _, _ in intra[f]:
                 if not allowed(e):
                     continue
                 cs2 = client.join(cs, client.transfer(e, p, cs))
@@ -462,16 +414,19 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
                     changed = True
         wl.states[pid] = (fpm, cs)
 
-        for e in _firing(fire, f, inter[f], p):
-            p2 = next_place(icfa, e, p[:-1] + (e.src,))
+        site = p[-2] if len(p) > 1 else None
+        for e, kind, plain in inter[f]:
+            if e.call_site not in (None, site):
+                continue  # the return edge of another call site
+            p2 = step_place(icfa, p[:-1] + (e.src,), e, kind)
             if p2 is None:
                 continue
-            if allowed(e):
-                contrib = transfer(icfa, client, e, p, (fpm, cs))
-            elif isinstance(e.op, ENTRY_OPS):
+            applied = allowed(e)
+            if not applied and kind == ENTRY:
                 continue
-            else:
-                contrib = transfer(icfa, _PassThrough, e, p, (fpm, cs))
-            if contrib is not None:
-                wl.add(places.intern(fi_context(icfa, p2)), contrib)
+            fpm2 = {} if plain else fp_transfer(icfa, e, fpm)
+            if fpm2 is None:
+                continue
+            cs2 = client.transfer(e, p, cs) if applied else cs
+            wl.add(places.intern(fi_context(icfa, p2)), (fpm2, cs2))
     return SolveResult(places, wl.states, wl.steps)

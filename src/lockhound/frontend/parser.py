@@ -21,6 +21,15 @@ from ..errors import ParseError, TypeCheckError
 
 BASE_TYPES = {"int": INT, "mutex": MUTEX, "thread_t": THREAD_ID, "void": VOID}
 
+
+def _int_value(t: Token) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # past Python's limit on converting digit strings
+        raise ParseError(f"integer {t.text[:8]}... has too many digits ({len(t.text)})",
+                         t.line, t.col) from None
+
+
 # binary operators by precedence level, loosest first; all associate left
 BINARY = {"==": 0, "!=": 0, "<": 1, "<=": 1, ">": 1, ">=": 1, "+": 2, "-": 2}
 
@@ -115,7 +124,7 @@ class _Parser:
             self.next()
             size = self.expect("int")
             self.expect("]")
-            typ = ArrayType(base, int(size.text))
+            typ = ArrayType(base, _int_value(size))
         return name.text, typ, name
 
     # ------------------------------------------------------------ toplevel
@@ -361,7 +370,7 @@ class _Parser:
     def parse_primary(self) -> Expr:
         t = self.next()
         if t.kind == "int":
-            return IntLit(int(t.text), t.line, t.col)
+            return IntLit(_int_value(t), t.line, t.col)
         if t.kind == "ident":
             return VarRef(t.text, t.line, t.col)
         if t.kind == "(":

@@ -15,27 +15,12 @@ from typing import Union
 
 
 @dataclass(frozen=True)
-class IntType:
+class BaseType:
+    """int, mutex, thread_t or void, named by its keyword."""
+    name: str
+
     def __str__(self) -> str:
-        return "int"
-
-
-@dataclass(frozen=True)
-class MutexType:
-    def __str__(self) -> str:
-        return "mutex"
-
-
-@dataclass(frozen=True)
-class ThreadIdType:
-    def __str__(self) -> str:
-        return "thread_t"
-
-
-@dataclass(frozen=True)
-class VoidType:
-    def __str__(self) -> str:
-        return "void"
+        return self.name
 
 
 @dataclass(frozen=True)
@@ -73,14 +58,12 @@ class FuncType:
         return f"{self.ret}({args})"
 
 
-Type = Union[
-    IntType, MutexType, ThreadIdType, VoidType, StructType, PointerType, ArrayType, FuncType
-]
+Type = Union[BaseType, StructType, PointerType, ArrayType, FuncType]
 
-INT = IntType()
-MUTEX = MutexType()
-THREAD_ID = ThreadIdType()
-VOID = VoidType()
+INT = BaseType("int")
+MUTEX = BaseType("mutex")
+THREAD_ID = BaseType("thread_t")
+VOID = BaseType("void")
 MUTEX_PTR = PointerType(MUTEX)
 
 

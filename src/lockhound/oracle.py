@@ -82,7 +82,7 @@ from typing import Callable, NamedTuple
 
 from .collector import collector_paused
 from .errors import SourceError
-from .framework import entry_place, next_place
+from .framework import entry_place
 from .frontend.icfa import (
     ICFA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp, ThreadEntryOp,
     ThreadJoinOp,
@@ -98,6 +98,7 @@ from .pointsto import (
 )
 
 MAX_DEPTH = 20_000  # longest schedule explored; deeper paths set truncated
+MAX_CELLS = 1 << 16  # memory cells of all variables together, see _cell_count
 
 
 class OracleUnsupported(SourceError):
@@ -186,6 +187,10 @@ class Move(NamedTuple):
 class Oracle:
     def __init__(self, icfa: ICFA, max_states: int = 100_000,
                  collect_copairs: bool = True):
+        counts: dict[str, int] = {}
+        if sum(_cell_count(t, icfa.prog.structs, counts)
+               for t in icfa.prog.var_types.values()) > MAX_CELLS:
+            raise OracleUnsupported("too many memory cells for exhaustive search")
         self.icfa = icfa
         self.model = ObjectModel(icfa)
         self.max_states = max_states
@@ -605,7 +610,7 @@ class Oracle:
         e, lhs = self._func_exits[place[-1], place[-2]]
         frame = self._frame(func, tid)
         dead = [c for c in frame if c in mem]
-        th = (next_place(self.icfa, e, place), status, retval)
+        th = (place[:-2] + (e.tgt,), status, retval)
         threads = threads[:tid] + (th,) + threads[tid + 1:]
         writes = {}
         if lhs is not None:
@@ -632,6 +637,19 @@ def _independent(f, g) -> bool:
 # address(mem, tid, reads): closures that evaluate it in thread tid against
 # the dict mem, add every cell they read to the set reads, and raise _UB on
 # poison.
+
+
+def _cell_count(typ, structs: dict, counts: dict[str, int]) -> int:
+    """The steps _cells takes on typ: its cells, with a mutex or an empty
+    struct as one. counts caches each struct's count by name."""
+    if isinstance(typ, ArrayType):
+        return typ.size * _cell_count(typ.element, structs, counts)
+    if not isinstance(typ, StructType):
+        return 1
+    if typ.name not in counts:
+        counts[typ.name] = max(1, sum(_cell_count(f.typ, structs, counts)
+                                      for f in structs.get(typ.name, [])))
+    return counts[typ.name]
 
 
 def _cells(cell: tuple, typ, structs: dict):

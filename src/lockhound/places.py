@@ -47,10 +47,6 @@ class PlaceMap:
         return list(self._by_id)
 
 
-def top(place: Place) -> int:
-    return place[-1]
-
-
 def get_thread(place: Place, create_sites: set[int]) -> Place:
     """Abstract thread id: prefix up to the last create site in the context.
 

@@ -3,17 +3,22 @@ from collections import deque
 from typing import get_args
 
 from conftest import FIXTURES, icfa_of, load
+from lockhound.depend import affecting_edges
 from lockhound.framework import (
-    DIRTY, entry_place, fi_context, join_fp, match_fp, next_place,
-    place_graph, solve_fi, solve_fs, transfer,
+    DIRTY, ENTRY, INTRA, RETURN, _step, _step_table, entry_place, fi_context,
+    fp_transfer, join_fp, match_fp, place_graph, solve_fi, solve_fs,
+    step_place,
 )
-from lockhound.frontend.icfa import FuncEntryOp, FuncExitOp, Op, ThreadEntryOp
+from lockhound.frontend.icfa import (
+    ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
+    ThreadExitOp,
+)
 from lockhound.frontend.syntax import FuncRef, VarRef
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset
 from lockhound.pipeline import analyze_icfa
 from lockhound.places import PlaceMap
-from lockhound.pointsto import PointsToClient
+from lockhound.pointsto import ObjectModel, PointsToClient
 
 
 def random_fpm(rng: random.Random) -> dict:
@@ -102,16 +107,44 @@ def test_entry_place_collapses_reentry(showcase_icfa):
     assert entry_place(rec, (site["walk"].src,), leaf) == (site["walk"].src, leaf)
 
 
-def test_next_place_steps(showcase_icfa):
+def next_place(icfa, e, p):
+    """Successor place along an edge, or None when the edge is infeasible:
+    the tests' reference for step_place together with the call-site filter
+    of each solver."""
+    if isinstance(e.op, ENTRY_OPS):
+        return entry_place(icfa, p, e.tgt)
+    if isinstance(e.op, EXIT_OPS):
+        if len(p) < 2:
+            return None
+        if isinstance(e.op, (FuncExitOp, ThreadExitOp)) and p[-2] != e.call_site:
+            return None  # return edge belonging to a different call site
+        return p[:-2] + (e.tgt,)
+    return p[:-1] + (e.tgt,)
+
+
+def transfer(icfa, client, e, p, state):
+    """Full framework transfer; None means no contribution (bottom)."""
+    fpm = {} if isinstance(e.op, EXIT_OPS) else fp_transfer(icfa, e, state[0])
+    if fpm is None:
+        return None
+    return fpm, client.transfer(e, p, state[1])
+
+
+def test_step_place_steps(showcase_icfa):
     icfa = showcase_icfa
     fx = next(e for e in icfa.edges if isinstance(e.op, FuncExitOp))
-    good = (5, fx.call_site, icfa.entry_of("func2"))
-    assert next_place(icfa, fx, good) == (5, fx.tgt)
-    # wrong call site on the chain: this return edge is infeasible
-    assert next_place(icfa, fx, (5, 999, icfa.entry_of("func2"))) is None
-    assert next_place(icfa, fx, (icfa.entry_of("func2"),)) is None  # too short
+    fe = next(e for e in icfa.edges if isinstance(e.op, FuncEntryOp))
     intra = next(e for e in icfa.edges if not icfa.is_inter(e))
-    assert next_place(icfa, intra, (18, intra.src)) == (18, intra.tgt)
+    assert [_step(icfa, e.op)[0] for e in (fx, fe, intra)] == [RETURN, ENTRY, INTRA]
+    assert step_place(icfa, (5, fx.call_site, fx.src), fx, RETURN) == (5, fx.tgt)
+    assert step_place(icfa, (fx.src,), fx, RETURN) is None  # too short
+    assert step_place(icfa, (18, fe.src), fe, ENTRY) == (18, fe.src, fe.tgt)
+    assert step_place(icfa, (18, intra.src), intra, INTRA) == (18, intra.tgt)
+    # the call-site test is the exploration's step table: a return edge
+    # fires from its own call site's chain only
+    at_exit = _step_table(icfa)[fx.src]
+    assert fx in [e for e, _, _ in at_exit[fx.call_site]]
+    assert fx not in [e for e, _, _ in at_exit[None]]
 
 
 def test_fi_context_keeps_call_sites(showcase_icfa):
@@ -153,7 +186,7 @@ def test_solve_fs_explores_thread_and_calls(showcase_icfa):
 
 
 def test_fs_places_step_into_fi_contexts():
-    # both solvers step with next_place; without an edge filter, solve_fi
+    # both solvers step with step_place; without an edge filter, solve_fi
     # must reach the fi_context of every place solve_fs reaches
     sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
     sources += [generate(k, random_config(k)) for k in range(60)]
@@ -229,8 +262,8 @@ def test_plain_edges_pass_the_state_through():
 
 
 def test_solve_fs_steps_places_as_next_place_does():
-    # the step table inlines next_place: the places solve_fs reaches are
-    # main's entry plus every feasible next_place step out of them
+    # the places solve_fs reaches are main's entry plus every feasible
+    # next_place step out of them
     for src in lockset_sources() + [RECURSIVE]:
         icfa = icfa_of(src)
         client = CountingClient()
@@ -274,6 +307,39 @@ int main() {
 """
 
 
+class ReferenceWorklist:
+    """One (fp map, client state) pair per place, places interned in
+    first-add order and popped first in first out; add joins a contribution
+    into its place's state and re-queues the place only when the state grew.
+    Main's entry starts with the initial state."""
+
+    def __init__(self, icfa, client):
+        self.join = client.join
+        self.places = PlaceMap()
+        self.states, self.work, self.queued = {}, deque(), set()
+        self.steps = 0
+        self.add((icfa.entry_of(icfa.entry_fn),), ({}, client.initial()))
+
+    def add(self, p, contrib):
+        pid = self.places.intern(p)
+        old = self.states.get(pid)
+        if old is not None:
+            contrib = (join_fp(old[0], contrib[0]), self.join(old[1], contrib[1]))
+            if contrib == old:
+                return
+        self.states[pid] = contrib
+        if pid not in self.queued:
+            self.queued.add(pid)
+            self.work.append(pid)
+
+    def __iter__(self):
+        while self.work:
+            self.steps += 1
+            pid = self.work.popleft()
+            self.queued.discard(pid)
+            yield pid
+
+
 def reference_solve(icfa, client):
     """One worklist over (fp map, client state) pairs that steps every place
     with next_place and the full transfer, the two interleaved.
@@ -282,29 +348,10 @@ def reference_solve(icfa, client):
     and the (place id, edge) of each thread entry first feasible on a later
     pop of its place than the first.
     """
-    places = PlaceMap()
-    states, work, queued = {}, deque(), set()
-
-    def add(p, contrib):
-        pid = places.intern(p)
-        old = states.get(pid)
-        if old is not None:
-            contrib = (join_fp(old[0], contrib[0]),
-                       client.join(old[1], contrib[1]))
-            if contrib == old:
-                return
-        states[pid] = contrib
-        if pid not in queued:
-            queued.add(pid)
-            work.append(pid)
-
-    add((icfa.entry_of(icfa.entry_fn),), ({}, client.initial()))
-    steps, first, late = 0, {}, []
-    while work:
-        steps += 1
-        pid = work.popleft()
-        queued.discard(pid)
-        p = places.resolve(pid)
+    wl = ReferenceWorklist(icfa, client)
+    states, first, late = wl.states, {}, []
+    for pid in wl:
+        p = wl.places.resolve(pid)
         fired = set()
         for e in icfa.out_edges[p[-1]]:
             p2 = next_place(icfa, e, p)
@@ -312,12 +359,66 @@ def reference_solve(icfa, client):
                                                        states[pid])
             if contrib is not None:
                 fired.add(e)
-                add(p2, contrib)
+                wl.add(p2, contrib)
         if pid in first:
             late += [(pid, e) for e in fired - first[pid]
                      if isinstance(e.op, ThreadEntryOp)]
         first.setdefault(pid, fired)
-    return places.places(), states, steps, late
+    return wl.places.places(), states, wl.steps, late
+
+
+class PassThrough:
+    """Stands in for the client on edges the dependency filter rejects."""
+    transfer = staticmethod(lambda e, p, state: state)
+
+
+def reference_solve_fi(icfa, client, edge_filter=None):
+    """solve_fi's contexts and states, stepped with next_place and the full
+    transfer: each pop composes the function's intra edges to a local
+    fixpoint, then tries every inter-function edge out of the function.
+
+    Returns the contexts in id order, the state of each and the number of
+    pops.
+    """
+    intra = {f: [] for f in icfa.functions}
+    inter = {f: [] for f in icfa.functions}
+    for e in icfa.edges:
+        (inter if icfa.is_inter(e) else intra)[icfa.func_of(e.src)].append(e)
+
+    def allowed(e):
+        return edge_filter is None or edge_filter(e)
+
+    wl = ReferenceWorklist(icfa, client)
+    for pid in wl:
+        p = wl.places.resolve(pid)
+        f = icfa.func_of(p[-1])
+        fpm, cs = wl.states[pid]
+        for e in intra[f]:
+            fpm = fp_transfer(icfa, e, fpm)
+        changed = True
+        while changed:
+            changed = False
+            for e in intra[f]:
+                if not allowed(e):
+                    continue
+                cs2 = client.join(cs, client.transfer(e, p, cs))
+                if cs2 != cs:
+                    cs = cs2
+                    changed = True
+        wl.states[pid] = (fpm, cs)
+        for e in inter[f]:
+            p2 = next_place(icfa, e, p[:-1] + (e.src,))
+            if p2 is None:
+                continue
+            if allowed(e):
+                contrib = transfer(icfa, client, e, p, (fpm, cs))
+            elif isinstance(e.op, ENTRY_OPS):
+                continue
+            else:
+                contrib = transfer(icfa, PassThrough, e, p, (fpm, cs))
+            if contrib is not None:
+                wl.add(fi_context(icfa, p2), contrib)
+    return wl.places.places(), wl.states, wl.steps
 
 
 def test_place_graph_solve_equals_the_interleaved_reference():
@@ -346,3 +447,17 @@ def test_thread_entry_feasible_only_late():
     for pid, e in late:  # the graph keeps the late step
         p = places[pid]
         assert e in [e2 for e2, _ in graph.steps[graph.places.lookup(p)]]
+
+
+def test_solve_fi_equals_the_reference():
+    for src in lockset_sources() + [RECURSIVE, LATE_ENTRY]:
+        icfa = icfa_of(src)
+        for edge_filter in (affecting_edges(icfa).allows, None):
+            client = PointsToClient(ObjectModel(icfa))
+            res = solve_fi(icfa, client, edge_filter)
+            ref = PointsToClient(ObjectModel(icfa))
+            places, states, steps = reference_solve_fi(icfa, ref, edge_filter)
+            assert res.places.places() == places
+            assert dict(res.states) == states
+            assert res.steps == steps
+            assert client.visits == ref.visits

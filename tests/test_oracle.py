@@ -217,6 +217,31 @@ def test_recursion_is_rejected(src):
         run_oracle(icfa_of(src))
 
 
+@pytest.mark.parametrize("src", [
+    pytest.param("""
+int a[99999999999999999999];
+int main() { a[0] = 1; return 0; }
+""", id="global"),
+    pytest.param("""
+int main() { int a[99999999]; a[0] = 1; return 0; }
+""", id="local"),
+    pytest.param("""
+struct s { mutex m; };
+struct s a[99999999999999999999];
+int main() { return 0; }
+""", id="cell-free-elements"),
+    pytest.param("struct s0 { int a; int b; };\n" + "".join(
+        f"struct s{i} {{ struct s{i - 1} a; struct s{i - 1} b; }};\n"
+        for i in range(1, 40)) + "struct s39 g;\nint main() { return 0; }\n",
+        id="nested-structs"),
+])
+def test_too_many_memory_cells_are_rejected(src):
+    # the cells are counted, each struct once, before any is listed, so
+    # this neither hangs nor runs out of memory
+    with pytest.raises(OracleUnsupported, match="too many memory cells"):
+        run_oracle(icfa_of(src))
+
+
 def test_runs_are_deterministic(showcase_source):
     sources = [showcase_source] + [generate(seed) for seed in (3, 4, 5)]
     for src in sources:

@@ -214,6 +214,27 @@ def test_analyze_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "oracle"])
+@pytest.mark.parametrize("content, message", [
+    pytest.param(b"int main() { return 0; }\n\xff\n",
+                 r"error: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+    pytest.param(("int main() { int x; x = " + "9" * 5000 + "; return 0; }").encode(),
+                 r"error: 1:25: integer 9+\.\.\. has too many digits \(5000\)",
+                 id="long-literal"),
+    pytest.param(("int a[" + "9" * 5000 + "];\nint main() { return 0; }").encode(),
+                 r"error: 1:7: integer 9+\.\.\. has too many digits \(5000\)",
+                 id="long-array-size"),
+])
+def test_input_errors_are_not_internal_errors(cmd, content, message, tmp_path,
+                                              capsys):
+    prog = tmp_path / "prog.mc"
+    prog.write_bytes(content)
+    assert main([cmd, str(prog)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(message, err), err
+    assert err.count("\n") == 1
+
+
 def test_internal_error_exits_2_without_traceback(monkeypatch, capsys):
     def crash(*_):
         raise RuntimeError("boom")

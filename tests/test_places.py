@@ -5,7 +5,7 @@ import pytest
 from lockhound.errors import MainThreadError, UnknownPlaceError
 from lockhound.places import (
     MAIN_THREAD, PlaceMap, common_prefix_len, get_thread,
-    multiple_thread_guard, top,
+    multiple_thread_guard,
 )
 
 
@@ -40,8 +40,7 @@ def test_intern_rejects_empty():
         PlaceMap().intern(())
 
 
-def test_top_and_prefix():
-    assert top((4, 5, 6)) == 6
+def test_common_prefix_len():
     assert common_prefix_len((1, 2, 3), (1, 2, 9)) == 2
     assert common_prefix_len((1,), (2,)) == 0
     assert common_prefix_len((1, 2), (1, 2)) == 2
