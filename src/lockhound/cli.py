@@ -39,9 +39,22 @@ def _want_color(stream) -> bool:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+    """The program text, with line ends read as in text mode. A byte that
+    is not UTF-8 is a SourceError at its line:col (the column in bytes)."""
+    if path != "-":
+        data = Path(path).read_bytes()
+    elif hasattr(sys.stdin, "buffer"):
+        data = sys.stdin.buffer.read()
+    else:
+        return sys.stdin.read()  # a text stream with no bytes beneath it
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as ex:
+        line = data.count(b"\n", 0, ex.start) + 1
+        col = ex.start - data.rfind(b"\n", 0, ex.start)
+        msg = f"'utf-8' codec can't decode byte 0x{data[ex.start]:02x}: {ex.reason}"
+        raise SourceError(msg, line, col) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _emit(path: str, stem_suffix: str, content: str) -> None:
@@ -105,7 +118,7 @@ def _dumps(a: Analysis, args) -> None:
 def cmd_analyze(args) -> int:
     try:
         source = _read_source(args.file)
-    except (OSError, UnicodeDecodeError) as ex:
+    except (OSError, SourceError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     cfg = Config(no_depend=args.no_depend, no_nonconc=args.no_nonconc,
@@ -145,7 +158,7 @@ def cmd_oracle(args) -> int:
     try:
         icfa = build_icfa(preprocess(parse(_read_source(args.file))))
         res = run_oracle(icfa, max_states=args.max_states)
-    except (SourceError, MissingMainError, OSError, UnicodeDecodeError) as ex:
+    except (SourceError, MissingMainError, OSError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 2
     out = {

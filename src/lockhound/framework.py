@@ -14,11 +14,13 @@ current location), in two parts:
 * The exploration needs no client. It steps places with step_place and the
   function-pointer transfer until their maps reach a fixpoint, and records a
   PlaceGraph: the places in intern order, each place's function-pointer map,
-  and each place's feasible steps as (edge, target id). It runs once per
-  automaton, so the may- and must-lockset solves share it.
+  and each place's feasible steps as parallel tuples of edges and target
+  ids. It runs once per automaton, so the may- and must-lockset solves share
+  it. It gives up past FS_MAX_PLACES places.
 * The propagation runs the client over that graph by place id. It calls
   transfer only on edges whose op the client reads and passes the state on
-  along every other step; it interns no place.
+  along every other step; it interns no place. Equal states it stores are
+  one object, so its table grows with the distinct states, not the places.
 
 The split gives the interleaved fixpoint exactly. The function-pointer
 transfer never reads the client state, and no client reads the map. The map
@@ -39,8 +41,9 @@ from __future__ import annotations
 import random
 import weakref
 from collections import deque
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Iterator, Protocol
 
 from .errors import DivergedError
@@ -56,10 +59,23 @@ class _Dirty:
 
 DIRTY = _Dirty()
 
-FpMap = dict  # var name -> function name | DIRTY
+FpMap = Mapping  # var name -> function name | DIRTY; never changed once made
+
+# The map of every place that tracks no function pointer: a plain entry or
+# return, and a binding or join that keeps nothing. Read-only, so that the
+# places can share it.
+EMPTY_FPM: FpMap = MappingProxyType({})
 
 
 class ClientAnalysis(Protocol):
+    """A client analysis: its states, their join and its transfer.
+
+    States are values: join and transfer return a new state and never change
+    one in place, since the solvers share one state object between places.
+    A state solved with solve_fs must be hashable, because the propagation
+    keeps one object per distinct state.
+    """
+
     # The op classes whose transfer can change the client state; on any
     # other edge transfer must return the state it was given.
     ops: tuple[type, ...]
@@ -81,14 +97,16 @@ def join_fp(a: FpMap, b: FpMap) -> FpMap:
     associative on the map representation, so fixpoints do not depend on
     worklist order.
     """
-    out: FpMap = {}
+    if not a or not b:
+        return EMPTY_FPM
+    out: dict = {}
     for v in a.keys() & b.keys():
         x, y = a[v], b[v]
         if x is DIRTY or y is DIRTY or x != y:
             out[v] = DIRTY
         else:
             out[v] = x
-    return out
+    return out or EMPTY_FPM
 
 
 def match_fp(fpm: FpMap, thr: Any, fname: str) -> bool:
@@ -102,7 +120,7 @@ def match_fp(fpm: FpMap, thr: Any, fname: str) -> bool:
 
 
 def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
-    out: FpMap = {}
+    out: dict = {}
     for arg, par in pairs:
         if not is_fnptr(icfa.prog.var_types.get(par)):
             continue
@@ -112,7 +130,7 @@ def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
             val = fpm.get(arg.name)
             if val is not None:
                 out[par] = val
-    return out
+    return out or EMPTY_FPM
 
 
 def _writes_fp(op: Op) -> bool:
@@ -182,27 +200,39 @@ def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place | None:
 
 
 def _step_table(icfa: ICFA) -> list:
-    """Per location, (edge, kind, plain) for each of its out-edges; at a
-    function exit instead, per call site p[-2], the return edges of that
-    site or of none (key None: any other site)."""
-    table = [[(e, *_step(icfa, e.op)) for e in icfa.out_edges[loc]]
-             for loc in range(len(icfa.locations))]
+    """Per location, (edges, steps) of its out-edges: the edges as a tuple,
+    which every place that can take all of them shares, and (edge, kind,
+    plain) for each; at a function exit instead, per call site p[-2], that
+    pair for the return edges of that site or of none (key None: any other
+    site)."""
+    table: list = [(tuple(icfa.out_edges[loc]),
+                    [(e, *_step(icfa, e.op)) for e in icfa.out_edges[loc]])
+                   for loc in range(len(icfa.locations))]
     for fn in icfa.functions.values():
-        out = table[fn.exit]
-        table[fn.exit] = {site: [s for s in out if s[0].call_site in (None, site)]
-                          for site in {None} | {e.call_site for e, _, _ in out}}
+        steps = table[fn.exit][1]
+        table[fn.exit] = at_exit = {}
+        for site in {None} | {e.call_site for e, _, _ in steps}:
+            mine = [s for s in steps if s[0].call_site in (None, site)]
+            at_exit[site] = (tuple(e for e, _, _ in mine), mine)
     return table
 
 
 # ------------------------------------------------------------------ solve
 
 
-FS_MAX_STEPS = 2_000_000  # pops before either part of solve_fs gives up
-FI_MAX_STEPS = 500_000    # worklist pops before solve_fi gives up
+FS_MAX_STEPS = 2_000_000    # pops before either part of solve_fs gives up
+FS_MAX_PLACES = 1_000_000   # places before the exploration gives up
+FI_MAX_STEPS = 500_000      # worklist pops before solve_fi gives up
 
 
 class _Worklist:
-    """One state per place id; id 0, main's entry, starts with `initial`.
+    """One state per dense place id; id 0, main's entry, starts with
+    `initial`.
+
+    states[pid] is the state of place pid, None until it is reached, and
+    queued[pid] is 1 while pid waits in the queue. size preallocates the
+    slots when the ids are known beforehand; otherwise a new id is always
+    the next one, and add appends it.
 
     add() joins a contribution into its place and re-queues the place only
     when its state grew; iterating pops the queued ids until none is left,
@@ -211,25 +241,32 @@ class _Worklist:
     """
 
     def __init__(self, initial: Any, join, max_steps: int,
-                 rng: random.Random | None = None):
+                 rng: random.Random | None = None, size: int = 1):
         self.join = join
         self.max_steps = max_steps
         self.rng = rng
-        self.states: dict[int, Any] = {0: initial}
+        self.states: list = [initial] + [None] * (size - 1)
+        self.queued = bytearray(size)
+        self.queued[0] = 1
         self.work: deque[int] = deque([0])
-        self.queued: set[int] = {0}
         self.steps = 0
 
     def add(self, pid: int, contrib: Any) -> None:
-        old = self.states.get(pid)
-        if old is not None:
-            contrib = self.join(old, contrib)
-            if contrib == old:
+        states = self.states
+        if pid == len(states):
+            states.append(contrib)
+            self.queued.append(1)
+        else:
+            old = states[pid]
+            if old is not None:
+                contrib = self.join(old, contrib)
+                if contrib == old:
+                    return
+            states[pid] = contrib
+            if self.queued[pid]:
                 return
-        self.states[pid] = contrib
-        if pid not in self.queued:
-            self.queued.add(pid)
-            self.work.append(pid)
+            self.queued[pid] = 1
+        self.work.append(pid)
 
     def __iter__(self) -> Iterator[int]:
         while self.work:
@@ -239,7 +276,7 @@ class _Worklist:
             if self.rng is not None:
                 self.work.rotate(-self.rng.randrange(len(self.work)))
             pid = self.work.popleft()
-            self.queued.discard(pid)
+            self.queued[pid] = 0
             yield pid
 
 
@@ -247,15 +284,23 @@ class _Worklist:
 class PlaceGraph:
     """The flow-sensitive places reachable from main's entry.
 
-    Ids are dense and in first-intern order; place[pid] is the place itself,
-    read without PlaceMap.resolve. fpm[pid] is its function-pointer map at
-    the fixpoint, and steps[pid] holds (edge, target id) for each out-edge
-    that step_place and that map make feasible, in out-edge order.
+    Ids are dense and in first-intern order, and every table is a list
+    indexed by id. place[pid] is the place itself, read without
+    PlaceMap.resolve. fpm[pid] is its function-pointer map at the fixpoint.
+    edges[pid] and steps[pid] are parallel tuples: the out-edges that
+    step_place and that map make feasible, in out-edge order, and the id of
+    the place each one steps to.
+
+    Tables share their values between places: a place that can take every
+    edge of its step-table entry holds the entry's own edge tuple, and a
+    map that tracks nothing is EMPTY_FPM. Sharing is safe because nothing
+    changes a tuple, a stored map or a state in place.
     """
     places: PlaceMap
     place: list[Place]
-    fpm: dict[int, FpMap]
-    steps: list[list[tuple[Edge, int]]]
+    fpm: list[FpMap]
+    edges: list[tuple[Edge, ...]]
+    steps: list[tuple[int, ...]]
 
 
 def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
@@ -267,32 +312,43 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
     intern = places.intern
     intern(entry)
     place: list[Place] = [entry]
-    steps: list = [None]
-    wl = _Worklist({}, join_fp, FS_MAX_STEPS, rng)
+    edges: list = [()]
+    steps: list = [()]
+    wl = _Worklist(EMPTY_FPM, join_fp, FS_MAX_STEPS, rng)
     fpms = wl.states
     for pid in wl:
         p, fpm = place[pid], fpms[pid]
-        out = table[p[-1]]
-        if type(out) is dict:  # a function exit
-            out = out.get(p[-2] if len(p) > 1 else None, out[None])
-        feasible = []
+        row = table[p[-1]]
+        if type(row) is dict:  # a function exit
+            row = row.get(p[-2] if len(p) > 1 else None, row[None])
+        es, out = row
+        targets = ()  # the target id of each edge in es, None if infeasible
         for e, kind, plain in out:
             p2 = step_place(icfa, p, e, kind)
             if p2 is None:
+                targets += (None,)
                 continue
             assert len(p2) <= bound, "place length bound violated"
             if plain:
-                fpm2 = fpm if kind == INTRA else {}
+                fpm2 = fpm if kind == INTRA else EMPTY_FPM
             elif (fpm2 := fp_transfer(icfa, e, fpm)) is None:
+                targets += (None,)
                 continue
             q = intern(p2)
             if q == len(place):
+                if q >= FS_MAX_PLACES:
+                    raise DivergedError(
+                        f"exploration exceeded {FS_MAX_PLACES} places")
                 place.append(p2)
-                steps.append(None)
+                edges.append(())
+                steps.append(())
             wl.add(q, fpm2)
-            feasible.append((e, q))
-        steps[pid] = feasible  # the last pop of a place sees its final map
-    return PlaceGraph(places, place, fpms, steps)
+            targets += (q,)
+        if None in targets:
+            es = tuple(e for e, q in zip(es, targets) if q is not None)
+            targets = tuple(q for q in targets if q is not None)
+        edges[pid], steps[pid] = es, targets  # the last pop sees the final map
+    return PlaceGraph(places, place, fpms, edges, steps)
 
 
 _PLACE_GRAPHS: weakref.WeakKeyDictionary[ICFA, PlaceGraph] = \
@@ -308,14 +364,16 @@ def place_graph(icfa: ICFA) -> PlaceGraph:
 
 
 class _Paired(Mapping):
-    """Place id -> (function-pointer map, client state), read off the two
-    tables without storing the pairs."""
+    """Place id -> (function-pointer map, client state), read off two
+    sequences indexed by place id without storing the pairs."""
 
-    def __init__(self, fpm: dict[int, FpMap], client: dict[int, Any]):
+    def __init__(self, fpm: Sequence[FpMap], client: Sequence):
         self.fpm, self.client = fpm, client
 
     def __getitem__(self, pid: int) -> tuple[FpMap, Any]:
-        return self.fpm[pid], self.client[pid]
+        if 0 <= pid < len(self.client):
+            return self.fpm[pid], self.client[pid]
+        raise KeyError(pid)
 
     def __iter__(self) -> Iterator[int]:
         return iter(range(len(self.client)))
@@ -341,6 +399,9 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
     """Flow-sensitive fixpoint from main's entry: the propagation of the
     module docstring over the automaton's place graph.
 
+    Every state it stores goes through one dict of the distinct states, so
+    equal states are one object (hash-consing).
+
     With shuffle_seed, both worklists pop in a seeded random order, over a
     fresh exploration rather than the shared one.
     """
@@ -349,14 +410,30 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
     else:
         rng = random.Random(shuffle_seed)
         graph = _explore(icfa, rng)
+    distinct: dict = {}
+    share = distinct.setdefault
+
+    def join(a: Any, b: Any) -> Any:
+        ab = client.join(a, b)
+        return share(ab, ab)
+
     ops, step = client.ops, client.transfer
-    place, steps = graph.place, graph.steps
-    wl = _Worklist(client.initial(), client.join, FS_MAX_STEPS, rng)
+    place, edges, steps = graph.place, graph.edges, graph.steps
+    initial = client.initial()
+    wl = _Worklist(share(initial, initial), join, FS_MAX_STEPS, rng,
+                   len(place))
     states, add = wl.states, wl.add
     for pid in wl:
-        cs = states[pid]
-        for e, q in steps[pid]:
-            add(q, step(e, place[pid], cs) if isinstance(e.op, ops) else cs)
+        cs, es = states[pid], edges[pid]
+        i = 0  # most places have one step, and a zip costs more than that
+        for q in steps[pid]:
+            e = es[i]
+            i += 1
+            if isinstance(e.op, ops):
+                cs2 = step(e, place[pid], cs)
+                add(q, share(cs2, cs2))
+            else:
+                add(q, cs)
     return SolveResult(graph.places, _Paired(graph.fpm, states), wl.steps)
 
 
@@ -390,7 +467,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
 
     places = PlaceMap()
     places.intern((icfa.entry_of(icfa.entry_fn),))
-    wl = _Worklist(({}, client.initial()),
+    wl = _Worklist((EMPTY_FPM, client.initial()),
                    lambda a, b: (join_fp(a[0], b[0]), client.join(a[1], b[1])),
                    FI_MAX_STEPS)
     for pid in wl:
@@ -424,9 +501,10 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
             applied = allowed(e)
             if not applied and kind == ENTRY:
                 continue
-            fpm2 = {} if plain else fp_transfer(icfa, e, fpm)
+            fpm2 = EMPTY_FPM if plain else fp_transfer(icfa, e, fpm)
             if fpm2 is None:
                 continue
             cs2 = client.transfer(e, p, cs) if applied else cs
             wl.add(places.intern(fi_context(icfa, p2)), (fpm2, cs2))
-    return SolveResult(places, wl.states, wl.steps)
+    fpms, states = zip(*wl.states)  # main's entry is always there
+    return SolveResult(places, _Paired(fpms, states), wl.steps)

@@ -1,13 +1,18 @@
 import random
+import sys
+import tracemalloc
 from collections import deque
+from pathlib import Path
 from typing import get_args
+
+import pytest
 
 from conftest import FIXTURES, icfa_of, load
 from lockhound.depend import affecting_edges
 from lockhound.framework import (
-    DIRTY, ENTRY, INTRA, RETURN, _step, _step_table, entry_place, fi_context,
-    fp_transfer, join_fp, match_fp, place_graph, solve_fi, solve_fs,
-    step_place,
+    DIRTY, EMPTY_FPM, ENTRY, INTRA, RETURN, _step, _step_table, entry_place,
+    fi_context, fp_transfer, join_fp, match_fp, place_graph, solve_fi,
+    solve_fs, step_place,
 )
 from lockhound.frontend.icfa import (
     ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
@@ -16,9 +21,12 @@ from lockhound.frontend.icfa import (
 from lockhound.frontend.syntax import FuncRef, VarRef
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset
-from lockhound.pipeline import analyze_icfa
+from lockhound.pipeline import analyze_icfa, analyze_source
 from lockhound.places import PlaceMap
 from lockhound.pointsto import ObjectModel, PointsToClient
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+from workloads import diamond_source  # noqa: E402
 
 
 def random_fpm(rng: random.Random) -> dict:
@@ -143,8 +151,8 @@ def test_step_place_steps(showcase_icfa):
     # the call-site test is the exploration's step table: a return edge
     # fires from its own call site's chain only
     at_exit = _step_table(icfa)[fx.src]
-    assert fx in [e for e, _, _ in at_exit[fx.call_site]]
-    assert fx not in [e for e, _, _ in at_exit[None]]
+    assert fx in at_exit[fx.call_site][0]
+    assert fx not in at_exit[None][0]
 
 
 def test_fi_context_keeps_call_sites(showcase_icfa):
@@ -307,6 +315,28 @@ int main() {
 """
 
 
+# Each call of starter tracks g to one function, so at each create place
+# the other function's thread entry is an out-edge that stays infeasible.
+ONE_TARGET = """
+mutex m0;
+mutex m1;
+int w1(int a) { lock(&m0); unlock(&m0); return 0; }
+int w2(int a) { lock(&m1); unlock(&m1); return 0; }
+int starter(int (*g)(int)) {
+    thread_t t;
+    create(&t, g, 0);
+    join(t);
+    return 0;
+}
+int main() {
+    int r;
+    r = starter(w1);
+    r = starter(w2);
+    return r;
+}
+"""
+
+
 class ReferenceWorklist:
     """One (fp map, client state) pair per place, places interned in
     first-add order and popped first in first out; add joins a contribution
@@ -421,6 +451,18 @@ def reference_solve_fi(icfa, client, edge_filter=None):
     return wl.places.places(), wl.states, wl.steps
 
 
+def assert_reads_as(table, reference: dict):
+    """A solver's dense state table reads as the reference dict, also at ids
+    it does not hold."""
+    assert len(table) == len(reference)
+    assert dict(table) == reference
+    for pid in (len(reference), -1):
+        assert pid not in table
+        assert table.get(pid) is None
+        with pytest.raises(KeyError):
+            table[pid]
+
+
 def test_place_graph_solve_equals_the_interleaved_reference():
     for src in lockset_sources() + [RECURSIVE]:
         icfa = icfa_of(src)
@@ -430,7 +472,7 @@ def test_place_graph_solve_equals_the_interleaved_reference():
             res = solve_fs(icfa, make())
             places, states, steps, late = reference_solve(icfa, make())
             assert res.places.places() == places
-            assert dict(res.states) == states
+            assert_reads_as(res.states, states)
             assert res.steps == steps
             assert not late
 
@@ -446,7 +488,25 @@ def test_thread_entry_feasible_only_late():
     graph = place_graph(icfa)
     for pid, e in late:  # the graph keeps the late step
         p = places[pid]
-        assert e in [e2 for e2, _ in graph.steps[graph.places.lookup(p)]]
+        assert e in graph.edges[graph.places.lookup(p)]
+
+
+def test_infeasible_step_leaves_the_place_graph():
+    icfa = icfa_of(ONE_TARGET)
+    graph, table = place_graph(icfa), _step_table(icfa)
+    creates = [pid for pid, p in enumerate(graph.place)
+               if any(isinstance(e.op, ThreadEntryOp) for e in icfa.out_edges[p[-1]])]
+    assert len(creates) == 2
+    for pid in creates:
+        out = table[graph.place[pid][-1]][0]
+        assert len(out) == 3 and len(graph.edges[pid]) == 2  # one entry is dropped
+        assert set(graph.edges[pid]) < set(out)
+        assert [graph.place[q][-1] for q in graph.steps[pid]] == \
+            [e.tgt for e in graph.edges[pid]]
+    for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
+        places, states, _, _ = reference_solve(icfa, client())
+        assert states_by_place(solve_fs(icfa, client())) == \
+            {p: states[pid] for pid, p in enumerate(places)}
 
 
 def test_solve_fi_equals_the_reference():
@@ -458,6 +518,36 @@ def test_solve_fi_equals_the_reference():
             ref = PointsToClient(ObjectModel(icfa))
             places, states, steps = reference_solve_fi(icfa, ref, edge_filter)
             assert res.places.places() == places
-            assert dict(res.states) == states
+            assert_reads_as(res.states, states)
             assert res.steps == steps
             assert client.visits == ref.visits
+
+
+def test_diamond_tables_share_their_values():
+    icfa = icfa_of(diamond_source(8, random.Random(5)))
+    graph = place_graph(icfa)
+    assert all(m is EMPTY_FPM for m in graph.fpm if not m)
+    with pytest.raises(TypeError):
+        EMPTY_FPM["g"] = "f0"
+    # every out-edge is feasible, so equal edge tuples are one object
+    assert len({id(t) for t in graph.edges}) == len(set(graph.edges))
+    a = analyze_icfa(icfa)
+    for res in (a.locks.may, a.locks.must):
+        states = [res.states[pid][1] for pid, _, _ in a.locks.lock_places]
+        assert len({id(s) for s in states}) == len(set(states)) < len(states)
+
+
+def test_memory_per_place():
+    # the analysis keeps a few hundred bytes per place; equal states, maps
+    # and edge tuples are shared, not copied per place
+    src = diamond_source(8, random.Random(5))
+    analyze_source(diamond_source(2, random.Random(5)))  # lazy set-up
+    tracemalloc.start()
+    try:
+        a = analyze_source(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    places = len(a.locks.may.places)
+    assert places == 5632
+    assert peak / places <= 550

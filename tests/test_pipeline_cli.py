@@ -92,6 +92,23 @@ def test_lockset_step_budget_ends_inconclusive(showcase_source, monkeypatch,
     assert "fixpoint exceeded" in capsys.readouterr().out
 
 
+def test_lockset_place_budget_ends_inconclusive(showcase_source, monkeypatch,
+                                                capsys):
+    # the exploration gives up on interning the first place past
+    # FS_MAX_PLACES, and a budget of exactly the places it needs is enough
+    n = len(lockhound.framework.place_graph(icfa_of(showcase_source)).place)
+    monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n)
+    assert analyze_source(showcase_source).verdict == PROVED_FREE
+    monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n - 1)
+    a = analyze_source(showcase_source)
+    assert a.verdict == INCONCLUSIVE
+    assert a.error == f"lockset analysis: exploration exceeded {n - 1} places"
+    assert a.locks is None and a.pt is not None
+    assert a.icfa not in lockhound.framework._PLACE_GRAPHS
+    assert main(["analyze", SHOWCASE]) == 2
+    assert f"exploration exceeded {n - 1} places" in capsys.readouterr().out
+
+
 def test_dumps_of_solved_stages_survive_a_diverged_lockset_solve(
         monkeypatch, capsys):
     # points-to and dependency pruning were solved before the lockset solve
@@ -217,7 +234,8 @@ def test_analyze_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("cmd", ["analyze", "oracle"])
 @pytest.mark.parametrize("content, message", [
     pytest.param(b"int main() { return 0; }\n\xff\n",
-                 r"error: 'utf-8' codec can't decode byte 0xff", id="not-utf8"),
+                 r"error: 2:1: 'utf-8' codec can't decode byte 0xff: "
+                 r"invalid start byte", id="not-utf8"),
     pytest.param(("int main() { int x; x = " + "9" * 5000 + "; return 0; }").encode(),
                  r"error: 1:25: integer 9+\.\.\. has too many digits \(5000\)",
                  id="long-literal"),
