@@ -39,22 +39,19 @@ def _want_color(stream) -> bool:
 
 
 def _read_source(path: str) -> str:
-    """The program text, with line ends read as in text mode. A byte that
-    is not UTF-8 is a SourceError at its line:col (the column in bytes)."""
-    if path != "-":
-        data = Path(path).read_bytes()
-    elif hasattr(sys.stdin, "buffer"):
-        data = sys.stdin.buffer.read()
-    else:
-        return sys.stdin.read()  # a text stream with no bytes beneath it
+    """The program text. A byte that is not UTF-8 is a SourceError at its
+    line:col, counted in the text the parser would have seen."""
     try:
-        text = data.decode()
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as ex:
-        line = data.count(b"\n", 0, ex.start) + 1
-        col = ex.start - data.rfind(b"\n", 0, ex.start)
-        msg = f"'utf-8' codec can't decode byte 0x{data[ex.start]:02x}: {ex.reason}"
-        raise SourceError(msg, line, col) from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+        seen = ex.object[:ex.start].decode()
+        seen = seen.replace("\r\n", "\n").replace("\r", "\n")
+        msg = (f"'utf-8' codec can't decode byte 0x{ex.object[ex.start]:02x}: "
+               f"{ex.reason}")
+        raise SourceError(msg, seen.count("\n") + 1,
+                          len(seen) - seen.rfind("\n")) from None
 
 
 def _emit(path: str, stem_suffix: str, content: str) -> None:

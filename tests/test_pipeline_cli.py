@@ -236,6 +236,9 @@ def test_analyze_exit_codes(tmp_path, capsys):
     pytest.param(b"int main() { return 0; }\n\xff\n",
                  r"error: 2:1: 'utf-8' codec can't decode byte 0xff: "
                  r"invalid start byte", id="not-utf8"),
+    pytest.param(b"int main() {\r return 0; }\r// \xc3\xa9\xc3\xa9 \xff\n",
+                 r"error: 3:7: 'utf-8' codec can't decode byte 0xff: "
+                 r"invalid start byte", id="not-utf8-cr-line-ends"),
     pytest.param(("int main() { int x; x = " + "9" * 5000 + "; return 0; }").encode(),
                  r"error: 1:25: integer 9+\.\.\. has too many digits \(5000\)",
                  id="long-literal"),
