@@ -39,16 +39,17 @@ def _want_color(stream) -> bool:
 
 
 def _read_source(path: str) -> str:
-    """The program text. A byte that is not UTF-8 is a SourceError at its
-    line:col, counted in the text the parser would have seen."""
+    """The text of a file or of standard input ("-"), decoded strictly as
+    UTF-8 with CRLF and CR line ends read as LF. A byte that is not UTF-8 is
+    a SourceError at its line:col, counted in the text the parser sees."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    # no byte of a multibyte UTF-8 sequence is "\r" or "\n"
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     try:
-        if path == "-":
-            return sys.stdin.read()
-        return Path(path).read_text(encoding="utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as ex:
-        seen = ex.object[:ex.start].decode()
-        seen = seen.replace("\r\n", "\n").replace("\r", "\n")
-        msg = (f"'utf-8' codec can't decode byte 0x{ex.object[ex.start]:02x}: "
+        seen = data[:ex.start].decode()
+        msg = (f"'utf-8' codec can't decode byte 0x{data[ex.start]:02x}: "
                f"{ex.reason}")
         raise SourceError(msg, seen.count("\n") + 1,
                           len(seen) - seen.rfind("\n")) from None
@@ -245,8 +246,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("gen", help="generate a random well-defined program")
     pg.add_argument("seed", type=int)
-    pg.add_argument("--threads", type=int, default=3)
-    pg.add_argument("--locks", type=int, default=4)
+    pg.add_argument("--threads", type=_int_at_least(1), default=3)
+    pg.add_argument("--locks", type=_int_at_least(2), default=4)
     pg.add_argument("--wrappers", action="store_true")
     pg.add_argument("--heap", action="store_true")
     pg.add_argument("--loop-create", action="store_true")

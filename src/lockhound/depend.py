@@ -13,8 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .frontend.icfa import (
-    ICFA, Edge, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp, ThreadJoinOp,
-    ENTRY_OPS, SEED_OPS,
+    ENTRY, ICFA, Edge, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
+    ThreadJoinOp, SEED_OPS,
 )
 from .frontend.syntax import Assign, Expr, expr_vars, stmt_exprs
 
@@ -120,7 +120,7 @@ def _close_functions(icfa: ICFA, result: DependResult) -> None:
     work = [icfa.func_of(icfa.edges[i].src) for i in result.edges]
     entry_edges_to: dict[str, list[Edge]] = {}
     for e in icfa.edges:
-        if isinstance(e.op, ENTRY_OPS):
+        if e.kind == ENTRY:
             entry_edges_to.setdefault(icfa.func_of(e.tgt), []).append(e)
     seen: set[str] = set()
     while work:

@@ -5,8 +5,8 @@ pointer parameter can start as a thread) and a client state. The framework
 walks the automaton forward from main's entry, keeping one state per place;
 client analyses plug in initial/join/transfer.
 
-Both solvers step places by one rule, step_place, on the edge kind that
-_step gives; a return edge fires only for the call site on the chain.
+Both solvers step places by one rule, step_place, along the automaton's
+step table: a return edge fires only for the call site on the chain.
 
 solve_fs works on flow-sensitive places (call-site chains ending at the
 current location), in two parts:
@@ -47,8 +47,8 @@ from types import MappingProxyType
 from typing import Any, Iterator, Protocol
 
 from .errors import DivergedError
-from .frontend.icfa import ICFA, Edge, EXIT_OPS, FuncEntryOp, Op, ThreadEntryOp
-from .frontend.syntax import Assign, FuncRef, VarRef, is_fnptr
+from .frontend.icfa import ENTRY, ICFA, INTRA, Edge, FuncEntryOp, ThreadEntryOp
+from .frontend.syntax import FuncRef, VarRef, is_fnptr
 from .places import Place, PlaceMap
 
 
@@ -133,10 +133,6 @@ def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
     return out or EMPTY_FPM
 
 
-def _writes_fp(op: Op) -> bool:
-    return isinstance(op, Assign) and isinstance(op.lhs, VarRef) and is_fnptr(op.lhs.typ)
-
-
 def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
     """The function-pointer map after an entry or intra edge (a return
     empties it); None for a thread entry fpm cannot start."""
@@ -147,7 +143,7 @@ def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
         return _bind_params(icfa, fpm, [(op.arg, op.param)])
     if isinstance(op, FuncEntryOp):
         return _bind_params(icfa, fpm, zip(op.args, op.params))
-    return {**fpm, op.lhs.name: DIRTY} if _writes_fp(op) else fpm
+    return fpm if e.plain else {**fpm, op.lhs.name: DIRTY}
 
 
 # ------------------------------------------------------------- place steps
@@ -169,53 +165,15 @@ def entry_place(icfa: ICFA, p: Place, entry_loc: int) -> Place:
     return p + (entry_loc,)
 
 
-INTRA, ENTRY, RETURN = 0, 1, 2  # the kinds of step a place takes along an edge
-
-
-def _step(icfa: ICFA, op: Op) -> tuple[int, bool]:
-    """(kind, plain) of an edge.
-
-    On a plain edge the function-pointer transfer is trivial: the map
-    passes an intra edge unchanged, and entering or returning empties it.
-    A thread entry is never plain: it must go through match_fp.
-    """
-    if isinstance(op, ThreadEntryOp):
-        return ENTRY, False
-    if isinstance(op, FuncEntryOp):
-        types = icfa.prog.var_types
-        return ENTRY, not any(is_fnptr(types.get(par)) for par in op.params)
-    if isinstance(op, EXIT_OPS):
-        return RETURN, True
-    return INTRA, not _writes_fp(op)
-
-
 def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place | None:
     """The place after p along e, an edge of the given kind out of p[-1];
-    None for a return with no frame. Callers match return edges to p[-2]."""
+    None for a return with no frame. The step table matches return edges to
+    p[-2]."""
     if kind == INTRA:
         return p[:-1] + (e.tgt,)
     if kind == ENTRY:
         return entry_place(icfa, p, e.tgt)
     return p[:-2] + (e.tgt,) if len(p) > 1 else None
-
-
-def _step_table(icfa: ICFA) -> list:
-    """Per location, (edges, steps) of its out-edges: the edges as a tuple,
-    which every place that can take all of them shares, and (edge, kind,
-    plain) for each; at a function exit instead, per call site p[-2], that
-    pair for the return edges of that site or of none (key None: any other
-    site)."""
-    table: list = []
-    for loc in range(len(icfa.locations)):
-        es = tuple(icfa.out_edges[loc])
-        table.append((es, [(e, *_step(icfa, e.op)) for e in es]))
-    for fn in icfa.functions.values():
-        es, steps = table[fn.exit]
-        table[fn.exit] = at_exit = {}
-        for site in {None} | {e.call_site for e in es}:
-            mine = [s for s in steps if s[0].call_site in (None, site)]
-            at_exit[site] = (tuple([s[0] for s in mine]), mine)
-    return table
 
 
 # ------------------------------------------------------------------ solve
@@ -286,19 +244,18 @@ class PlaceGraph:
     """The flow-sensitive places reachable from main's entry.
 
     Ids are dense and in first-intern order, and every table is a list
-    indexed by id. place[pid] is the place itself, read without
+    indexed by id. places.by_id[pid] is the place itself, read without
     PlaceMap.resolve. fpm[pid] is its function-pointer map at the fixpoint.
     edges[pid] and steps[pid] are parallel tuples: the out-edges that
     step_place and that map make feasible, in out-edge order, and the id of
     the place each one steps to.
 
     Tables share their values between places: a place that can take every
-    edge of its step-table entry holds the entry's own edge tuple, and a
+    edge of its step-table row holds the row's own edge tuple, and a
     map that tracks nothing is EMPTY_FPM. Sharing is safe because nothing
     changes a tuple, a stored map or a state in place.
     """
     places: PlaceMap
-    place: list[Place]
     fpm: list[FpMap]
     edges: list[tuple[Edge, ...]]
     steps: list[tuple[int, ...]]
@@ -306,13 +263,12 @@ class PlaceGraph:
 
 def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
     """The client-free exploration of the module docstring."""
-    table = _step_table(icfa)
+    table = icfa.steps_at
     bound = icfa.place_length_bound()
-    entry = (icfa.entry_of(icfa.entry_fn),)
     places = PlaceMap()
     intern = places.intern
-    intern(entry)
-    place: list[Place] = [entry]
+    intern((icfa.entry_of(icfa.entry_fn),))
+    place = places.by_id
     edges: list = [()]
     steps: list = [()]
     wl = _Worklist(EMPTY_FPM, join_fp, FS_MAX_STEPS, rng)
@@ -336,11 +292,10 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
                 targets += (None,)
                 continue
             q = intern(p2)
-            if q == len(place):
+            if q == len(edges):
                 if q >= FS_MAX_PLACES:
                     raise DivergedError(
                         f"exploration exceeded {FS_MAX_PLACES} places")
-                place.append(p2)
                 edges.append(())
                 steps.append(())
             wl.add(q, fpm2)
@@ -349,7 +304,7 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
             es = tuple(e for e, q in zip(es, targets) if q is not None)
             targets = tuple(q for q in targets if q is not None)
         edges[pid], steps[pid] = es, targets  # the last pop sees the final map
-    return PlaceGraph(places, place, fpms, edges, steps)
+    return PlaceGraph(places, fpms, edges, steps)
 
 
 _PLACE_GRAPHS: weakref.WeakKeyDictionary[ICFA, PlaceGraph] = \
@@ -419,7 +374,7 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
         return share(ab, ab)
 
     ops, step = client.ops, client.transfer
-    place, edges, steps = graph.place, graph.edges, graph.steps
+    place, edges, steps = graph.places.by_id, graph.edges, graph.steps
     initial = client.initial()
     wl = _Worklist(share(initial, initial), join, FS_MAX_STEPS, rng,
                    len(place))
@@ -452,18 +407,12 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
     """Flow-insensitive fixpoint: one state per fi_context.
 
     Each processing round composes the function's intra-edge transfers to a
-    local fixpoint, then steps along the function's inter-function edges
-    with step_place, from the edge's source, as solve_fs would, into the
-    target's fi_context. edge_filter (if given) decides which edges the
-    client is applied to: a rejected entry edge is not followed, any other
-    rejected edge passes the client state through.
+    local fixpoint, then steps along the inter-function edges that the step
+    table gives it and its call site, with step_place from the edge's source
+    as solve_fs would, into the target's fi_context. edge_filter (if given)
+    decides which edges the client is applied to: a rejected entry edge is
+    not followed, any other rejected edge passes the client state through.
     """
-    # per function, (edge, kind, plain) of its intra and inter-function edges
-    intra: dict[str, list] = {f: [] for f in icfa.functions}
-    inter: dict[str, list] = {f: [] for f in icfa.functions}
-    for e in icfa.edges:
-        step = (e, *_step(icfa, e.op))
-        (intra if step[1] == INTRA else inter)[icfa.func_of(e.src)].append(step)
     allowed = edge_filter if edge_filter is not None else lambda e: True
 
     places = PlaceMap()
@@ -475,15 +424,16 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
         p = places.resolve(pid)
         f = icfa.func_of(p[-1])
         fpm, cs = wl.states[pid]
+        intra, inter = icfa.steps_in[f]
 
         # local fixpoint over the function's own edges
-        for e, _, plain in intra[f]:
+        for e, _, plain in intra:
             if not plain:
                 fpm = fp_transfer(icfa, e, fpm)
         changed = True
         while changed:
             changed = False
-            for e, _, _ in intra[f]:
+            for e, _, _ in intra:
                 if not allowed(e):
                     continue
                 cs2 = client.join(cs, client.transfer(e, p, cs))
@@ -493,9 +443,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
         wl.states[pid] = (fpm, cs)
 
         site = p[-2] if len(p) > 1 else None
-        for e, kind, plain in inter[f]:
-            if e.call_site not in (None, site):
-                continue  # the return edge of another call site
+        for e, kind, plain in inter.get(site, inter[None]):
             p2 = step_place(icfa, p[:-1] + (e.src,), e, kind)
             if p2 is None:
                 continue

@@ -13,8 +13,14 @@ edges that stitch the per-function automata together:
   thread_exit   thread fn exit      -> after each create site that starts it
   thread_join   thread fn exit     -> after every join statement
 
-func_exit and thread_exit edges record the call/create site they belong to
-so state exploration can skip the infeasible return edges.
+The builder fixes each edge's step kind, how a place (lockhound.places)
+moves along it. Along an intra edge (a statement, guard, skip or return
+statement) the place's last location becomes the target; an entry edge
+(func_entry, thread_entry) appends the target; a return edge (func_exit,
+thread_exit, thread_join) replaces the exit and the site below it with the
+target. func_exit and thread_exit edges record the call/create site they
+belong to, and the automaton's step table groups each exit's return edges
+by that site, so state exploration skips the infeasible ones.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from functools import cached_property
 from .syntax import (
     Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
     JoinStmt, LockStmt, Program, Return, ExitJump, Stmt,
-    UnlockStmt, While, expr_text,
+    UnlockStmt, VarRef, While, expr_text, is_fnptr,
 )
 from .transform import _is_canonical, fp_call_candidates
 from ..errors import MissingMainError
@@ -88,9 +94,8 @@ Op = (
 STMT_OPS = (Assign, LockStmt, UnlockStmt, CreateStmt, JoinStmt)
 # The statements whose operands name locks or thread ids.
 SEED_OPS = (LockStmt, UnlockStmt, CreateStmt, JoinStmt)
-INTER_OPS = (FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp)
-EXIT_OPS = (FuncExitOp, ThreadExitOp, ThreadJoinOp)
-ENTRY_OPS = (FuncEntryOp, ThreadEntryOp)
+
+INTRA, ENTRY, RETURN = 0, 1, 2  # the kinds of step a place takes along an edge
 
 
 def op_text(op: Op) -> str:
@@ -144,6 +149,8 @@ class Edge:
     op: Op  # the checked statement, or an automaton-only op
     line: int = 0
     call_site: int | None = None  # func_exit / thread_exit feasibility anchor
+    kind: int = INTRA  # the step kind of the module docstring
+    plain: bool = True  # the function-pointer transfer is trivial (fp_transfer)
 
     def __hash__(self) -> int:
         return self.idx
@@ -171,6 +178,14 @@ class ICFA:
         self.create_sites: set[int] = set()  # creates with a candidate thread
         self.warnings: list[str] = []
         self.entry_fn = prog.entry
+        # The step table, filled by build_icfa: a step is (edge, kind,
+        # plain). steps_at[loc] is (edges, steps) of loc's out-edges, the
+        # edges as one shared tuple; at a function exit, a dict of that pair
+        # per call site p[-2], for the return edges of that site or of none
+        # (key None: any other site). steps_in[f] is f's intra steps and, per
+        # call site likewise, its entry and return steps, in edge order.
+        self.steps_at: list = []
+        self.steps_in: dict[str, tuple[list, dict]] = {}
 
     # construction -----------------------------------------------------
 
@@ -181,8 +196,9 @@ class ICFA:
         return loc.id
 
     def add_edge(self, src: int, tgt: int, op: Op, line: int = 0,
-                 call_site: int | None = None) -> Edge:
-        e = Edge(len(self.edges), src, tgt, op, line, call_site)
+                 call_site: int | None = None, kind: int = INTRA,
+                 plain: bool = True) -> Edge:
+        e = Edge(len(self.edges), src, tgt, op, line, call_site, kind, plain)
         self.edges.append(e)
         self.out_edges[src].append(e)
         if self.locations[src].line == 0:
@@ -213,9 +229,6 @@ class ICFA:
     def assign_edges(self) -> list[Edge]:
         return [e for e in self.edges if isinstance(e.op, Assign)]
 
-    def is_inter(self, e: Edge) -> bool:
-        return isinstance(e.op, INTER_OPS)
-
     def create_op_at(self, loc: int) -> CreateStmt:
         for e in self.out_edges[loc]:
             if isinstance(e.op, CreateStmt):
@@ -228,7 +241,7 @@ class ICFA:
         and thread entry edges enter."""
         succ: dict[str, set[str]] = {f: set() for f in self.functions}
         for e in self.edges:
-            if isinstance(e.op, ENTRY_OPS):
+            if e.kind == ENTRY:
                 succ[self.func_of(e.src)].add(self.func_of(e.tgt))
         return succ
 
@@ -265,7 +278,7 @@ class ICFA:
                     lines.append(f'    n{loc.id} [label="{loc.id}"];')
             lines.append("  }")
         for e in self.edges:
-            style = ', style=dashed, color=gray40' if self.is_inter(e) else ""
+            style = ', style=dashed, color=gray40' if e.kind != INTRA else ""
             label = op_text(e.op).replace('"', "'")
             lines.append(f'  n{e.src} -> n{e.tgt} [label="{label}"{style}];')
         lines.append("}")
@@ -316,7 +329,9 @@ class _FunctionCompiler:
             return self.compile_stmts(s.stmts, cur)
         if isinstance(s, STMT_OPS):
             nxt = icfa.new_loc(fname, s.line)
-            icfa.add_edge(cur, nxt, s, s.line)
+            writes_fp = isinstance(s, Assign) and isinstance(s.lhs, VarRef) \
+                and is_fnptr(s.lhs.typ)
+            icfa.add_edge(cur, nxt, s, s.line, plain=not writes_fp)
             if isinstance(s, CreateStmt):
                 self.pending_creates.append((cur, nxt, s))
             return nxt
@@ -387,14 +402,16 @@ def build_icfa(prog: Program) -> ICFA:
         icfa.functions[fn.name] = c.compile()
         compilers.append(c)
 
-    # direct call edges
+    # direct call edges; a call is plain unless it binds a function pointer
     for c in compilers:
         for site, nxt, callee, stmt in c.pending_calls:
             fi = icfa.functions[callee]
+            fp = any(is_fnptr(prog.var_types.get(par)) for par in fi.params)
             icfa.add_edge(site, fi.entry,
-                          FuncEntryOp(tuple(stmt.args), fi.params), stmt.line)
+                          FuncEntryOp(tuple(stmt.args), fi.params), stmt.line,
+                          kind=ENTRY, plain=not fp)
             icfa.add_edge(fi.exit, nxt, FuncExitOp(fi.ret_expr, stmt.lhs),
-                          stmt.line, call_site=site)
+                          stmt.line, call_site=site, kind=RETURN)
 
     # thread entry edges, one per type-compatible candidate
     started: set[tuple[int, str]] = set()  # (create site, thread function)
@@ -411,7 +428,7 @@ def build_icfa(prog: Program) -> ICFA:
                 fi = icfa.functions[name]
                 icfa.add_edge(site, fi.entry,
                               ThreadEntryOp(stmt.fn, stmt.arg, fi.params[0]),
-                              stmt.line)
+                              stmt.line, kind=ENTRY, plain=False)
                 started.add((site, name))
     icfa.create_sites = {site for site, _ in started}
 
@@ -424,11 +441,45 @@ def build_icfa(prog: Program) -> ICFA:
         for site, nxt in creates:
             if (site, name) in started:
                 icfa.add_edge(fi.exit, nxt, ThreadExitOp(), icfa.line_of(site),
-                              call_site=site)
+                              call_site=site, kind=RETURN)
         for je in joins:
             icfa.add_edge(fi.exit, je.tgt,
-                          ThreadJoinOp(fi.ret_expr, je.op.ret), je.line)
+                          ThreadJoinOp(fi.ret_expr, je.op.ret), je.line,
+                          kind=RETURN)
 
     for name in icfa.dead_functions():
         icfa.warnings.append(f"function {name} is never called or started")
+    _fill_step_table(icfa)
     return icfa
+
+
+def _by_site(steps: list) -> dict:
+    """Per call site, the steps whose edge returns to that site or to none,
+    in order; key None: any other site."""
+    out: dict = {None: []}
+    for s in steps:
+        site = s[0].call_site
+        if site is None:
+            for mine in out.values():
+                mine.append(s)
+        else:
+            out.setdefault(site, out[None][:]).append(s)
+    return out
+
+
+def _fill_step_table(icfa: ICFA) -> None:
+    """The step table of ICFA, from the finished edges."""
+    func = [loc.func for loc in icfa.locations]
+    at: list[list] = [[] for _ in func]
+    own = {f: ([], []) for f in icfa.functions}  # intra, inter-function
+    for e in icfa.edges:
+        s = (e, e.kind, e.plain)
+        at[e.src].append(s)
+        own[func[e.src]][e.kind != INTRA].append(s)
+    icfa.steps_at = [(tuple(out), steps)
+                     for out, steps in zip(icfa.out_edges.values(), at)]
+    for f, fi in icfa.functions.items():
+        icfa.steps_at[fi.exit] = {
+            site: (tuple([s[0] for s in mine]), mine)
+            for site, mine in _by_site(icfa.steps_at[fi.exit][1]).items()}
+        icfa.steps_in[f] = (own[f][0], _by_site(own[f][1]))

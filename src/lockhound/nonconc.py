@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .frontend.icfa import ICFA, INTER_OPS, Edge, FuncEntryOp, ThreadEntryOp
+from .frontend.icfa import ICFA, INTRA, Edge, FuncEntryOp, ThreadEntryOp
 from .frontend.syntax import JoinStmt
 from .graphs import idoms, sccs
 from .locksets import LocksetResults
@@ -108,14 +108,13 @@ class GraphFacts:
             for e in icfa.out_edges[loc]:
                 if isinstance(e.op, FuncEntryOp):
                     callee = icfa.func_of(e.tgt)
-                    ret = next(x.tgt for x in
-                               icfa.out_edges[icfa.exit_of(callee)]
-                               if x.call_site == loc)
+                    # the exit row of this site starts with its func_exit
+                    ret = icfa.steps_at[icfa.exit_of(callee)][loc][0][0].tgt
                     succ[loc].add(ret)
                     if self._call_comp[callee] == self._call_comp[f]:
                         succ[loc].add(fi.entry)
                         succ[fi.exit].add(ret)
-                elif not isinstance(e.op, INTER_OPS):
+                elif e.kind == INTRA:
                     succ[loc].add(e.tgt)
         comp = self._stitched[0]
         if comp[fi.exit] == comp[fi.entry]:

@@ -84,8 +84,8 @@ from .collector import collector_paused
 from .errors import SourceError
 from .framework import entry_place
 from .frontend.icfa import (
-    ICFA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp, ThreadEntryOp,
-    ThreadJoinOp,
+    ICFA, INTRA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp,
+    ThreadEntryOp, ThreadJoinOp,
 )
 from .frontend.syntax import (
     MUTEX, ArrayType, Assign, Binary, CreateStmt, Expr, FieldAccess, FuncRef,
@@ -240,7 +240,7 @@ class Oracle:
             ret = icfa.functions[func].ret_expr
             return Move("exit", None, True, Oracle._do_return,
                         (func, None if ret is None else _value(ret)))
-        intra = [e for e in out if not icfa.is_inter(e)]
+        intra = [e for e in out if e.kind == INTRA]
         if not intra:
             return Move("none", f"no move at location {loc}", False,
                         Oracle._no_move, ())

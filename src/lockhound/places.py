@@ -20,31 +20,31 @@ class PlaceMap:
 
     def __init__(self) -> None:
         self._ids: dict[Place, int] = {}
-        self._by_id: list[Place] = []
+        self.by_id: list[Place] = []  # id -> place; read-only outside
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self.by_id)
 
     def intern(self, place: Place) -> int:
         pid = self._ids.get(place)
         if pid is None:
             if not place:
                 raise ValueError("cannot intern the empty place")
-            pid = self._ids[place] = len(self._by_id)
-            self._by_id.append(place)
+            pid = self._ids[place] = len(self.by_id)
+            self.by_id.append(place)
         return pid
 
     def resolve(self, place_id: int) -> Place:
-        if not 0 <= place_id < len(self._by_id):
+        if not 0 <= place_id < len(self.by_id):
             raise UnknownPlaceError(place_id)
-        return self._by_id[place_id]
+        return self.by_id[place_id]
 
     def lookup(self, place: Place) -> int | None:
         """Id of an already-interned place, or None."""
         return self._ids.get(place)
 
     def places(self) -> list[Place]:
-        return list(self._by_id)
+        return list(self.by_id)
 
 
 def get_thread(place: Place, create_sites: set[int]) -> Place:

@@ -7,11 +7,20 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make checks.py importable
 
 from lockhound.frontend import build_icfa, parse, preprocess
+from lockhound.frontend.icfa import (
+    FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+)
 from lockhound.generator import GenConfig
 from lockhound.lockgraph import LockEdge, close_lock_edges
 from lockhound.pointsto import STAR
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# The tests' reference for the step kinds build_icfa gives the edges: the op
+# classes of the entry and return edges; every other edge is intra.
+ENTRY_OPS = (FuncEntryOp, ThreadEntryOp)
+EXIT_OPS = (FuncExitOp, ThreadExitOp, ThreadJoinOp)
+INTER_OPS = ENTRY_OPS + EXIT_OPS
 
 # The scaled generator tier: large programs whose lock graphs dominate.
 SCALED = GenConfig(max_threads=20, max_locks=16, wrappers=True, heap=True,

@@ -7,18 +7,18 @@ from typing import get_args
 
 import pytest
 
-from conftest import FIXTURES, icfa_of, load
+import lockhound.framework
+from conftest import ENTRY_OPS, EXIT_OPS, FIXTURES, INTER_OPS, icfa_of, load
 from lockhound.depend import affecting_edges
 from lockhound.framework import (
-    DIRTY, EMPTY_FPM, ENTRY, INTRA, RETURN, _step, _step_table, entry_place,
-    fi_context, fp_transfer, join_fp, match_fp, place_graph, solve_fi,
-    solve_fs, step_place,
+    DIRTY, EMPTY_FPM, entry_place, fi_context, fp_transfer, join_fp,
+    match_fp, place_graph, solve_fi, solve_fs, step_place,
 )
 from lockhound.frontend.icfa import (
-    ENTRY_OPS, EXIT_OPS, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
+    ENTRY, INTRA, RETURN, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
     ThreadExitOp,
 )
-from lockhound.frontend.syntax import FuncRef, VarRef
+from lockhound.frontend.syntax import Assign, FuncRef, VarRef, is_fnptr
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset
 from lockhound.pipeline import analyze_icfa, analyze_source
@@ -142,17 +142,70 @@ def test_step_place_steps(showcase_icfa):
     icfa = showcase_icfa
     fx = next(e for e in icfa.edges if isinstance(e.op, FuncExitOp))
     fe = next(e for e in icfa.edges if isinstance(e.op, FuncEntryOp))
-    intra = next(e for e in icfa.edges if not icfa.is_inter(e))
-    assert [_step(icfa, e.op)[0] for e in (fx, fe, intra)] == [RETURN, ENTRY, INTRA]
+    intra = next(e for e in icfa.edges if not isinstance(e.op, INTER_OPS))
+    assert [e.kind for e in (fx, fe, intra)] == [RETURN, ENTRY, INTRA]
     assert step_place(icfa, (5, fx.call_site, fx.src), fx, RETURN) == (5, fx.tgt)
     assert step_place(icfa, (fx.src,), fx, RETURN) is None  # too short
     assert step_place(icfa, (18, fe.src), fe, ENTRY) == (18, fe.src, fe.tgt)
     assert step_place(icfa, (18, intra.src), intra, INTRA) == (18, intra.tgt)
-    # the call-site test is the exploration's step table: a return edge
+    # the call-site test is the automaton's step table: a return edge
     # fires from its own call site's chain only
-    at_exit = _step_table(icfa)[fx.src]
+    at_exit = icfa.steps_at[fx.src]
     assert fx in at_exit[fx.call_site][0]
     assert fx not in at_exit[None][0]
+    inter = icfa.steps_in[icfa.func_of(fx.src)][1]
+    assert fx in [s[0] for s in inter[fx.call_site]]
+    assert fx not in [s[0] for s in inter[None]]
+
+
+def reference_step(icfa, e):
+    """(kind, plain) of an edge, from its op class and the variable types:
+    the tests' reference for the step kinds build_icfa gives."""
+    op = e.op
+    if isinstance(op, ThreadEntryOp):
+        return ENTRY, False
+    if isinstance(op, FuncEntryOp):
+        types = icfa.prog.var_types
+        return ENTRY, not any(is_fnptr(types.get(par)) for par in op.params)
+    if isinstance(op, EXIT_OPS):
+        return RETURN, True
+    writes_fp = isinstance(op, Assign) and isinstance(op.lhs, VarRef) \
+        and is_fnptr(op.lhs.typ)
+    return INTRA, not writes_fp
+
+
+def test_step_table_matches_the_reference():
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(k, random_config(k)) for k in range(60)]
+    plain = {True: 0, False: 0}
+    for src in sources + [RECURSIVE, LATE_ENTRY, ONE_TARGET]:
+        icfa = icfa_of(src)
+        for e in icfa.edges:
+            assert (e.kind, e.plain) == reference_step(icfa, e), e
+            plain[e.plain] += 1
+        exits = {fi.exit: f for f, fi in icfa.functions.items()}
+        for loc, out in icfa.out_edges.items():
+            rows = icfa.steps_at[loc]
+            if loc not in exits:
+                rows = {None: rows}
+            for site, (es, steps) in rows.items():
+                mine = [e for e in out if e.call_site in (None, site)]
+                assert list(es) == mine, (loc, site)
+                assert list(steps) == [(e, e.kind, e.plain) for e in mine]
+            sites = {None} | {e.call_site for e in out}
+            assert rows.keys() == sites, loc
+        # per function: the intra steps, and per call site the entry steps
+        # and the return steps of that site or of none, in edge order
+        for f in icfa.functions:
+            own = [e for e in icfa.edges if icfa.func_of(e.src) == f]
+            intra, inter = icfa.steps_in[f]
+            assert [s[0] for s in intra] == [e for e in own if e.kind == INTRA]
+            for site, steps in inter.items():
+                assert [s[0] for s in steps] == [
+                    e for e in own if e.kind != INTRA
+                    and e.call_site in (None, site)], (f, site)
+                assert all(s == (s[0], s[0].kind, s[0].plain) for s in steps)
+    assert plain[True] and plain[False]
 
 
 def test_fi_context_keeps_call_sites(showcase_icfa):
@@ -216,7 +269,11 @@ def test_solve_fs_worklist_order_independent(showcase_icfa):
         assert base == states_by_place(other)
 
 
-def test_solve_fs_order_independent_generated():
+def test_solve_fs_order_independent_generated(monkeypatch):
+    explored = []
+    explore = lockhound.framework._explore
+    monkeypatch.setattr(lockhound.framework, "_explore", lambda icfa, rng=None:
+                        explored.append(explore(icfa, rng)) or explored[-1])
     for seed in range(20):
         icfa = icfa_of(generate(seed, random_config(seed)))
         base = states_by_place(solve_fs(icfa, CountingClient()))
@@ -224,7 +281,21 @@ def test_solve_fs_order_independent_generated():
         assert base == states_by_place(jittered)
         # a shuffled solve explores afresh, so the fp-map fixpoint is
         # reached in the shuffled order too
-        assert jittered.places is not place_graph(icfa).places
+        shared, shuffled = place_graph(icfa), explored[-1]
+        assert jittered.places is shuffled.places is not shared.places
+        # both explorations read the automaton's one step table: a place
+        # that takes every edge of its row holds the row's own edge tuple
+        full = 0
+        for q, p in enumerate(shuffled.places.by_id):
+            es = shared.edges[shared.places.lookup(p)]
+            assert shuffled.edges[q] == es
+            row = icfa.steps_at[p[-1]]
+            if type(row) is dict:
+                row = row.get(p[-2] if len(p) > 1 else None, row[None])
+            if len(es) == len(row[0]):
+                assert shuffled.edges[q] is es is row[0]
+                full += 1
+        assert full
 
 
 def lockset_sources():
@@ -413,7 +484,8 @@ def reference_solve_fi(icfa, client, edge_filter=None):
     intra = {f: [] for f in icfa.functions}
     inter = {f: [] for f in icfa.functions}
     for e in icfa.edges:
-        (inter if icfa.is_inter(e) else intra)[icfa.func_of(e.src)].append(e)
+        (inter if isinstance(e.op, INTER_OPS) else intra)[
+            icfa.func_of(e.src)].append(e)
 
     def allowed(e):
         return edge_filter is None or edge_filter(e)
@@ -493,15 +565,16 @@ def test_thread_entry_feasible_only_late():
 
 def test_infeasible_step_leaves_the_place_graph():
     icfa = icfa_of(ONE_TARGET)
-    graph, table = place_graph(icfa), _step_table(icfa)
-    creates = [pid for pid, p in enumerate(graph.place)
+    graph, table = place_graph(icfa), icfa.steps_at
+    place = graph.places.by_id
+    creates = [pid for pid, p in enumerate(place)
                if any(isinstance(e.op, ThreadEntryOp) for e in icfa.out_edges[p[-1]])]
     assert len(creates) == 2
     for pid in creates:
-        out = table[graph.place[pid][-1]][0]
+        out = table[place[pid][-1]][0]
         assert len(out) == 3 and len(graph.edges[pid]) == 2  # one entry is dropped
         assert set(graph.edges[pid]) < set(out)
-        assert [graph.place[q][-1] for q in graph.steps[pid]] == \
+        assert [place[q][-1] for q in graph.steps[pid]] == \
             [e.tgt for e in graph.edges[pid]]
     for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
         places, states, _, _ = reference_solve(icfa, client())

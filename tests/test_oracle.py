@@ -8,7 +8,7 @@ from itertools import combinations
 import pytest
 
 from checks import check_may_covers, check_must_subset, oracle_facts
-from conftest import FIXTURES, analyzed, icfa_of, load
+from conftest import FIXTURES, INTER_OPS, analyzed, icfa_of, load
 from lockhound.frontend.icfa import FuncEntryOp, GuardOp, SkipOp
 from lockhound.frontend.syntax import (
     Assign, CreateStmt, JoinStmt, LockStmt, Return, UnlockStmt,
@@ -130,7 +130,7 @@ def reference_move(icfa, loc):
         return "call", calls[0]
     if any(loc == fi.exit for fi in icfa.functions.values()):
         return "exit", None
-    intra = [e for e in out if not icfa.is_inter(e)]
+    intra = [e for e in out if not isinstance(e.op, INTER_OPS)]
     if not intra:
         return "none", None
     if all(isinstance(e.op, GuardOp) for e in intra):

@@ -96,7 +96,7 @@ def test_lockset_place_budget_ends_inconclusive(showcase_source, monkeypatch,
                                                 capsys):
     # the exploration gives up on interning the first place past
     # FS_MAX_PLACES, and a budget of exactly the places it needs is enough
-    n = len(lockhound.framework.place_graph(icfa_of(showcase_source)).place)
+    n = len(lockhound.framework.place_graph(icfa_of(showcase_source)).places)
     monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n)
     assert analyze_source(showcase_source).verdict == PROVED_FREE
     monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n - 1)
@@ -232,25 +232,39 @@ def test_analyze_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "oracle"])
-@pytest.mark.parametrize("content, message", [
+@pytest.mark.parametrize("content, message, stdin", [
     pytest.param(b"int main() { return 0; }\n\xff\n",
                  r"error: 2:1: 'utf-8' codec can't decode byte 0xff: "
-                 r"invalid start byte", id="not-utf8"),
+                 r"invalid start byte", False, id="not-utf8"),
     pytest.param(b"int main() {\r return 0; }\r// \xc3\xa9\xc3\xa9 \xff\n",
                  r"error: 3:7: 'utf-8' codec can't decode byte 0xff: "
-                 r"invalid start byte", id="not-utf8-cr-line-ends"),
+                 r"invalid start byte", False, id="not-utf8-cr-line-ends"),
     pytest.param(("int main() { int x; x = " + "9" * 5000 + "; return 0; }").encode(),
                  r"error: 1:25: integer 9+\.\.\. has too many digits \(5000\)",
-                 id="long-literal"),
+                 False, id="long-literal"),
     pytest.param(("int a[" + "9" * 5000 + "];\nint main() { return 0; }").encode(),
                  r"error: 1:7: integer 9+\.\.\. has too many digits \(5000\)",
-                 id="long-array-size"),
+                 False, id="long-array-size"),
+    # Standard input is decoded as strictly as a file, also where the
+    # locale's stream would let the bad byte through (a C locale's stdin
+    # decodes with surrogateescape).
+    pytest.param(b"int main() { return 0; }\r\n// x \xff\n",
+                 r"error: 2:6: 'utf-8' codec can't decode byte 0xff: "
+                 r"invalid start byte", True, id="not-utf8-comment-stdin"),
+    pytest.param(b"int main() { int x; x = 1 \xff; return 0; }\n",
+                 r"error: 1:27: 'utf-8' codec can't decode byte 0xff: "
+                 r"invalid start byte", True, id="not-utf8-code-stdin"),
 ])
-def test_input_errors_are_not_internal_errors(cmd, content, message, tmp_path,
-                                              capsys):
-    prog = tmp_path / "prog.mc"
-    prog.write_bytes(content)
-    assert main([cmd, str(prog)]) == 2
+def test_input_errors_are_not_internal_errors(cmd, content, message, stdin,
+                                              tmp_path, capsys, monkeypatch):
+    if stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(content), encoding="utf-8", errors="surrogateescape"))
+        assert main([cmd, "-"]) == 2
+    else:
+        prog = tmp_path / "prog.mc"
+        prog.write_bytes(content)
+        assert main([cmd, str(prog)]) == 2
     err = capsys.readouterr().err
     assert re.match(message, err), err
     assert err.count("\n") == 1
@@ -347,7 +361,8 @@ def test_inconclusive_exit_code(capsys):
 
 
 def test_analyze_reads_stdin(showcase_source, capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(showcase_source))
+    stdin = io.TextIOWrapper(io.BytesIO(showcase_source.encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
     assert main(["analyze", "-"]) == 0
     assert "PROVED_DEADLOCK_FREE" in capsys.readouterr().out
 
@@ -460,6 +475,19 @@ def test_analyze_rejects_a_negative_cycle_cap(value, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--cycle-cap" in err and "must be at least 0" in err
+
+
+@pytest.mark.parametrize("option, value, low", [
+    ("--locks", "-3", 2), ("--locks", "1", 2),
+    ("--threads", "-1", 1), ("--threads", "0", 1),
+])
+def test_gen_rejects_a_size_it_would_change(option, value, low, capsys):
+    # the generator clamps a size below its minimum; the command says so
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "3", option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert option in err and f"must be at least {low}" in err
 
 
 def test_oracle_rejects_recursion(tmp_path, capsys):
