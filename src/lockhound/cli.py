@@ -55,13 +55,16 @@ def _read_source(path: str) -> str:
                           len(seen) - seen.rfind("\n")) from None
 
 
-def _emit(path: str, stem_suffix: str, content: str) -> None:
-    if path == "-":
-        sys.stdout.write(content)
-        return
-    out = Path(path).with_suffix("") .as_posix() + stem_suffix
-    Path(out).write_text(content)
-    print(f"wrote {out}", file=sys.stderr)
+def _write(path: str, content: str) -> bool:
+    """Write content to path and say so on stderr; False, after one error
+    line, when the file cannot be written."""
+    try:
+        Path(path).write_text(content)
+    except OSError as ex:
+        print(f"error: {ex}", file=sys.stderr)
+        return False
+    print(f"wrote {path}", file=sys.stderr)
+    return True
 
 
 # ----------------------------------------------------------------- analyze
@@ -114,6 +117,10 @@ def _dumps(a: Analysis, args) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.file == "-" and (args.emit_icfa or args.emit_lockgraph):
+        print("error: --emit-icfa and --emit-lockgraph write next to the "
+              "input file, so they need a file, not '-'", file=sys.stderr)
+        return 2
     try:
         source = _read_source(args.file)
     except (OSError, SourceError) as ex:
@@ -128,10 +135,12 @@ def cmd_analyze(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return 2
 
-    if args.emit_icfa:
-        _emit(args.file, ".icfa.dot", a.icfa.to_dot())
-    if args.emit_lockgraph:
-        _emit(args.file, ".lockgraph.dot", lockgraph_dot(a.lock_edges))
+    stem = Path(args.file).with_suffix("").as_posix()
+    if args.emit_icfa and not _write(stem + ".icfa.dot", a.icfa.to_dot()):
+        return 2
+    if args.emit_lockgraph and not _write(stem + ".lockgraph.dot",
+                                          lockgraph_dot(a.lock_edges)):
+        return 2
 
     if args.report == "json":
         print(json.dumps(report_dict(a), indent=2))
@@ -190,10 +199,8 @@ def cmd_gen(args) -> int:
                     star=args.star)
     text = generate(args.seed, cfg)
     if args.output:
-        Path(args.output).write_text(text)
-        print(f"wrote {args.output}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
+        return 0 if _write(args.output, text) else 2
+    sys.stdout.write(text)
     return 0
 
 

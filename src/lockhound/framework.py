@@ -8,19 +8,21 @@ client analyses plug in initial/join/transfer.
 Both solvers step places by one rule, step_place, along the automaton's
 step table: a return edge fires only for the call site on the chain.
 
-solve_fs works on flow-sensitive places (call-site chains ending at the
+The flow-sensitive solve works on places (call-site chains ending at the
 current location), in two parts:
 
-* The exploration needs no client. It steps places with step_place and the
-  function-pointer transfer until their maps reach a fixpoint, and records a
-  PlaceGraph: the places in intern order, each place's function-pointer map,
-  and each place's feasible steps as parallel tuples of edges and target
-  ids. It runs once per automaton, so the may- and must-lockset solves share
-  it. It gives up past FS_MAX_PLACES places.
-* The propagation runs the client over that graph by place id. It calls
-  transfer only on edges whose op the client reads and passes the state on
-  along every other step; it interns no place. Equal states it stores are
-  one object, so its table grows with the distinct states, not the places.
+* The exploration, explore, needs no client. It steps places with
+  step_place and the function-pointer transfer until their maps reach a
+  fixpoint, and records a PlaceGraph: the places in intern order, each
+  place's function-pointer map, and each place's feasible steps as parallel
+  tuples of edges and target ids. Each analysis explores once and passes
+  the graph to both lockset solves; the lockset result keeps it, and no
+  cache does. It gives up past FS_MAX_PLACES places.
+* The propagation, solve_fs, runs the client over a given graph by place
+  id. It calls transfer only on edges whose op the client reads and passes
+  the state on along every other step; it interns no place. Equal states it
+  stores are one object, so its table grows with the distinct states, not
+  the places.
 
 The split gives the interleaved fixpoint exactly. The function-pointer
 transfer never reads the client state, and no client reads the map. The map
@@ -38,10 +40,8 @@ share one worklist.
 
 from __future__ import annotations
 
-import random
-import weakref
 from collections import deque
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Iterator, Protocol
@@ -179,7 +179,7 @@ def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place | None:
 # ------------------------------------------------------------------ solve
 
 
-FS_MAX_STEPS = 2_000_000    # pops before either part of solve_fs gives up
+FS_MAX_STEPS = 2_000_000    # pops before explore or solve_fs gives up
 FS_MAX_PLACES = 1_000_000   # places before the exploration gives up
 FI_MAX_STEPS = 500_000      # worklist pops before solve_fi gives up
 
@@ -194,16 +194,14 @@ class _Worklist:
     the next one, and add appends it.
 
     add() joins a contribution into its place and re-queues the place only
-    when its state grew; iterating pops the queued ids until none is left,
-    first in first out or, given rng, in a random order. Each pop is a step,
-    and a step past max_steps raises DivergedError.
+    when its state grew; iterating pops the queued ids first in first out
+    until none is left. Each pop is a step, and a step past max_steps raises
+    DivergedError.
     """
 
-    def __init__(self, initial: Any, join, max_steps: int,
-                 rng: random.Random | None = None, size: int = 1):
+    def __init__(self, initial: Any, join, max_steps: int, size: int = 1):
         self.join = join
         self.max_steps = max_steps
-        self.rng = rng
         self.states: list = [initial] + [None] * (size - 1)
         self.queued = bytearray(size)
         self.queued[0] = 1
@@ -232,8 +230,6 @@ class _Worklist:
             self.steps += 1
             if self.steps > self.max_steps:
                 raise DivergedError(f"fixpoint exceeded {self.max_steps} steps")
-            if self.rng is not None:
-                self.work.rotate(-self.rng.randrange(len(self.work)))
             pid = self.work.popleft()
             self.queued[pid] = 0
             yield pid
@@ -261,7 +257,7 @@ class PlaceGraph:
     steps: list[tuple[int, ...]]
 
 
-def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
+def explore(icfa: ICFA) -> PlaceGraph:
     """The client-free exploration of the module docstring."""
     table = icfa.steps_at
     bound = icfa.place_length_bound()
@@ -271,7 +267,7 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
     place = places.by_id
     edges: list = [()]
     steps: list = [()]
-    wl = _Worklist(EMPTY_FPM, join_fp, FS_MAX_STEPS, rng)
+    wl = _Worklist(EMPTY_FPM, join_fp, FS_MAX_STEPS)
     fpms = wl.states
     for pid in wl:
         p, fpm = place[pid], fpms[pid]
@@ -307,65 +303,29 @@ def _explore(icfa: ICFA, rng: random.Random | None = None) -> PlaceGraph:
     return PlaceGraph(places, fpms, edges, steps)
 
 
-_PLACE_GRAPHS: weakref.WeakKeyDictionary[ICFA, PlaceGraph] = \
-    weakref.WeakKeyDictionary()
-
-
-def place_graph(icfa: ICFA) -> PlaceGraph:
-    """The automaton's exploration, built on first use and kept with it."""
-    graph = _PLACE_GRAPHS.get(icfa)
-    if graph is None:
-        graph = _PLACE_GRAPHS[icfa] = _explore(icfa)
-    return graph
-
-
-class _Paired(Mapping):
-    """Place id -> (function-pointer map, client state), read off two
-    sequences indexed by place id without storing the pairs."""
-
-    def __init__(self, fpm: Sequence[FpMap], client: Sequence):
-        self.fpm, self.client = fpm, client
-
-    def __getitem__(self, pid: int) -> tuple[FpMap, Any]:
-        if 0 <= pid < len(self.client):
-            return self.fpm[pid], self.client[pid]
-        raise KeyError(pid)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self.client)))
-
-    def __len__(self) -> int:
-        return len(self.client)
-
-
 @dataclass
 class SolveResult:
+    """A solver's fixpoint: fpm[pid] and state[pid] are the function-pointer
+    map and the client state of place pid, and steps counts the pops of its
+    worklist."""
     places: PlaceMap
-    states: Mapping[int, tuple[FpMap, Any]]  # place id -> (fp map, client state)
+    fpm: list[FpMap]
+    state: list
     steps: int
 
     def at(self, place: Place) -> Any:
         """The client state at a place, or None when it was never reached."""
         pid = self.places.lookup(place)
-        return None if pid is None else self.states[pid][1]
+        return None if pid is None else self.state[pid]
 
 
-def solve_fs(icfa: ICFA, client: ClientAnalysis,
-             shuffle_seed: int | None = None) -> SolveResult:
+def solve_fs(graph: PlaceGraph, client: ClientAnalysis) -> SolveResult:
     """Flow-sensitive fixpoint from main's entry: the propagation of the
-    module docstring over the automaton's place graph.
+    module docstring over an explored place graph.
 
     Every state it stores goes through one dict of the distinct states, so
     equal states are one object (hash-consing).
-
-    With shuffle_seed, both worklists pop in a seeded random order, over a
-    fresh exploration rather than the shared one.
     """
-    if shuffle_seed is None:
-        rng, graph = None, place_graph(icfa)
-    else:
-        rng = random.Random(shuffle_seed)
-        graph = _explore(icfa, rng)
     distinct: dict = {}
     share = distinct.setdefault
 
@@ -376,8 +336,7 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
     ops, step = client.ops, client.transfer
     place, edges, steps = graph.places.by_id, graph.edges, graph.steps
     initial = client.initial()
-    wl = _Worklist(share(initial, initial), join, FS_MAX_STEPS, rng,
-                   len(place))
+    wl = _Worklist(share(initial, initial), join, FS_MAX_STEPS, len(place))
     states, add = wl.states, wl.add
     for pid in wl:
         cs, es = states[pid], edges[pid]
@@ -390,7 +349,7 @@ def solve_fs(icfa: ICFA, client: ClientAnalysis,
                 add(q, share(cs2, cs2))
             else:
                 add(q, cs)
-    return SolveResult(graph.places, _Paired(graph.fpm, states), wl.steps)
+    return SolveResult(graph.places, graph.fpm, states, wl.steps)
 
 
 def fi_context(icfa: ICFA, p: Place) -> Place:
@@ -455,4 +414,5 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
                 continue
             cs2 = client.transfer(e, p, cs) if applied else cs
             wl.add(places.intern(fi_context(icfa, p2)), (fpm2, cs2))
-    return SolveResult(places, dict(enumerate(wl.states)), wl.steps)
+    fpm, state = zip(*wl.states)
+    return SolveResult(places, list(fpm), list(state), wl.steps)

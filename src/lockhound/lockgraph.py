@@ -38,9 +38,9 @@ def build_lock_graph(locks: LocksetResults) -> list[LockEdge]:
     """Direct sweep over the solved lock places; no extra fixpoint is needed."""
     out: list[LockEdge] = []
     seen: set[tuple] = set()
-    states = locks.may.states
+    states = locks.may.state
     for pid, p, e in locks.lock_places:
-        ls = states[pid][1]
+        ls = states[pid]
         vs = locks.operands.at(p, e)
         for l1 in ls:
             for l2 in ([STAR] if vs is STAR else vs):

@@ -61,7 +61,7 @@ def context_free_operands(icfa: ICFA, pt: PointsToResult) -> set[int]:
     contexts, the one merged state is TOP_STATE exactly when some context
     is.)
     """
-    if any(cs is TOP_STATE for _, cs in pt.solve.states.values()):
+    if any(cs is TOP_STATE for cs in pt.solve.state):
         return set()
     return {e.src for e in icfa.edges
             if isinstance(e.op, (LockStmt, UnlockStmt)) and isinstance(e.op.arg, Unary)
@@ -146,9 +146,9 @@ class MustLockset:
 
 @dataclass
 class LocksetResults:
-    may: object   # SolveResult
-    must: object  # SolveResult
-    may_client: MayLockset
+    may: object    # SolveResult
+    must: object   # SolveResult
+    graph: object  # the PlaceGraph both solves ran over
     must_client: MustLockset
     operands: LockOperands
     # (place id, place, lock edge) of each may place at a lock location
@@ -156,22 +156,23 @@ class LocksetResults:
     stats: dict = field(default_factory=dict)
 
 
-def solve_locksets(icfa, pt: PointsToResult, shuffle_seed=None) -> LocksetResults:
-    from .framework import solve_fs
+def solve_locksets(icfa, pt: PointsToResult) -> LocksetResults:
+    from .framework import explore, solve_fs
 
+    graph = explore(icfa)
     operands = LockOperands(pt, context_free_operands(icfa, pt))
     may_client = MayLockset(pt, operands)
     must_client = MustLockset(pt, operands)
-    may = solve_fs(icfa, may_client, shuffle_seed=shuffle_seed)
-    must = solve_fs(icfa, must_client, shuffle_seed=shuffle_seed)
+    may = solve_fs(graph, may_client)
+    must = solve_fs(graph, must_client)
     lock_at = {e.src: e for e in icfa.lock_edges()}
     lock_places = [(pid, p, lock_at[p[-1]])
-                   for pid, p in enumerate(may.places.places()) if p[-1] in lock_at]
+                   for pid, p in enumerate(graph.places.by_id) if p[-1] in lock_at]
     q = may_client.vs_queries
     stats = {
         "lock_places": len(lock_places),
         "precise_fraction": (may_client.precise_queries / q) if q else 1.0,
         "self_locks": len(must_client.self_locks),
     }
-    return LocksetResults(may, must, may_client, must_client, operands,
+    return LocksetResults(may, must, graph, must_client, operands,
                           lock_places, stats)

@@ -351,7 +351,7 @@ class PointsToResult:
         if self.merge_contexts:
             if self._merged is None:
                 merged: dict = {}
-                for _, (fpm, cs) in self.solve.states.items():
+                for cs in self.solve.state:
                     if cs is TOP_STATE:
                         self._merged = TOP_STATE
                         return TOP_STATE

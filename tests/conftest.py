@@ -1,11 +1,15 @@
+import contextlib
 import functools
+import random
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # make checks.py importable
 
+import lockhound.framework
 from lockhound.frontend import build_icfa, parse, preprocess
 from lockhound.frontend.icfa import (
     FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
@@ -33,6 +37,32 @@ def load(name: str) -> str:
 
 def icfa_of(source: str):
     return build_icfa(preprocess(parse(source)))
+
+
+@contextlib.contextmanager
+def shuffled_worklists(seed: int):
+    """Within the block, every framework worklist pops its queued places in
+    a random order drawn from one Random(seed): the exploration, both
+    propagations and solve_fi alike. The order-independence tests run the
+    solvers in here and compare with a plain, first in first out run."""
+    rng = random.Random(seed)
+
+    class RandomQueue(deque):
+        def popleft(self):
+            self.rotate(-rng.randrange(len(self)))
+            return super().popleft()
+
+    class ShuffledWorklist(lockhound.framework._Worklist):
+        def __init__(self, *args, **kw):
+            super().__init__(*args, **kw)
+            self.work = RandomQueue(self.work)
+
+    fifo = lockhound.framework._Worklist
+    lockhound.framework._Worklist = ShuffledWorklist
+    try:
+        yield
+    finally:
+        lockhound.framework._Worklist = fifo
 
 
 def close_triples(triples) -> frozenset:

@@ -4,7 +4,8 @@ Each test prints one PASS line with its headline numbers; any assertion
 failure is the corresponding FAIL. Criteria 3 and 4 share one sweep over a
 500-program generated corpus (analysis + exhaustive reference execution per
 program), provided by the session fixture below. The sweep also compares
-every oracle run with its entry in bench/corpus_labels.json, read-only.
+every oracle run with its entry in bench/corpus_labels.json, read-only, and
+the precision ratchet reads its verdicts against those labels.
 """
 
 import multiprocessing
@@ -12,7 +13,7 @@ import os
 import random
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
@@ -25,7 +26,9 @@ from checks import (
     check_must_subset,
     cycle_confirmed,
 )
-from conftest import close_triples, icfa_of, load, triple_locks
+from conftest import (
+    close_triples, icfa_of, load, shuffled_worklists, triple_locks,
+)
 from lockhound.framework import DIRTY, join_fp
 from lockhound.generator import GenConfig, generate, random_config
 from lockhound.locksets import MayLockset, MustLockset, solve_locksets
@@ -39,7 +42,10 @@ from lockhound.pointsto import (
 from lockhound.framework import solve_fi
 from lockhound.frontend.syntax import CreateStmt, LockStmt, UnlockStmt
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tools"))
+from precision import label_of  # noqa: E402
 from workloads import load_labels, oracle_fingerprint  # noqa: E402
 
 MUTANTS = [
@@ -51,13 +57,18 @@ MUTANTS = [
 CORPUS_SIZE = 500
 ORACLE_BUDGET = 100_000
 
+# The precision ratchet's bounds on the labelled corpus: a change may lower
+# the false alarms or raise the proved programs, and then tightens these.
+FALSE_ALARMS_AT_MOST = 34
+PROVED_AT_LEAST = 338
+
 
 def sweep_one(seed: int):
     """Analyze and exhaustively execute corpus program `seed`.
 
     Returns its source, the oracle's fingerprint (as the labels record it),
-    and the may, deadlock and must violations; None when the oracle cannot
-    run it.
+    the may, deadlock and must violations, and the verdict; None when the
+    oracle cannot run it.
     """
     src = generate(seed, random_config(seed))
     icfa = icfa_of(src)
@@ -67,7 +78,8 @@ def sweep_one(seed: int):
     except OracleUnsupported:
         return None
     return (src, oracle_fingerprint(res), check_may_covers(a, res),
-            check_deadlocks_reported(a, res), check_must_subset(a, res))
+            check_deadlocks_reported(a, res), check_must_subset(a, res),
+            a.verdict)
 
 
 def label_mismatches(label: dict, got: dict | None) -> list[str]:
@@ -96,6 +108,7 @@ def corpus_sweep():
     must: list[str] = []   # must-locksets are held on every arrival
     labels = load_labels()
     mislabelled: list[str] = []  # oracle facts that differ from the labels
+    verdicts: dict[int, str] = {}  # seed -> verdict
     truncated = unsupported = labelled = 0
     workers = min(2, os.cpu_count() or 1)
     seeds = iter(range(CORPUS_SIZE + 150))
@@ -121,8 +134,9 @@ def corpus_sweep():
             if got is None:
                 unsupported += 1
             else:
-                src, facts, may_bad, deadlock_bad, must_bad = got
+                src, facts, may_bad, deadlock_bad, must_bad, verdict = got
                 sources.append(src)
+                verdicts[seed] = verdict
                 truncated += facts["truncated"]
                 thm1 += [f"{tag} {v}" for v in may_bad]
                 thm2 += [f"{tag} {v}" for v in deadlock_bad]
@@ -132,7 +146,7 @@ def corpus_sweep():
         pool.shutdown(cancel_futures=True)
     return SimpleNamespace(
         sources=sources, thm1=thm1, thm2=thm2, must=must,
-        mislabelled=mislabelled, labelled=labelled,
+        verdicts=verdicts, mislabelled=mislabelled, labelled=labelled,
         truncated=truncated, unsupported=unsupported,
         runtime=time.perf_counter() - t0)
 
@@ -189,6 +203,25 @@ def test_criterion_4_must_locksets_sound(corpus_sweep):
           f"arrival across {len(s.sources)} programs")
 
 
+def test_precision_ratchet(corpus_sweep):
+    # the sweep's verdicts, classified by label as tools/precision.py does
+    labels = load_labels()
+    assert corpus_sweep.verdicts.keys() == labels.keys()
+    counts = Counter((label_of(labels[k]), v)
+                     for k, v in corpus_sweep.verdicts.items())
+    deadlocks = sum(n for (lab, _), n in counts.items() if lab == "deadlock")
+    reported = counts["deadlock", POTENTIAL]
+    false_alarms = counts["free", POTENTIAL]
+    proved = counts["free", PROVED_FREE]
+    assert deadlocks == 123 and reported == deadlocks
+    assert false_alarms <= FALSE_ALARMS_AT_MOST
+    assert proved >= PROVED_AT_LEAST
+    print(f"\nPRECISION PASS: {reported} of {deadlocks} labelled deadlocks "
+          f"reported, {false_alarms} false alarms (at most "
+          f"{FALSE_ALARMS_AT_MOST}), {proved} free programs proved (at least "
+          f"{PROVED_AT_LEAST})")
+
+
 def test_criterion_5_nonconcurrency_sound():
     rng = random.Random(99)
     programs = checked_pairs = pruned_pairs = 0
@@ -230,8 +263,7 @@ def test_criterion_5_nonconcurrency_sound():
 def _seed_value_sets(a):
     """Value sets of every pointer-typed sync operand, per solved place."""
     out = {}
-    for pid in a.locks.may.states:
-        p = a.locks.may.places.resolve(pid)
+    for p in a.locks.may.places.by_id:
         for e in a.icfa.out_edges[p[-1]]:
             if isinstance(e.op, (LockStmt, UnlockStmt)):
                 exprs = [e.op.arg]
@@ -321,22 +353,29 @@ def test_criterion_8_join_algebra_and_order_independence():
             assert join(join(a, b), c) == join(a, join(b, c))
             assert join(a, a) == a
 
+    def by_place(locks):
+        return {kind: {p: (s.fpm[pid], s.state[pid])
+                       for pid, p in enumerate(s.places.by_id)}
+                for kind, s in (("may", locks.may), ("must", locks.must))}
+
     diffs = 0
     for seed in range(100):
         icfa = icfa_of(generate(seed + 7000, random_config(seed + 7000)))
         model = ObjectModel(icfa)
         pt = PointsToResult(icfa, model, solve_fi(icfa, PointsToClient(model)))
-        runs = []
+        fifo = solve_locksets(icfa, pt)
+        runs, orders = [by_place(fifo)], set()
         for shuffle in (5, 6):
-            locks = solve_locksets(icfa, pt, shuffle_seed=shuffle)
-            runs.append({
-                kind: {s.places.resolve(pid): st
-                       for pid, st in s.states.items()}
-                for kind, s in (("may", locks.may), ("must", locks.must))})
-        diffs += runs[0] != runs[1]
+            with shuffled_worklists(shuffle):
+                locks = solve_locksets(icfa, pt)
+            runs.append(by_place(locks))
+            orders.add(tuple(locks.graph.places.by_id))
+        # the random pops reach the places in another order than FIFO's
+        assert orders - {tuple(fifo.graph.places.by_id)}, seed
+        diffs += not runs[0] == runs[1] == runs[2]
     assert diffs == 0
     print("\nACCEPTANCE 8 PASS: 3 joins x 10000 algebra cases; fixpoints "
-          "identical under shuffled worklists on 100 programs")
+          "identical under FIFO and two shuffled worklists on 100 programs")
 
 
 def test_criterion_9_context_sensitivity_regression():

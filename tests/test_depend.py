@@ -150,8 +150,7 @@ def lock_values(a):
     from lockhound.pointsto import STAR
     out = {}
     may = a.locks.may
-    for pid in may.states:
-        p = may.places.resolve(pid)
+    for p in may.places.by_id:
         for e in a.icfa.out_edges[p[-1]]:
             if isinstance(e.op, (LockStmt, UnlockStmt)):
                 vs = a.pt.value_set(p, e.op.arg, at_sync=True)

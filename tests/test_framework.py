@@ -7,12 +7,13 @@ from typing import get_args
 
 import pytest
 
-import lockhound.framework
-from conftest import ENTRY_OPS, EXIT_OPS, FIXTURES, INTER_OPS, icfa_of, load
+from conftest import (
+    ENTRY_OPS, EXIT_OPS, FIXTURES, INTER_OPS, icfa_of, load, shuffled_worklists,
+)
 from lockhound.depend import affecting_edges
 from lockhound.framework import (
-    DIRTY, EMPTY_FPM, entry_place, fi_context, fp_transfer, join_fp,
-    match_fp, place_graph, solve_fi, solve_fs, step_place,
+    DIRTY, EMPTY_FPM, entry_place, explore, fi_context, fp_transfer, join_fp,
+    match_fp, solve_fi, solve_fs, step_place,
 )
 from lockhound.frontend.icfa import (
     ENTRY, INTRA, RETURN, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
@@ -234,16 +235,26 @@ class CountingClient:
         return min(state + 1, 40)  # bounded so the fixpoint terminates
 
 
+def solve(icfa, client):
+    """solve_fs over a fresh exploration of the automaton."""
+    return solve_fs(explore(icfa), client)
+
+
+def shuffled_solve(icfa, client, seed: int):
+    """solve, with both worklists popping in a random order."""
+    with shuffled_worklists(seed):
+        return solve(icfa, client)
+
+
 def test_solve_fs_explores_thread_and_calls(showcase_icfa):
     icfa = showcase_icfa
-    res = solve_fs(icfa, CountingClient())
+    res = solve(icfa, CountingClient())
     ps = res.places.places()
     assert (icfa.entry_of("main"),) in ps
     assert any(len(p) == 2 and p[0] == 18 for p in ps)  # thread1 places
     assert any(len(p) == 2 and p[0] == 26 for p in ps)  # func2 places
     pid = res.places.lookup((18, icfa.entry_of("thread1")))
-    fpm, count = res.states[pid]
-    assert fpm == {} and count >= 1
+    assert res.fpm[pid] == {} and res.state[pid] >= 1
 
 
 def test_fs_places_step_into_fi_contexts():
@@ -254,35 +265,33 @@ def test_fs_places_step_into_fi_contexts():
     for src in sources:
         icfa = icfa_of(src)
         contexts = set(solve_fi(icfa, CountingClient()).places.places())
-        for p in solve_fs(icfa, CountingClient()).places.places():
+        for p in explore(icfa).places.by_id:
             assert fi_context(icfa, p) in contexts, p
 
 
 def states_by_place(res):
-    return {res.places.resolve(pid): st for pid, st in res.states.items()}
+    return {p: (res.fpm[pid], res.state[pid])
+            for pid, p in enumerate(res.places.by_id)}
 
 
 def test_solve_fs_worklist_order_independent(showcase_icfa):
-    base = states_by_place(solve_fs(showcase_icfa, CountingClient()))
+    base = states_by_place(solve(showcase_icfa, CountingClient()))
     for seed in (1, 7, 1234):
-        other = solve_fs(showcase_icfa, CountingClient(), shuffle_seed=seed)
+        other = shuffled_solve(showcase_icfa, CountingClient(), seed)
         assert base == states_by_place(other)
 
 
-def test_solve_fs_order_independent_generated(monkeypatch):
-    explored = []
-    explore = lockhound.framework._explore
-    monkeypatch.setattr(lockhound.framework, "_explore", lambda icfa, rng=None:
-                        explored.append(explore(icfa, rng)) or explored[-1])
+def test_solve_fs_order_independent_generated():
     for seed in range(20):
         icfa = icfa_of(generate(seed, random_config(seed)))
-        base = states_by_place(solve_fs(icfa, CountingClient()))
-        jittered = solve_fs(icfa, CountingClient(), shuffle_seed=seed + 1)
+        shared = explore(icfa)
+        base = states_by_place(solve_fs(shared, CountingClient()))
+        # the shuffled pops explore too, so the fp-map fixpoint is reached
+        # in the shuffled order as well
+        with shuffled_worklists(seed + 1):
+            shuffled = explore(icfa)
+            jittered = solve_fs(shuffled, CountingClient())
         assert base == states_by_place(jittered)
-        # a shuffled solve explores afresh, so the fp-map fixpoint is
-        # reached in the shuffled order too
-        shared, shuffled = place_graph(icfa), explored[-1]
-        assert jittered.places is shuffled.places is not shared.places
         # both explorations read the automaton's one step table: a place
         # that takes every edge of its row holds the row's own edge tuple
         full = 0
@@ -314,7 +323,7 @@ class EveryOp:
 
 
 def solved(res):
-    return res.places.places(), res.states, res.steps
+    return res.places.places(), res.fpm, res.state, res.steps
 
 
 def test_plain_edges_pass_the_state_through():
@@ -323,18 +332,19 @@ def test_plain_edges_pass_the_state_through():
     for src in lockset_sources():
         icfa = icfa_of(src)
         a = analyze_icfa(icfa)
+        graph = explore(icfa)
         for make in (MayLockset, MustLockset):
             client = make(a.pt)
-            res = solve_fs(icfa, client)
-            assert solved(res) == solved(solve_fs(icfa, EveryOp(make(a.pt))))
+            res = solve_fs(graph, client)
+            assert solved(res) == solved(solve_fs(graph, EveryOp(make(a.pt))))
             for pid, p in enumerate(res.places.places()):
-                cs = res.states[pid][1]
+                cs = res.state[pid]
                 for e in icfa.out_edges[p[-1]]:
                     if not isinstance(e.op, client.ops):
                         assert client.transfer(e, p, cs) is cs, (e, p)
         client = PointsToClient(a.pt.model)
         for pid, p in enumerate(a.pt.solve.places.places()):
-            cs = a.pt.solve.states[pid][1]
+            cs = a.pt.solve.state[pid]
             for e in icfa.edges:
                 if not isinstance(e.op, client.ops):
                     assert client.transfer(e, p, cs) is cs, (e, p)
@@ -346,7 +356,7 @@ def test_solve_fs_steps_places_as_next_place_does():
     for src in lockset_sources() + [RECURSIVE]:
         icfa = icfa_of(src)
         client = CountingClient()
-        res = solve_fs(icfa, client)
+        res = solve(icfa, client)
         places = res.places.places()
         stepped = {(icfa.entry_of(icfa.entry_fn),)}
         for pid, p in enumerate(places):
@@ -354,7 +364,8 @@ def test_solve_fs_steps_places_as_next_place_does():
                 p2 = next_place(icfa, e, p)
                 if p2 is None:
                     continue
-                if transfer(icfa, client, e, p, res.states[pid]) is not None:
+                state = res.fpm[pid], res.state[pid]
+                if transfer(icfa, client, e, p, state) is not None:
                     stepped.add(p2)
         assert stepped == set(places)
 
@@ -523,16 +534,11 @@ def reference_solve_fi(icfa, client, edge_filter=None):
     return wl.places.places(), wl.states, wl.steps
 
 
-def assert_reads_as(table, reference: dict):
-    """A solver's dense state table reads as the reference dict, also at ids
-    it does not hold."""
-    assert len(table) == len(reference)
-    assert dict(table) == reference
-    for pid in (len(reference), -1):
-        assert pid not in table
-        assert table.get(pid) is None
-        with pytest.raises(KeyError):
-            table[pid]
+def assert_reads_as(res, reference: dict):
+    """A solver's fpm and state lists read, by place id, as the reference's
+    (fp map, client state) pairs."""
+    assert len(res.fpm) == len(res.state) == len(reference)
+    assert dict(enumerate(zip(res.fpm, res.state))) == reference
 
 
 def test_place_graph_solve_equals_the_interleaved_reference():
@@ -541,10 +547,10 @@ def test_place_graph_solve_equals_the_interleaved_reference():
         a = analyze_icfa(icfa)
         for make in (lambda: MayLockset(a.pt), lambda: MustLockset(a.pt),
                      CountingClient):
-            res = solve_fs(icfa, make())
+            res = solve(icfa, make())
             places, states, steps, late = reference_solve(icfa, make())
             assert res.places.places() == places
-            assert_reads_as(res.states, states)
+            assert_reads_as(res, states)
             assert res.steps == steps
             assert not late
 
@@ -554,10 +560,10 @@ def test_thread_entry_feasible_only_late():
     for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
         places, states, _, late = reference_solve(icfa, client())
         assert late  # w2's entry, once g is DIRTY
-        base = states_by_place(solve_fs(icfa, client()))
+        base = states_by_place(solve(icfa, client()))
         assert base == {p: states[pid] for pid, p in enumerate(places)}
-        assert base == states_by_place(solve_fs(icfa, client(), shuffle_seed=3))
-    graph = place_graph(icfa)
+        assert base == states_by_place(shuffled_solve(icfa, client(), 3))
+    graph = explore(icfa)
     for pid, e in late:  # the graph keeps the late step
         p = places[pid]
         assert e in graph.edges[graph.places.lookup(p)]
@@ -565,7 +571,7 @@ def test_thread_entry_feasible_only_late():
 
 def test_infeasible_step_leaves_the_place_graph():
     icfa = icfa_of(ONE_TARGET)
-    graph, table = place_graph(icfa), icfa.steps_at
+    graph, table = explore(icfa), icfa.steps_at
     place = graph.places.by_id
     creates = [pid for pid, p in enumerate(place)
                if any(isinstance(e.op, ThreadEntryOp) for e in icfa.out_edges[p[-1]])]
@@ -578,7 +584,7 @@ def test_infeasible_step_leaves_the_place_graph():
             [e.tgt for e in graph.edges[pid]]
     for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
         places, states, _, _ = reference_solve(icfa, client())
-        assert states_by_place(solve_fs(icfa, client())) == \
+        assert states_by_place(solve(icfa, client())) == \
             {p: states[pid] for pid, p in enumerate(places)}
 
 
@@ -591,22 +597,22 @@ def test_solve_fi_equals_the_reference():
             ref = PointsToClient(ObjectModel(icfa))
             places, states, steps = reference_solve_fi(icfa, ref, edge_filter)
             assert res.places.places() == places
-            assert_reads_as(res.states, states)
+            assert_reads_as(res, states)
             assert res.steps == steps
             assert client.visits == ref.visits
 
 
 def test_diamond_tables_share_their_values():
     icfa = icfa_of(diamond_source(8, random.Random(5)))
-    graph = place_graph(icfa)
+    a = analyze_icfa(icfa)
+    graph = a.locks.graph
     assert all(m is EMPTY_FPM for m in graph.fpm if not m)
     with pytest.raises(TypeError):
         EMPTY_FPM["g"] = "f0"
     # every out-edge is feasible, so equal edge tuples are one object
     assert len({id(t) for t in graph.edges}) == len(set(graph.edges))
-    a = analyze_icfa(icfa)
     for res in (a.locks.may, a.locks.must):
-        states = [res.states[pid][1] for pid, _, _ in a.locks.lock_places]
+        states = [res.state[pid] for pid, _, _ in a.locks.lock_places]
         assert len({id(s) for s in states}) == len(set(states)) < len(states)
 
 

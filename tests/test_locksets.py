@@ -2,7 +2,7 @@ import sys
 from pathlib import Path
 
 from checks import check_may_covers, check_must_subset
-from conftest import FIXTURES, analyzed, icfa_of, load
+from conftest import FIXTURES, analyzed, icfa_of, load, shuffled_worklists
 from lockhound.frontend.icfa import Edge, ThreadEntryOp
 from lockhound.frontend.syntax import LockStmt, UnlockStmt, VarRef
 from lockhound.generator import generate, random_config
@@ -191,41 +191,30 @@ def test_star_lock_sticks_in_may():
     assert must == frozenset()  # nothing is definitely held via p
 
 
+def sets_by_place(locks):
+    return tuple(dict(zip(s.places.by_id, s.state))
+                 for s in (locks.may, locks.must))
+
+
+def shuffled_locksets(icfa, pt, seed):
+    with shuffled_worklists(seed):
+        return solve_locksets(icfa, pt)
+
+
 def test_solver_results_order_independent(showcase_icfa):
-    a = analyze_source_fixture(showcase_icfa)
-    base = sets_by_place(a)
+    a = analyze_icfa(showcase_icfa)
+    base = sets_by_place(a.locks)
     for seed in (3, 11):
-        model_pt = a.pt
-        shuffled = solve_locksets(showcase_icfa, model_pt, shuffle_seed=seed)
-        assert sets_by_place_raw(shuffled) == base
-
-
-def analyze_source_fixture(icfa):
-    from lockhound.pipeline import analyze_icfa
-    return analyze_icfa(icfa)
-
-
-def sets_by_place(a):
-    return sets_by_place_raw(a.locks)
-
-
-def sets_by_place_raw(locks):
-    may = {locks.may.places.resolve(pid): ls
-           for pid, (_, ls) in locks.may.states.items()}
-    must = {locks.must.places.resolve(pid): ls
-            for pid, (_, ls) in locks.must.states.items()}
-    return may, must
+        shuffled = shuffled_locksets(showcase_icfa, a.pt, seed)
+        assert sets_by_place(shuffled) == base
 
 
 def test_order_independence_on_corpus():
     for seed in range(15):
-        src = generate(seed, random_config(seed))
-        icfa = icfa_of(src)
-        from lockhound.pipeline import analyze_icfa
+        icfa = icfa_of(generate(seed, random_config(seed)))
         a = analyze_icfa(icfa)
-        base = sets_by_place(a)
-        other = solve_locksets(icfa, a.pt, shuffle_seed=seed + 99)
-        assert sets_by_place_raw(other) == base, f"seed {seed}"
+        other = shuffled_locksets(icfa, a.pt, seed + 99)
+        assert sets_by_place(other) == sets_by_place(a.locks), f"seed {seed}"
 
 
 def test_soundness_against_oracle_fixtures():
@@ -320,9 +309,10 @@ int main() { take(); take(); return 0; }
     fi = a.pt.solve
     contexts = [pid for pid, ctx in enumerate(fi.places.places()) if len(ctx) > 1]
     assert len(contexts) == 2
-    states = dict(fi.states)
-    states[contexts[1]] = (states[contexts[1]][0], TOP_STATE)
-    pt = PointsToResult(a.icfa, a.pt.model, SolveResult(fi.places, states, fi.steps))
+    states = list(fi.state)
+    states[contexts[1]] = TOP_STATE
+    pt = PointsToResult(a.icfa, a.pt.model,
+                        SolveResult(fi.places, fi.fpm, states, fi.steps))
     operands = LockOperands(pt, context_free_operands(a.icfa, pt))
     answers = set()
     for p in a.locks.may.places.places():

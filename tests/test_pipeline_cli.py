@@ -19,6 +19,7 @@ from lockhound.cli import _want_color, main
 from lockhound.errors import DivergedError, MissingMainError, SourceError
 from lockhound.frontend.parser import MAX_NESTING
 from lockhound.generator import GenConfig, generate
+from lockhound.locksets import MayLockset
 from lockhound.pipeline import (
     INCONCLUSIVE, POTENTIAL, PROVED_FREE, Config, analyze_icfa,
     analyze_source, report_dict, report_text,
@@ -78,16 +79,15 @@ def test_lockset_step_budget_ends_inconclusive(showcase_source, monkeypatch,
                                                capsys):
     # the real solver, not a stand-in: both its exploration and its
     # propagation count steps against FS_MAX_STEPS
-    icfa = icfa_of(showcase_source)
-    lockhound.framework.place_graph(icfa)  # explored within the budget
+    a = analyze_source(showcase_source)
+    graph = lockhound.framework.explore(a.icfa)  # explored within the budget
     monkeypatch.setattr(lockhound.framework, "FS_MAX_STEPS", 1)
-    explored = analyze_icfa(icfa)
-    fresh = analyze_source(showcase_source)
-    for a in (explored, fresh):
-        assert a.verdict == INCONCLUSIVE
-        assert a.error.startswith("lockset analysis: fixpoint exceeded 1 steps")
-        assert a.locks is None and a.pt is not None
-    assert fresh.icfa not in lockhound.framework._PLACE_GRAPHS  # gave up exploring
+    with pytest.raises(DivergedError, match="fixpoint exceeded 1 steps"):
+        lockhound.framework.solve_fs(graph, MayLockset(a.pt))
+    a = analyze_source(showcase_source)  # gives up exploring
+    assert a.verdict == INCONCLUSIVE
+    assert a.error.startswith("lockset analysis: fixpoint exceeded 1 steps")
+    assert a.locks is None and a.pt is not None
     assert main(["analyze", SHOWCASE]) == 2
     assert "fixpoint exceeded" in capsys.readouterr().out
 
@@ -96,7 +96,7 @@ def test_lockset_place_budget_ends_inconclusive(showcase_source, monkeypatch,
                                                 capsys):
     # the exploration gives up on interning the first place past
     # FS_MAX_PLACES, and a budget of exactly the places it needs is enough
-    n = len(lockhound.framework.place_graph(icfa_of(showcase_source)).places)
+    n = len(lockhound.framework.explore(icfa_of(showcase_source)).places)
     monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n)
     assert analyze_source(showcase_source).verdict == PROVED_FREE
     monkeypatch.setattr(lockhound.framework, "FS_MAX_PLACES", n - 1)
@@ -104,7 +104,6 @@ def test_lockset_place_budget_ends_inconclusive(showcase_source, monkeypatch,
     assert a.verdict == INCONCLUSIVE
     assert a.error == f"lockset analysis: exploration exceeded {n - 1} places"
     assert a.locks is None and a.pt is not None
-    assert a.icfa not in lockhound.framework._PLACE_GRAPHS
     assert main(["analyze", SHOWCASE]) == 2
     assert f"exploration exceeded {n - 1} places" in capsys.readouterr().out
 
@@ -418,6 +417,33 @@ def test_emit_dot_files(tmp_path, capsys):
     assert lock_dot.startswith("digraph lockgraph")
     assert '"m1"' in lock_dot
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", ["--emit-icfa", "--emit-lockgraph"])
+def test_emit_needs_an_input_file(flag, showcase_source, capsys, monkeypatch):
+    # the graphs go next to the input file; from stdin they would have
+    # nowhere to go but stdout, ahead of the report
+    stdin = io.TextIOWrapper(io.BytesIO(showcase_source.encode()))
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["analyze", "-", flag, "dot", "--report", "json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["gen", "3", "-o", "{tmp}/missing/x.mc"], None),
+    (["analyze", "{tmp}/showcase.mc", "--emit-icfa", "dot"],
+     "showcase.icfa.dot"),
+], ids=["gen-into-missing-dir", "emit-onto-a-directory"])
+def test_unwritable_output_is_a_plain_error(argv, blocked, tmp_path, capsys):
+    shutil.copy(SHOWCASE, tmp_path / "showcase.mc")
+    if blocked:
+        (tmp_path / blocked).mkdir()
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "internal error" not in err
 
 
 def test_want_color_rules(monkeypatch):

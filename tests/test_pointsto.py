@@ -21,8 +21,7 @@ def lock_points(a):
     """Union of value sets per source line of each lock statement."""
     out: dict[int, object] = {}
     may = a.locks.may
-    for pid in may.states:
-        p = may.places.resolve(pid)
+    for p in may.places.by_id:
         for e in a.icfa.out_edges[p[-1]]:
             if isinstance(e.op, LockStmt):
                 vs = a.pt.value_set(p, e.op.arg, at_sync=True)

@@ -78,7 +78,7 @@ def _client_state(cs) -> str:
 def _states(name: str, solve) -> list[str]:
     lines = [f"## {name}: {len(solve.places)} places, {solve.steps} steps"]
     for pid, place in enumerate(solve.places.places()):
-        fpm, cs = solve.states[pid]
+        fpm, cs = solve.fpm[pid], solve.state[pid]
         fp = ", ".join(f"{k}={v!r}" for k, v in sorted(fpm.items()))
         lines.append(f"{pid} {place} [{fp}] {_client_state(cs)}")
     return lines
