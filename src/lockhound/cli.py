@@ -16,6 +16,7 @@ verdict.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -146,9 +147,13 @@ def cmd_analyze(args) -> int:
         print(json.dumps(report_dict(a), indent=2))
     else:
         sys.stdout.write(report_text(a, color=_want_color(sys.stdout)))
-    if args.verbose:
-        print("stats:", json.dumps(a.stats, indent=2, default=str))
-    _dumps(a, args)
+    # under --report json stdout holds the one document, and the rest of
+    # the output goes to stderr
+    with contextlib.redirect_stdout(
+            sys.stderr if args.report == "json" else sys.stdout):
+        if args.verbose:
+            print("stats:", json.dumps(a.stats, indent=2, default=str))
+        _dumps(a, args)
     if a.verdict == PROVED_FREE:
         return 0
     if a.verdict == POTENTIAL:

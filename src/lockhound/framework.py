@@ -72,8 +72,10 @@ class ClientAnalysis(Protocol):
 
     States are values: join and transfer return a new state and never change
     one in place, since the solvers share one state object between places.
-    A state solved with solve_fs must be hashable, because the propagation
-    keeps one object per distinct state.
+    join may return its first argument itself when the second adds nothing,
+    and solve_fi skips the join when transfer returns its input. A state
+    solved with solve_fs must be hashable, because the propagation keeps one
+    object per distinct state.
     """
 
     # The op classes whose transfer can change the client state; on any
@@ -395,8 +397,11 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
             for e, _, _ in intra:
                 if not allowed(e):
                     continue
-                cs2 = client.join(cs, client.transfer(e, p, cs))
-                if cs2 != cs:
+                cs2 = client.transfer(e, p, cs)
+                if cs2 is cs:
+                    continue  # joining a state with itself gives it back
+                cs2 = client.join(cs, cs2)
+                if cs2 is not cs and cs2 != cs:
                     cs = cs2
                     changed = True
         wl.states[pid] = (fpm, cs)

@@ -95,14 +95,13 @@ def lock_names(edges: list[LockEdge]) -> dict[object, str]:
 
 @dataclass
 class Cycle:
+    """edges[j] acquires the lock named locks[j] while holding locks[j - 1].
+    The combinations of one node cycle share one locks list, which nothing
+    changes."""
     edges: tuple[LockEdge, ...]
-    names: dict[object, str] = field(repr=False, compare=False)  # of the graph
+    locks: list[str]
     pruned_by: str | None = None
     failed_pair: tuple[Place, Place] | None = None
-
-    @property
-    def locks(self) -> list[str]:
-        return [self.names[e.acquired] for e in self.edges]
 
 
 @dataclass
@@ -124,7 +123,9 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     positions.
     """
     names = lock_names(edges)
-    node = {lock: i for i, lock in enumerate(sorted(names, key=obj_key))}
+    order = sorted(names, key=obj_key)
+    node = {lock: i for i, lock in enumerate(order)}
+    label = [names[lock] for lock in order]
     succ: dict[int, list[int]] = {i: [] for i in node.values()}
     pred: dict[int, list[int]] = {i: [] for i in node.values()}
     parallel: dict[tuple[int, int], list[LockEdge]] = {}
@@ -144,12 +145,13 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
     for k in range(2, max(map(len, comps), default=0) + 1):
         for nodes in cycles(succ, pred, comp, k):
             pools = [parallel[nodes[j], nodes[(j + 1) % k]] for j in range(k)]
+            locks = [label[n] for n in nodes[1:] + nodes[:1]]
             for combo in itertools.product(*pools):
                 if res.combos_seen >= cap:
                     res.truncated = True
                     return res
                 res.combos_seen += 1
-                res.cycles.append(Cycle(combo, names))
+                res.cycles.append(Cycle(combo, locks))
     return res
 
 

@@ -38,9 +38,8 @@ class GraphFacts:
     in a loop when it lies on a cycle of the whole program, calls and
     returns included (its component has two locations or a self edge).
 
-    `has_path`, `on_all_paths` and `on_all_cycles` ask the local graph of
-    the one function f that holds the queried locations. That graph has f's
-    own edges, plus:
+    `has_path` and `cover` ask the local graph of the one function f that
+    holds the queried locations. That graph has f's own edges, plus:
 
     * a summary edge from each call site to its return site;
     * for a call whose callee can call back into f (the two share a
@@ -62,9 +61,18 @@ class GraphFacts:
     If b, a location of f, lies on every local path from a to c, it lies on
     every real one: no stretch outside f can hide it. A summary edge for a
     callee that never returns only adds local paths, which can only make an
-    answer more conservative. A query whose locations lie in different
-    functions gets the conservative answer: has_path True, on_all_paths and
-    on_all_cycles False.
+    answer more conservative.
+
+    Chains. In the local graph b lies on every path from a to c, which a
+    reaches, exactly when b is on c's dominator chain from root a: c, its
+    immediate dominator, that one's, and so on up to a. So `cover` reads a
+    path's locations off one walk of that chain. A cycle through a is a
+    path from a to a predecessor p of a followed by the edge p -> a, so b
+    lies on every such cycle exactly when it lies on the chain of every
+    predecessor that a reaches; a self edge a -> a leaves only a. Both
+    readings are of local paths, so by the argument above they hold for
+    real paths too. A query whose locations lie in different functions gets
+    the conservative answer: has_path True and an empty cover.
     """
 
     def __init__(self, icfa: ICFA):
@@ -135,42 +143,34 @@ class GraphFacts:
             self._idom[a] = idom = idoms(succ, pred, a)
         return idom
 
-    @staticmethod
-    def _dominates(idom: dict[int, int], a: int, b: int, c: int) -> bool:
-        """b is on every path from a to c, which a reaches."""
-        while c != b and c != a:
-            c = idom[c]
-        return c == b
-
     def has_path(self, a: int, b: int) -> bool:
         func_of = self.icfa.func_of
         if func_of(a) != func_of(b):
             return True
         return a == b or b in self._dominators(a)
 
-    def on_all_paths(self, a: int, b: int, c: int) -> bool:
-        """Every path a ->* c visits b, and b is actually ahead of a."""
-        func_of = self.icfa.func_of
-        if not func_of(a) == func_of(b) == func_of(c):
-            return False
-        idom = self._dominators(a)
-        if b != a and b not in idom:
-            return False
-        if c != a and c not in idom:
-            return True  # no such path: either vacuous or the joiner blocks
-        return self._dominates(idom, a, b, c)
-
-    def on_all_cycles(self, a: int, b: int) -> bool:
-        """Every cycle through a visits b."""
-        if a == b:
-            return True
+    def cover(self, a: int, c: int) -> set[int]:
+        """The locations that every path a ->* c visits, c left out; when
+        c == a, those that every cycle through a visits, a included. Where
+        a reaches no such path or cycle, every location a reaches."""
         f = self.icfa.func_of(a)
-        if self.icfa.func_of(b) != f:
-            return False
-        # a cycle through a is a path from a to a predecessor, then one edge
+        if self.icfa.func_of(c) != f:
+            return set()
         idom = self._dominators(a)
-        return all(p != a and (p not in idom or self._dominates(idom, a, b, p))
-                   for p in self._graph(f)[1][a])
+        if c != a:
+            ends = [idom[c]] if c in idom else []
+        else:  # a cycle through a: a path to a predecessor, then one edge
+            ends = [p for p in self._graph(f)[1][a] if p == a or p in idom]
+        if not ends:
+            return {a, *idom}
+        cover = None
+        for p in ends:  # p and its dominators up to a
+            chain = {p}
+            while p != a:
+                p = idom[p]
+                chain.add(p)
+            cover = chain if cover is None else cover & chain
+        return cover
 
     def in_loop(self, a: int) -> bool:
         return a in self._stitched[1]
@@ -283,22 +283,16 @@ class NonConcurrency:
         return False
 
     def _covering(self, l_a: int, l_b: int) -> tuple[list[Edge], list[Edge]]:
-        """_find's join and call edges for l_a -> l_b, cached (graph only)."""
+        """_find's join and call edges for l_a -> l_b, cached (graph only).
+        The cover leaves l_b out: a join there may be one the other occupant
+        is still sitting at, i.e. one that has not completed yet."""
         got = self._covers.get((l_a, l_b))
         if got is None:
-            g = self.graph
-
-            def covers(loc: int) -> bool:
-                if l_a == l_b:
-                    return g.has_path(l_a, loc) and g.on_all_cycles(l_a, loc)
-                # loc == l_b would count a join the other occupant is still
-                # sitting at, i.e. one that has not completed yet
-                return loc != l_b and g.on_all_paths(l_a, loc, l_b)
-
+            cover = self.graph.cover(l_a, l_b)
             f = self.icfa.func_of(l_a)
             self._covers[l_a, l_b] = got = (
-                [e for e in self._joins_in.get(f, ()) if covers(e.src)],
-                [e for e in self._calls_in.get(f, ()) if covers(e.src)])
+                [e for e in self._joins_in.get(f, ()) if e.src in cover],
+                [e for e in self._calls_in.get(f, ()) if e.src in cover])
         return got
 
     def _match(self, p_c: Place, p_join: Place) -> bool:

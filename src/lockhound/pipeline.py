@@ -164,21 +164,25 @@ def thread_str(icfa: ICFA, t: Place) -> str:
     return f"thread@{icfa.func_of(site)}:{icfa.line_of(site)}"
 
 
+def _place_labels(icfa: ICFA, cycles) -> dict[Place, tuple[str, str]]:
+    """The call string and thread name of each place on the cycles, each
+    formatted once."""
+    return {p: (place_str(icfa, p),
+                thread_str(icfa, get_thread(p, icfa.create_sites)))
+            for p in {e.place for c in cycles for e in c.edges}}
+
+
 def report_dict(a: Analysis) -> dict:
-    cycles = []
+    labels = _place_labels(a.icfa, a.search.cycles)
     order = sorted(a.search.cycles,
                    key=lambda c: (c.pruned_by is not None, c.locks,
                                   [e.place for e in c.edges]))
-    for c in order:
-        cycles.append({
-            "locks": c.locks,
-            "places": [{
-                "callString": place_str(a.icfa, e.place),
-                "threadId": thread_str(
-                    a.icfa, get_thread(e.place, a.icfa.create_sites)),
-            } for e in c.edges],
-            "pruned_by": c.pruned_by,
-        })
+    cycles = [{
+        "locks": list(c.locks),
+        "places": [{"callString": labels[e.place][0],
+                    "threadId": labels[e.place][1]} for e in c.edges],
+        "pruned_by": c.pruned_by,
+    } for c in order]
     return {
         "verdict": a.verdict,
         "cycles": cycles,
@@ -202,13 +206,13 @@ def report_text(a: Analysis, color: bool = False) -> str:
     lines.append(f"lock graph: {len(a.lock_edges)} edge(s); "
                  f"{len(a.search.cycles)} cycle candidate(s), "
                  f"{len(reported)} reported, {len(pruned)} pruned")
+    labels = _place_labels(a.icfa, reported)
     for i, c in enumerate(sorted(reported, key=lambda c: c.locks)):
         lines.append(paint(f"  cycle {i + 1}: locks {' -> '.join(c.locks)}", "31"))
-        for e in c.edges:
-            t = thread_str(a.icfa, get_thread(e.place, a.icfa.create_sites))
-            lines.append(f"    holds {c.names[e.held]}, wants "
-                         f"{c.names[e.acquired]} at {place_str(a.icfa, e.place)}"
-                         f" [{t}]")
+        for j, e in enumerate(c.edges):
+            at, t = labels[e.place]
+            lines.append(f"    holds {c.locks[j - 1]}, wants {c.locks[j]} "
+                         f"at {at} [{t}]")
     for c in pruned:
         lines.append(f"  pruned ({c.pruned_by}): locks {' -> '.join(c.locks)}")
     for w in a.warnings:

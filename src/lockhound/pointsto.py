@@ -238,16 +238,18 @@ class PointsToClient:
         return {}
 
     def join(self, a, b):
+        """a itself when b adds nothing to it; otherwise a copy of a, made
+        at the first cell b grows."""
         if a is TOP_STATE or b is TOP_STATE:
             return TOP_STATE
-        if not b:
-            return a
-        out = dict(a)
+        out = a
         for k, v in b.items():
             cur = out.get(k, EMPTY)
-            nv = vs_union(cur, v)
-            if not vs_eq(cur, nv):
-                out[k] = nv
+            if cur is STAR or (v is not STAR and v <= cur):
+                continue
+            if out is a:
+                out = dict(a)
+            out[k] = vs_union(cur, v)
         return out
 
     def transfer(self, e: Edge, place: Place, state):

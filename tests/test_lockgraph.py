@@ -459,14 +459,15 @@ class _FakeNC:
 
 def test_filter_cycles_marks_failed_pair():
     cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)), names={})
+                       edge(B, A, place=Q, line=2)), locks=["b", "a"])
     search = CycleSearch(cycles=[cyc])
     filter_cycles(search, _FakeNC({P, Q}))
     assert cyc.pruned_by == "gatelock"
     assert set(cyc.failed_pair) == {P, Q}
 
     kept = Cycle(edges=(edge(A, B, place=P, line=1),
-                        edge(B, A, place=("r",), line=2)), names={})
+                        edge(B, A, place=("r",), line=2)),
+                 locks=["b", "a"])
     search = CycleSearch(cycles=[kept])
     filter_cycles(search, _FakeNC({P, Q}))
     assert kept.pruned_by is None and kept.failed_pair is None
@@ -474,7 +475,7 @@ def test_filter_cycles_marks_failed_pair():
 
 def test_filter_cycles_without_nc_keeps_everything():
     cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)), names={})
+                       edge(B, A, place=Q, line=2)), locks=["b", "a"])
     search = CycleSearch(cycles=[cyc])
     filter_cycles(search, None)
     assert cyc.pruned_by is None

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -34,13 +35,12 @@ def test_reachability_and_dominators():
     g = facts(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
     assert g.has_path(0, 4)
     assert not g.has_path(4, 0)
-    assert g.on_all_paths(0, 3, 4)       # 3 dominates 4
-    assert not g.on_all_paths(0, 1, 4)   # the 2-branch avoids 1
-    assert not g.on_all_paths(0, 4, 3)   # 4 is behind 3
+    assert g.cover(0, 4) == {0, 3}       # the 2-branch avoids 1
+    assert g.cover(0, 3) == {0}          # 4 is behind 3, and 3 left out
     # vacuous: no path from 0 to an isolated target
     g2 = facts(3, [(0, 1)])
-    assert g2.on_all_paths(0, 1, 2)
-    assert not g2.on_all_paths(0, 2, 1)  # 2 is never reached at all
+    assert g2.cover(0, 2) == {0, 1}
+    assert g2.cover(0, 1) == {0}         # 2 is never reached at all
 
     # brute force on random digraphs: b is on every path a ->* c exactly
     # when removing b cuts c off from a
@@ -62,30 +62,47 @@ def test_reachability_and_dominators():
         g = facts(n, edges)
         for a in range(n):
             reach = reachable(edges, a)
-            for b in range(n):
-                cut = reachable(edges, a, removed=b)
-                for c in range(n):
-                    expect = b in reach and (
-                        c not in reach or b in (a, c) or c not in cut)
-                    assert g.on_all_paths(a, b, c) == expect, (edges, a, b, c)
-                # b is on every cycle through a when no edge out of a
-                # leads back to a around b
-                dodge = any(a in reachable(edges, t, removed=b)
-                            for s, t in edges if s == a and t != b)
-                assert g.on_all_cycles(a, b) == (a == b or not dodge), \
-                    (edges, a, b)
+            cut = {b: reachable(edges, a, removed=b) for b in range(n)}
+            for c in range(n):
+                if c != a:
+                    expect = {b for b in reach if b != c and (
+                        c not in reach or b == a or c not in cut[b])}
+                else:
+                    # b is on every cycle through a when no edge out of a
+                    # leads back to a around b
+                    expect = {b for b in reach if b == a or not any(
+                        a in reachable(edges, t, removed=b)
+                        for s, t in edges if s == a and t != b)}
+                assert g.cover(a, c) == expect, (edges, a, c)
 
 
 def test_on_all_cycles():
     # two loops through 0: only one goes through 1
     g = facts(4, [(0, 1), (1, 0), (0, 2), (2, 0)])
-    assert not g.on_all_cycles(0, 1)
+    assert g.cover(0, 0) == {0}
     g = facts(3, [(0, 1), (1, 0), (1, 2)])
-    assert g.on_all_cycles(0, 1)
-    assert g.on_all_cycles(0, 0)
+    assert g.cover(0, 0) == {0, 1}
     # a self-loop dodges everything else
     g = facts(2, [(0, 0), (0, 1)])
-    assert not g.on_all_cycles(0, 1)
+    assert g.cover(0, 0) == {0}
+    # no cycle through 0: vacuously every location 0 reaches
+    g = facts(3, [(0, 1), (1, 2), (2, 1)])
+    assert g.cover(0, 0) == {0, 1, 2}
+
+
+def test_one_cover_per_location_pair(monkeypatch):
+    # seed 201's checks ask _find for about 900 covers over 108 location
+    # pairs; each pair walks its dominator chain once
+    asked = Counter()
+    cover = GraphFacts.cover
+
+    def counting(self, a, c):
+        asked[a, c] += 1
+        return cover(self, a, c)
+
+    monkeypatch.setattr(GraphFacts, "cover", counting)
+    analyze_icfa(icfa_of(generate(201, SCALED)))
+    assert asked and max(asked.values()) == 1, asked.most_common(1)
 
 
 def test_in_loop():
@@ -130,7 +147,7 @@ def test_local_graph_reenters_a_function_called_from_a_loop(calls):
     locked, unlocked = loc_at(icfa, 4), loc_at(icfa, 5, UnlockStmt)
     assert g.has_path(locked, unlocked)
     assert g.has_path(unlocked, locked) == (calls == LOOPED)
-    assert g.on_all_cycles(locked, unlocked)
+    assert unlocked in g.cover(locked, locked)
 
 
 def test_local_graph_follows_recursion():
@@ -174,7 +191,7 @@ def test_local_graph_keeps_the_path_past_a_callee_that_never_returns():
     site, locked = loc_at(icfa, 8, FuncEntryOp), loc_at(icfa, 9)
     # spin's exit is unreachable, but the summary edge keeps the path
     assert g.has_path(site, locked)
-    assert g.on_all_paths(site, locked, loc_at(icfa, 10, UnlockStmt))
+    assert locked in g.cover(site, loc_at(icfa, 10, UnlockStmt))
 
 
 def test_cross_function_queries_are_conservative():
@@ -182,8 +199,8 @@ def test_cross_function_queries_are_conservative():
     g = GraphFacts(icfa)
     in_f, in_main = loc_at(icfa, 4), icfa.entry_of("main")
     assert g.has_path(in_f, in_main)  # no real path: main never runs again
-    assert not g.on_all_paths(in_main, in_f, icfa.exit_of("main"))
-    assert not g.on_all_cycles(in_f, in_main)
+    assert in_f not in g.cover(in_main, icfa.exit_of("main"))
+    assert g.cover(in_f, in_main) == g.cover(in_main, in_f) == set()
 
 
 def nc_of(source: str):

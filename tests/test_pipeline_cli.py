@@ -395,6 +395,24 @@ def test_analyze_dumps_smoke(capsys):
         assert marker in out, marker
 
 
+@pytest.mark.parametrize("flags, marker", [
+    (["--verbose"], "stats:"),
+    (["--dump-places"], "# flow-sensitive places"),
+    (["--dump-points-to"], "# points-to states"),
+    (["--dump-deps"], "# dependency pruning"),
+    (["--dump-locksets", "may"], "# may-locksets"),
+    (["--dump-locksets", "must"], "# must-locksets"),
+    (["--dump-nonconc"], "# non-concurrency"),
+], ids=["verbose", "places", "points-to", "deps", "locksets-may",
+        "locksets-must", "nonconc"])
+def test_json_report_is_the_whole_stdout(flags, marker, capsys):
+    # the verbose stats and the dumps go to stderr, after the document
+    assert main(["analyze", SHOWCASE, "--report", "json", *flags]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["verdict"] == PROVED_FREE
+    assert marker in err and marker not in out
+
+
 @pytest.mark.parametrize("stem", ["showcase", "wrapper_ok"])
 @pytest.mark.parametrize("which", ["may", "must"])
 def test_dumps_match_golden(stem, which, capsys):

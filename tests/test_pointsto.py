@@ -1,3 +1,5 @@
+import random
+
 from conftest import icfa_of
 from lockhound.frontend.icfa import FuncEntryOp
 from lockhound.frontend.syntax import (
@@ -6,7 +8,8 @@ from lockhound.frontend.syntax import (
 from lockhound.pipeline import Config, analyze_source
 from lockhound.pointsto import (
     EMPTY, STAR, TOP_STATE, AllocObj, ArrayCellObj, FieldObj, GlobalObj,
-    LocalObj, ObjectModel, eval_expr, lvalue_objects, vs_eq, vs_union,
+    LocalObj, ObjectModel, PointsToClient, eval_expr, lvalue_objects, vs_eq,
+    vs_union,
 )
 
 
@@ -307,3 +310,50 @@ def test_merged_contexts_blur_call_sites():
 def test_binding_visit_counter_exposed():
     a = analyze_source(WRAPPER_SRC)
     assert a.stats["binding_applications"] > 0
+
+
+def reference_join(a, b):
+    """PointsToClient.join as a copy of a and one union per cell of b."""
+    if a is TOP_STATE or b is TOP_STATE:
+        return TOP_STATE
+    out = dict(a)
+    for k, v in b.items():
+        cur = out.get(k, EMPTY)
+        nv = vs_union(cur, v)
+        if not vs_eq(cur, nv):
+            out[k] = nv
+    return out
+
+
+def test_join_copies_only_on_change():
+    rng = random.Random(7)
+    objs = [GlobalObj(f"g{i}") for i in range(4)]
+
+    def state():
+        if rng.random() < 0.1:
+            return TOP_STATE
+        return {c: STAR if rng.random() < 0.15 else
+                frozenset(rng.sample(objs, rng.randint(0, 3)))
+                for c in rng.sample(objs, rng.randint(0, 4))}
+
+    def frozen(s):
+        return s if s is TOP_STATE else dict(s)
+
+    join = PointsToClient(None).join
+    grew = 0
+    for _ in range(2000):
+        a = state()
+        # b: a fresh state, a part of a, or a itself
+        b = rng.choice([state(), a if a is TOP_STATE else
+                        dict(rng.sample(sorted(a.items(), key=repr),
+                                        len(a) // 2)), a])
+        a0, b0 = frozen(a), frozen(b)
+        ab = join(a, b)
+        assert (a, b) == (a0, b0)  # neither argument changes
+        want = reference_join(a, b)
+        assert ab == want, (a, b)
+        if want == a:
+            assert ab is a  # b adds nothing: a itself
+        else:
+            grew += 1
+    assert 200 < grew < 1800
