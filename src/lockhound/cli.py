@@ -111,7 +111,7 @@ def _dumps(a: Analysis, args) -> None:
         lock_places = sorted({e.place for e in a.lock_edges})
         for i, p1 in enumerate(lock_places):
             for p2 in lock_places[i:]:
-                r = a.nonconc.check(p1, p2)
+                r = a.nonconc.answer(p1, p2)
                 if r:
                     print(f"  {place_str(icfa, p1)}  #  "
                           f"{place_str(icfa, p2)}: {r}")

@@ -352,26 +352,45 @@ class _FunctionCompiler:
         raise AssertionError(f"unexpected statement in automaton builder: {s!r}")
 
     def compile_if(self, s: If, cur: int) -> int | None:
+        """An if and the else-if chain below it, a link per round, since a
+        dispatch chain can outgrow Python's stack. Locations and edges come
+        in the order of a recursion: a link's merge flows into the one above
+        it once the rest of the chain is built."""
         icfa, fname = self.icfa, self.fn.name
-        merge: int | None = None
+        links: list[If] = []
+        merges: list[int | None] = []  # each link's merge, made when first needed
 
-        def get_merge() -> int:
-            nonlocal merge
-            if merge is None:
-                merge = icfa.new_loc(fname, s.line)
-            return merge
+        def to_merge(k: int, src: int, op: Op) -> None:
+            if merges[k] is None:
+                merges[k] = icfa.new_loc(fname, links[k].line)
+            icfa.add_edge(src, merges[k], op, links[k].line)
 
-        for branch, negated in ((s.then, False), (s.els, True)):
-            guard = GuardOp(s.cond, negated)
-            if branch.stmts:
+        while True:
+            k = len(links)
+            links.append(s)
+            merges.append(None)
+            els = s.els.stmts
+            for branch, negated in ((s.then, False), (s.els, True)):
+                guard = GuardOp(s.cond, negated)
+                if not branch.stmts:
+                    to_merge(k, cur, guard)
+                    continue
                 b_entry = icfa.new_loc(fname, branch.line or s.line)
                 icfa.add_edge(cur, b_entry, guard, s.line)
+                if negated and len(els) == 1 and type(els[0]) is If:
+                    cur, s = b_entry, els[0]  # the next link
+                    break
                 b_end = self.compile_stmts(branch.stmts, b_entry)
                 if b_end is not None:
-                    icfa.add_edge(b_end, get_merge(), SkipOp(), s.line)
+                    to_merge(k, b_end, SkipOp())
             else:
-                icfa.add_edge(cur, get_merge(), guard, s.line)
-        return merge
+                break
+        end = merges[-1]
+        for k in range(len(links) - 2, -1, -1):
+            if end is not None:
+                to_merge(k, end, SkipOp())
+            end = merges[k]
+        return end
 
     def compile_while(self, s: While, cur: int) -> int:
         icfa, fname = self.icfa, self.fn.name

@@ -1,14 +1,17 @@
 """Tokenizer for the mini C dialect.
 
-One compiled pattern cuts the source into gapless pieces by maximal munch
-(symbols longest first, so '==' wins over '='); a piece's offset is the sum
-of the lengths before it, and its first character tells its kind.
+One compiled pattern matches a token together with the blanks before it, by
+maximal munch (symbols longest first, so '==' wins over '='). A word or a
+symbol is classified by one dict lookup, and an integer by its group; only
+newlines, comments, trailing blanks and bad characters take the slow
+branch. Tokens are plain (kind, text, line, col) tuples, kind being 'ident',
+'int', 'kw', the symbol's text or 'eof'; a column counts a tab or a '\\r' as
+one character.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -22,56 +25,53 @@ SYMBOLS = [
     "<", ">", "=", "+", "-", "*", "&", "!", ".",
     "(", ")", "{", "}", "[", "]", ";", ",",
 ]
-_SYMBOLS = set(SYMBOLS)
 
-_PIECE = re.compile("|".join([
-    r"\n",
-    r"[ \t\r]+",
-    r"//[^\n]*",
-    r"/\*(?:.*?\*/|.*)",  # a block comment, or an unterminated one to the end
-    r"[0-9]+",
-    r"\w+",  # \w is exactly str.isalnum() or '_'
-    *map(re.escape, SYMBOLS),
-    r".",  # a bad character
-]), re.DOTALL)
+# The kind of each keyword and symbol; any other word is an identifier.
+_KINDS = {**dict.fromkeys(KEYWORDS, "kw"), **{s: s for s in SYMBOLS}}
 
-
-class Token(NamedTuple):
-    kind: str  # 'ident' | 'int' | 'kw' | symbol text | 'eof'
-    text: str
-    line: int
-    col: int
+_TOKEN = re.compile(
+    r"([ \t\r]*)"  # the blanks before the token
+    r"(?:([A-Za-z_]\w*|" + "|".join(map(re.escape, SYMBOLS)) + ")"  # a word or a symbol
+    r"|([0-9]+)"  # an integer
+    # The slow branch: a newline, a // comment, a block comment (or an
+    # unterminated one, to the end), a word whose first character is not
+    # ASCII (a letter, or a digit int() must not see), a trailing blank, or
+    # a bad character. \w is exactly str.isalnum() or '_'.
+    r"|(\n|//[^\n]*|/\*(?:.*?\*/|.*)|\w+|.))",
+    re.DOTALL)
 
 
-def tokenize(source: str) -> list[Token]:
-    toks: list[Token] = []
-    make = Token._make  # half the cost of Token(...), which runs a Python __new__
-    line, line_start, end = 1, 0, 0  # line_start: offset of the line's first character
-    text = ""
-    for text in _PIECE.findall(source):
-        start, end = end, end + len(text)
-        c = text[0]
-        if text in _SYMBOLS:
-            kind = text
-        elif c.isalpha() or c == "_":
-            kind = "kw" if text in KEYWORDS else "ident"
-        elif "0" <= c <= "9":
-            kind = "int"
+def tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    toks: list[tuple[str, str, int, int]] = []
+    append = toks.append
+    kinds = _KINDS.get
+    line, base, end = 1, -1, 0  # base: offset of the line's first character, less one
+    other = ""
+    for blank, word, number, other in _TOKEN.findall(source):
+        start = end + len(blank)
+        if word:
+            end = start + len(word)
+            append((kinds(word, "ident"), word, line, start - base))
+        elif number:
+            end = start + len(number)
+            append(("int", number, line, start - base))
         else:
+            end = start + len(other)
+            c = other[0]
             if c == "\n":
                 line += 1
-                line_start = end
-            elif text.startswith("/*"):
-                if len(text) < 4 or not text.endswith("*/"):
-                    raise ParseError("unterminated comment", line, start - line_start + 1)
-                if "\n" in text:
-                    line += text.count("\n")
-                    line_start = start + text.rindex("\n") + 1
-            elif c not in " \t\r" and not text.startswith("//"):
-                raise ParseError(f"unexpected character {c!r}", line, start - line_start + 1)
-            continue
-        toks.append(make((kind, text, line, start - line_start + 1)))
-    if text.startswith("//"):
+                base = start
+            elif other.startswith("/*"):
+                if len(other) < 4 or not other.endswith("*/"):
+                    raise ParseError("unterminated comment", line, start - base)
+                if "\n" in other:
+                    line += other.count("\n")
+                    base = start + other.rindex("\n")
+            elif c.isalpha() or c == "_":  # a word with a non-ASCII letter first
+                append((kinds(other, "ident"), other, line, start - base))
+            elif c not in " \t\r" and not other.startswith("//"):
+                raise ParseError(f"unexpected character {c!r}", line, start - base)
+    if other.startswith("//"):
         end = start  # the end of input sits at a trailing // comment
-    toks.append(Token("eof", "", line, end - line_start + 1))
+    append(("eof", "", line, end - base))
     return toks

@@ -4,30 +4,33 @@ parse() returns a typed Program with fully-qualified identifiers: locals and
 parameters of function f are renamed to "f::name", globals keep their name.
 Calls and malloc() appear only at statement level, never nested inside
 expressions; guards are call-free by construction.
+
+The parser reads its (kind, text, line, col) token tuples in place, and
+collects each function's declarations for the checker. The checker
+dispatches on each node's exact type, and records the address-taken set:
+each function it resolves a name to outside a direct callee position.
 """
 
 from __future__ import annotations
 
-from .lexer import Token, tokenize
-from .transform import address_taken_functions
+from .lexer import tokenize
 from .syntax import (
     INT, MUTEX, THREAD_ID, VOID, MUTEX_PTR,
     ArrayType, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FieldAccess,
     FuncRef, FuncType, Function, If, Index, IntLit, JoinStmt, LockStmt, Malloc,
     PointerType, Program, Return, StructType, Stmt, Type, Unary, UnlockStmt, VarRef,
-    While, is_fnptr, is_pointer, walk_stmts,
+    While, is_fnptr, is_pointer,
 )
 from ..errors import ParseError, TypeCheckError
 
 BASE_TYPES = {"int": INT, "mutex": MUTEX, "thread_t": THREAD_ID, "void": VOID}
 
-
-def _int_value(t: Token) -> int:
+def _int_value(t: tuple) -> int:
     try:
-        return int(t.text)
+        return int(t[1])
     except ValueError:  # past Python's limit on converting digit strings
-        raise ParseError(f"integer {t.text[:8]}... has too many digits ({len(t.text)})",
-                         t.line, t.col) from None
+        raise ParseError(f"integer {t[1][:8]}... has too many digits ({len(t[1])})",
+                         t[2], t[3]) from None
 
 
 # binary operators by precedence level, loosest first; all associate left
@@ -43,89 +46,78 @@ MAX_NESTING = 100
 class _Parser:
     def __init__(self, source: str):
         toks = tokenize(source)
-        self.toks = toks + [toks[-1]] * 2  # peek(2) never runs off the end
+        # Reading two tokens past the end of input stays in range. Every
+        # read that takes the end of input raises before the next read.
+        self.toks = toks + [toks[-1]] * 2
         self.pos = 0
         self.depth = 0
+        self.decls: list[Decl] = []  # the current function's, in source order
 
     # ------------------------------------------------------------- helpers
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def next(self) -> Token:
+    def expect(self, kind: str) -> tuple:
         t = self.toks[self.pos]
-        if t.kind != "eof":
-            self.pos += 1
+        self.pos += 1
+        if t[0] != kind:
+            raise ParseError(f"expected {kind!r}, found {t[1] or t[0]!r}", t[2], t[3])
         return t
 
-    def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+    def comma_list(self, item) -> list:
+        """item() for each element of a list up to its ')', which may be empty."""
+        out = []
+        if self.toks[self.pos][0] != ")":
+            out.append(item())
+            while self.toks[self.pos][0] == ",":
+                self.pos += 1
+                out.append(item())
+        self.expect(")")
+        return out
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        t = self.next()
-        if t.kind != kind or (text is not None and t.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {t.text or t.kind!r}", t.line, t.col)
-        return t
-
-    def nest(self, t: Token) -> None:
+    def nest(self, t: tuple) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t.line, t.col)
-
-    def at_type(self) -> bool:
-        t = self.peek()
-        if t.kind == "kw" and t.text in BASE_TYPES:
-            return True
-        return t.kind == "kw" and t.text == "struct" and self.peek(1).kind == "ident"
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t[2], t[3])
 
     # --------------------------------------------------------------- types
 
     def parse_base_type(self) -> Type:
-        t = self.next()
-        if t.kind == "kw" and t.text in BASE_TYPES:
-            return BASE_TYPES[t.text]
-        if t.kind == "kw" and t.text == "struct":
-            name = self.expect("ident")
-            return StructType(name.text)
-        raise ParseError(f"expected type, found {t.text!r}", t.line, t.col)
+        t = self.toks[self.pos]
+        self.pos += 1
+        if t[0] == "kw":
+            if t[1] in BASE_TYPES:
+                return BASE_TYPES[t[1]]
+            if t[1] == "struct":
+                return StructType(self.expect("ident")[1])
+        raise ParseError(f"expected type, found {t[1]!r}", t[2], t[3])
 
     def parse_type_suffix(self, base: Type) -> Type:
-        while self.at("*"):
-            self.next()
+        while self.toks[self.pos][0] == "*":
+            self.pos += 1
             base = PointerType(base)
         return base
 
-    def parse_declarator(self, base: Type, allow_array: bool) -> tuple[str, Type, Token]:
+    def parse_declarator(self, base: Type, allow_array: bool) -> tuple[str, Type, tuple]:
         """Parse '*'* name, 'name[N]' or the function-pointer form '(*name)(T, ...)'."""
         base = self.parse_type_suffix(base)
-        if self.at("("):
-            self.next()
+        toks = self.toks
+        if toks[self.pos][0] == "(":
+            self.pos += 1
             self.expect("*")
             name = self.expect("ident")
             self.expect(")")
             self.expect("(")
-            params: list[Type] = []
-            if not self.at(")"):
-                while True:
-                    pt = self.parse_type_suffix(self.parse_base_type())
-                    params.append(pt)
-                    if not self.at(","):
-                        break
-                    self.next()
-            self.expect(")")
-            return name.text, PointerType(FuncType(tuple(params), base)), name
+            params = self.comma_list(lambda: self.parse_type_suffix(self.parse_base_type()))
+            return name[1], PointerType(FuncType(tuple(params), base)), name
         name = self.expect("ident")
         typ = base
-        if self.at("["):
+        if toks[self.pos][0] == "[":
             if not allow_array:
-                raise ParseError("array not allowed here", name.line, name.col)
-            self.next()
+                raise ParseError("array not allowed here", name[2], name[3])
+            self.pos += 1
             size = self.expect("int")
             self.expect("]")
             typ = ArrayType(base, _int_value(size))
-        return name.text, typ, name
+        return name[1], typ, name
 
     # ------------------------------------------------------------ toplevel
 
@@ -133,194 +125,181 @@ class _Parser:
         functions: dict[str, Function] = {}
         globals_: dict[str, Decl] = {}
         structs: dict[str, list[Decl]] = {}
-        while not self.at("eof"):
-            if self.at("kw", "struct") and self.peek(2).kind == "{":
+        toks = self.toks
+        while toks[self.pos][0] != "eof":
+            if toks[self.pos][1] == "struct" and toks[self.pos + 2][0] == "{":
                 self._parse_struct(structs)
                 continue
             base = self.parse_base_type()
             name, typ, tok = self.parse_declarator(base, allow_array=True)
-            if self.at("("):  # function definition
+            if toks[self.pos][0] == "(":  # function definition
                 if typ not in (INT, VOID) and not is_pointer(typ):
-                    raise TypeCheckError(f"bad return type {typ}", tok.line, tok.col)
+                    raise TypeCheckError(f"bad return type {typ}", tok[2], tok[3])
                 fn = self._parse_function(name, typ, tok)
                 if name in functions:
-                    raise ParseError(f"duplicate function {name!r}", tok.line, tok.col)
+                    raise ParseError(f"duplicate function {name!r}", tok[2], tok[3])
                 functions[name] = fn
             else:
                 self.expect(";")
                 if name in globals_:
-                    raise ParseError(f"duplicate global {name!r}", tok.line, tok.col)
-                globals_[name] = Decl(name, typ, tok.line)
+                    raise ParseError(f"duplicate global {name!r}", tok[2], tok[3])
+                globals_[name] = Decl(name, typ, tok[2])
         return functions, globals_, structs
 
-    def _parse_struct(self, structs: dict) -> str:
-        self.expect("kw", "struct")
+    def _parse_struct(self, structs: dict) -> None:
+        self.pos += 1  # the caller saw 'struct'
         name = self.expect("ident")
-        if name.text in structs:
-            raise ParseError(f"duplicate struct {name.text!r}", name.line, name.col)
+        if name[1] in structs:
+            raise ParseError(f"duplicate struct {name[1]!r}", name[2], name[3])
         self.expect("{")
         fields: list[Decl] = []
-        while not self.at("}"):
+        while self.toks[self.pos][0] != "}":
             base = self.parse_base_type()
             fname, ftyp, ftok = self.parse_declarator(base, allow_array=False)
             self.expect(";")
             if any(f.name == fname for f in fields):
-                raise ParseError(f"duplicate field {fname!r}", ftok.line, ftok.col)
-            fields.append(Decl(fname, ftyp, ftok.line))
+                raise ParseError(f"duplicate field {fname!r}", ftok[2], ftok[3])
+            fields.append(Decl(fname, ftyp, ftok[2]))
         self.expect("}")
         self.expect(";")
-        structs[name.text] = fields
-        return name.text
+        structs[name[1]] = fields
 
-    def _parse_function(self, name: str, ret: Type, tok: Token) -> Function:
-        self.expect("(")
-        params: list[Decl] = []
-        if not self.at(")"):
-            while True:
-                base = self.parse_base_type()
-                pname, ptyp, ptok = self.parse_declarator(base, allow_array=False)
-                params.append(Decl(pname, ptyp, ptok.line))
-                if not self.at(","):
-                    break
-                self.next()
-        self.expect(")")
+    def _parse_function(self, name: str, ret: Type, tok: tuple) -> Function:
+        self.pos += 1  # the caller saw the '('
+
+        def param() -> Decl:
+            pname, ptyp, ptok = self.parse_declarator(self.parse_base_type(), allow_array=False)
+            return Decl(pname, ptyp, ptok[2])
+
+        params = self.comma_list(param)
+        self.decls = []
         body = self.parse_block()
-        return Function(name, ret, params, [], body, tok.line)
+        return Function(name, ret, params, self.decls, body, tok[2])
 
     # ---------------------------------------------------------- statements
 
     def parse_block(self) -> Block:
-        tok = self.expect("{")
+        toks = self.toks
+        t = self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at("}"):
+        while toks[self.pos][0] != "}":
             stmts.append(self.parse_stmt())
-        self.expect("}")
-        return Block(stmts, tok.line)
+        self.pos += 1
+        return Block(stmts, t[2])
 
     def parse_stmt(self) -> Stmt:
+        toks = self.toks
+        t = toks[self.pos]
         depth = self.depth
-        self.nest(self.peek())
-        s = self._parse_stmt()
-        self.depth = depth
-        return s
-
-    def _parse_stmt(self) -> Stmt:
-        t = self.peek()
-        if t.kind == "{":
-            return self.parse_block()
-        if t.kind == ";":
-            self.next()
-            return Block([], t.line)
-        if self.at_type():
-            base = self.parse_base_type()
-            name, typ, tok = self.parse_declarator(base, allow_array=True)
+        if depth >= MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", t[2], t[3])
+        self.depth = depth + 1
+        kind, text, line = t[0], t[1], t[2]
+        if kind != "kw":
+            if kind == "{":
+                s = self.parse_block()
+            elif kind == ";":
+                self.pos += 1
+                s = Block([], line)
+            else:
+                s = self._parse_assign_or_call(t)
+        elif text in BASE_TYPES or text == "struct" and toks[self.pos + 1][0] == "ident":
+            name, typ, tok = self.parse_declarator(self.parse_base_type(), allow_array=True)
             self.expect(";")
-            return Decl(name, typ, tok.line)
-        if t.kind == "kw":
-            if t.text == "if":
-                return self._parse_if()
-            if t.text == "while":
-                self.next()
-                self.expect("(")
-                cond = self.parse_expr()
-                self.expect(")")
-                body = self._stmt_as_block(self.parse_stmt())
-                return While(cond, body, t.line)
-            if t.text == "return":
-                self.next()
-                expr = None if self.at(";") else self.parse_expr()
-                self.expect(";")
-                return Return(expr, t.line)
-            if t.text in ("lock", "unlock"):
-                self.next()
-                self.expect("(")
-                arg = self.parse_expr()
-                self.expect(")")
-                self.expect(";")
-                cls = LockStmt if t.text == "lock" else UnlockStmt
-                return cls(arg, t.line)
-            if t.text == "create":
-                self.next()
-                self.expect("(")
-                tid = self.parse_expr()
-                self.expect(",")
-                fn = self.parse_expr()
-                self.expect(",")
-                arg = self.parse_expr()
-                self.expect(")")
-                self.expect(";")
-                return CreateStmt(tid, fn, arg, t.line)
-            if t.text == "join":
-                self.next()
-                self.expect("(")
-                tid = self.parse_expr()
-                self.expect(")")
-                self.expect(";")
-                return JoinStmt(tid, None, t.line)
-            raise ParseError(f"unexpected {t.text!r}", t.line, t.col)
-        return self._parse_assign_or_call()
-
-    def _parse_if(self) -> If:
-        t = self.expect("kw", "if")
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        then = self._stmt_as_block(self.parse_stmt())
-        els = Block([], t.line)
-        if self.at("kw", "else"):
-            self.next()
-            els = self._stmt_as_block(self.parse_stmt())
-        return If(cond, then, els, t.line)
-
-    @staticmethod
-    def _stmt_as_block(s: Stmt) -> Block:
-        return s if isinstance(s, Block) else Block([s], s.line)
-
-    def _parse_assign_or_call(self) -> Stmt:
-        t = self.peek()
-        first = self.parse_unary()
-        if self.at("("):  # call statement: callee(args);
-            args = self._parse_args()
-            self.expect(";")
-            return CallStmt(first, args, None, t.line)
-        if self.at("="):
-            self.next()
-            rhs = self._parse_rhs(first, t)
-            self.expect(";")
-            return rhs
-        raise ParseError("expected assignment or call statement", t.line, t.col)
-
-    def _parse_rhs(self, lhs: Expr, t: Token) -> Stmt:
-        if self.at("kw", "malloc"):
-            self.next()
+            s = Decl(name, typ, tok[2])
+            self.decls.append(s)
+        elif text == "lock" or text == "unlock":
+            self.pos += 1
             self.expect("(")
-            typ = self.parse_type_suffix(self.parse_base_type())
+            arg = self.parse_expr()
             self.expect(")")
-            return Assign(lhs, Malloc(typ, t.line, t.col), t.line)
-        if self.at("kw", "join"):
-            self.next()
+            self.expect(";")
+            s = LockStmt(arg, line) if text == "lock" else UnlockStmt(arg, line)
+        elif text == "if":
+            self.pos += 1
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            then = self._stmt_as_block(self.parse_stmt())
+            els = Block([], line)
+            if toks[self.pos][1] == "else":  # only a keyword has this text
+                self.pos += 1
+                els = self._stmt_as_block(self.parse_stmt())
+            s = If(cond, then, els, line)
+        elif text == "while":
+            self.pos += 1
+            self.expect("(")
+            cond = self.parse_expr()
+            self.expect(")")
+            s = While(cond, self._stmt_as_block(self.parse_stmt()), line)
+        elif text == "return":
+            self.pos += 1
+            expr = None if toks[self.pos][0] == ";" else self.parse_expr()
+            self.expect(";")
+            s = Return(expr, line)
+        elif text == "create":
+            self.pos += 1
+            self.expect("(")
+            tid = self.parse_expr()
+            self.expect(",")
+            fn = self.parse_expr()
+            self.expect(",")
+            arg = self.parse_expr()
+            self.expect(")")
+            self.expect(";")
+            s = CreateStmt(tid, fn, arg, line)
+        elif text == "join":
+            self.pos += 1
             self.expect("(")
             tid = self.parse_expr()
             self.expect(")")
-            return JoinStmt(tid, lhs, t.line)
-        first = self.parse_unary()
-        if self.at("("):  # lhs = callee(args);
-            args = self._parse_args()
-            return CallStmt(first, args, lhs, t.line)
-        expr = self._parse_binary(first)
-        return Assign(lhs, expr, t.line)
+            self.expect(";")
+            s = JoinStmt(tid, None, line)
+        else:
+            raise ParseError(f"unexpected {text!r}", line, t[3])
+        self.depth = depth
+        return s
 
-    def _parse_args(self) -> list[Expr]:
-        self.expect("(")
-        args: list[Expr] = []
-        if not self.at(")"):
-            while True:
-                args.append(self.parse_expr())
-                if not self.at(","):
-                    break
-                self.next()
-        self.expect(")")
-        return args
+    @staticmethod
+    def _stmt_as_block(s: Stmt) -> Block:
+        return s if type(s) is Block else Block([s], s.line)
+
+    def _parse_assign_or_call(self, t: tuple) -> Stmt:
+        first = self.parse_unary()
+        toks = self.toks
+        kind = toks[self.pos][0]
+        if kind == "(":  # call statement: callee(args);
+            self.pos += 1
+            args = self.comma_list(self.parse_expr)
+            self.expect(";")
+            return CallStmt(first, args, None, t[2])
+        if kind != "=":
+            raise ParseError("expected assignment or call statement", t[2], t[3])
+        self.pos += 1
+        rhs = toks[self.pos][1]
+        if rhs == "malloc":
+            self.pos += 1
+            self.expect("(")
+            typ = self.parse_type_suffix(self.parse_base_type())
+            self.expect(")")
+            self.expect(";")
+            return Assign(first, Malloc(typ, t[2], t[3]), t[2])
+        if rhs == "join":
+            self.pos += 1
+            self.expect("(")
+            tid = self.parse_expr()
+            self.expect(")")
+            self.expect(";")
+            return JoinStmt(tid, first, t[2])
+        callee = self.parse_unary()
+        if toks[self.pos][0] == "(":  # lhs = callee(args);
+            self.pos += 1
+            args = self.comma_list(self.parse_expr)
+            self.expect(";")
+            return CallStmt(callee, args, first, t[2])
+        expr = self._parse_binary(callee)
+        self.expect(";")
+        return Assign(first, expr, t[2])
 
     # --------------------------------------------------------- expressions
 
@@ -330,59 +309,53 @@ class _Parser:
     def _parse_binary(self, left: Expr, min_level: int = 0) -> Expr:
         # precedence climbing: fold every operator of at least min_level into
         # left; the right operand takes the tighter operators that follow it
-        while (level := BINARY.get(self.toks[self.pos].kind, -1)) >= min_level:
-            op = self.next()
+        toks = self.toks
+        while (level := BINARY.get(toks[self.pos][0], -1)) >= min_level:
+            op = toks[self.pos]
+            self.pos += 1
             self.nest(op)
             right = self._parse_binary(self.parse_unary(), level + 1)
-            left = Binary(op.text, left, right, op.line, op.col)
+            left = Binary(op[1], left, right, op[2], op[3])
         return left
 
     def parse_unary(self) -> Expr:
-        t = self.peek()
-        if t.kind in ("&", "*", "!", "-"):
-            self.next()
+        """A unary expression: operators, then a primary with its postfixes."""
+        toks = self.toks
+        t = toks[self.pos]
+        self.pos += 1
+        kind = t[0]
+        if kind == "ident":
+            e = VarRef(t[1], t[2], t[3])
+        elif kind == "int":
+            e = IntLit(_int_value(t), t[2], t[3])
+        elif kind in ("&", "*", "!", "-"):
             self.nest(t)
-            return Unary(t.kind, self.parse_unary(), t.line, t.col)
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> Expr:
-        e = self.parse_primary()
-        while True:
-            t = self.peek()
-            if t.kind in ("->", ".", "["):
-                self.nest(t)
-            if t.kind == "->":
-                self.next()
-                name = self.expect("ident")
-                e = FieldAccess(e, name.text, True, t.line, t.col)
-            elif t.kind == ".":
-                self.next()
-                name = self.expect("ident")
-                e = FieldAccess(e, name.text, False, t.line, t.col)
-            elif t.kind == "[":
-                self.next()
-                idx = self.parse_expr()
-                self.expect("]")
-                e = Index(e, idx, t.line, t.col)
-            else:
-                return e
-
-    def parse_primary(self) -> Expr:
-        t = self.next()
-        if t.kind == "int":
-            return IntLit(_int_value(t), t.line, t.col)
-        if t.kind == "ident":
-            return VarRef(t.text, t.line, t.col)
-        if t.kind == "(":
+            return Unary(kind, self.parse_unary(), t[2], t[3])
+        elif kind == "(":
             self.nest(t)
             e = self.parse_expr()
             self.expect(")")
-            return e
-        raise ParseError(f"unexpected {t.text or t.kind!r} in expression", t.line, t.col)
+        else:
+            raise ParseError(f"unexpected {t[1] or kind!r} in expression", t[2], t[3])
+        while True:
+            t = toks[self.pos]
+            kind = t[0]
+            if kind == "->" or kind == ".":
+                self.nest(t)
+                self.pos += 1
+                e = FieldAccess(e, self.expect("ident")[1], kind == "->", t[2], t[3])
+            elif kind == "[":
+                self.nest(t)
+                self.pos += 1
+                idx = self.parse_expr()
+                self.expect("]")
+                e = Index(e, idx, t[2], t[3])
+            else:
+                return e
 
 
 class _Checker:
-    """Name resolution, local renaming and type checking."""
+    """Name resolution, local renaming, type checking and the address-taken set."""
 
     def __init__(self, functions: dict[str, Function], globals_: dict[str, Decl],
                  structs: dict[str, list[Decl]]):
@@ -392,6 +365,7 @@ class _Checker:
         self.var_types: dict[str, Type] = {}
         self.fn: Function | None = None
         self.scope: dict[str, str] = {}  # bare local name -> qualified
+        self.taken: set[str] = set()  # functions used as values
 
     def run(self) -> Program:
         self._check_structs()
@@ -405,7 +379,7 @@ class _Checker:
         for fn in self.functions.values():
             self._check_function(fn)
         return Program(self.functions, self.globals, self.structs,
-                       var_types=self.var_types)
+                       var_types=self.var_types, address_taken=self.taken)
 
     # -------------------------------------------------------------- decls
 
@@ -444,10 +418,7 @@ class _Checker:
         self.fn = fn
         self.scope = {}
         self._check_type_known(fn.ret, fn.line)
-        for p in fn.params:
-            self._bind_local(fn, p)
-        fn.locals = [s for s in walk_stmts(fn.body) if isinstance(s, Decl)]
-        for d in fn.locals:
+        for d in fn.params + fn.locals:  # the parser collected the locals
             self._bind_local(fn, d)
         self._check_block(fn.body)
 
@@ -463,74 +434,67 @@ class _Checker:
     # ---------------------------------------------------------- statements
 
     def _check_block(self, block: Block) -> None:
-        for i, s in enumerate(block.stmts):
-            block.stmts[i] = self._check_stmt(s)
+        for s in block.stmts:
+            _CHECK_STMT[type(s)](self, s)
 
-    def _check_stmt(self, s: Stmt) -> Stmt:
-        if isinstance(s, Decl):
-            return s
-        if isinstance(s, Block):
-            self._check_block(s)
-            return s
-        if isinstance(s, Assign):
-            s.lhs = self._check_lvalue(s.lhs)
-            if isinstance(s.rhs, Malloc):
-                self._check_type_known(s.rhs.alloc_type, s.line)
-                if s.rhs.alloc_type in (VOID,) or isinstance(s.rhs.alloc_type, (ArrayType, FuncType)):
-                    raise TypeCheckError(f"cannot malloc {s.rhs.alloc_type}", s.line, 0)
-                s.rhs.typ = PointerType(s.rhs.alloc_type)
-                if s.lhs.typ != s.rhs.typ:
-                    raise TypeCheckError(
-                        f"malloc({s.rhs.alloc_type}) assigned to {s.lhs.typ}", s.line, 0)
-                return s
-            s.rhs = self._check_expr(s.rhs)
-            self._require_assignable(s.lhs.typ, s.rhs.typ, s.line)
-            return s
-        if isinstance(s, CallStmt):
-            return self._check_call(s)
-        if isinstance(s, If):
-            s.cond = self._check_expr(s.cond)
-            self._require_int(s.cond, "if condition")
-            self._check_block(s.then)
-            self._check_block(s.els)
-            return s
-        if isinstance(s, While):
-            s.cond = self._check_expr(s.cond)
-            self._require_int(s.cond, "while condition")
-            self._check_block(s.body)
-            return s
-        if isinstance(s, (LockStmt, UnlockStmt)):
-            s.arg = self._check_expr(s.arg)
-            if s.arg.typ != MUTEX_PTR:
-                op = "lock" if isinstance(s, LockStmt) else "unlock"
-                raise TypeCheckError(f"{op}() expects mutex*, got {s.arg.typ}", s.line, 0)
-            return s
-        if isinstance(s, CreateStmt):
-            return self._check_create(s)
-        if isinstance(s, JoinStmt):
-            s.tid = self._check_expr(s.tid)
-            if s.tid.typ != THREAD_ID:
-                raise TypeCheckError(f"join() expects thread_t, got {s.tid.typ}", s.line, 0)
-            if s.ret is not None:
-                s.ret = self._check_lvalue(s.ret)
-                if s.ret.typ != INT:
-                    raise TypeCheckError("join() result must go to an int", s.line, 0)
-            return s
-        if isinstance(s, Return):
-            if s.expr is None:
-                if self.fn.ret != VOID:
-                    raise TypeCheckError(f"{self.fn.name} must return {self.fn.ret}", s.line, 0)
-            else:
-                if self.fn.ret == VOID:
-                    raise TypeCheckError(f"{self.fn.name} returns void", s.line, 0)
-                s.expr = self._check_expr(s.expr)
-                self._require_assignable(self.fn.ret, s.expr.typ, s.line)
-            return s
-        raise AssertionError(f"unhandled statement {s!r}")
+    def _check_assign(self, s: Assign) -> None:
+        s.lhs = self._check_lvalue(s.lhs)
+        if type(s.rhs) is Malloc:
+            self._check_type_known(s.rhs.alloc_type, s.line)
+            if s.rhs.alloc_type in (VOID,) or isinstance(s.rhs.alloc_type, (ArrayType, FuncType)):
+                raise TypeCheckError(f"cannot malloc {s.rhs.alloc_type}", s.line, 0)
+            s.rhs.typ = PointerType(s.rhs.alloc_type)
+            if s.lhs.typ != s.rhs.typ:
+                raise TypeCheckError(
+                    f"malloc({s.rhs.alloc_type}) assigned to {s.lhs.typ}", s.line, 0)
+            return
+        s.rhs = self._check_expr(s.rhs)
+        self._require_assignable(s.lhs.typ, s.rhs.typ, s.line)
 
-    def _check_call(self, s: CallStmt) -> CallStmt:
+    def _check_if(self, s: If) -> None:
+        s.cond = self._check_expr(s.cond)
+        self._require_int(s.cond, "if condition")
+        self._check_block(s.then)
+        self._check_block(s.els)
+
+    def _check_while(self, s: While) -> None:
+        s.cond = self._check_expr(s.cond)
+        self._require_int(s.cond, "while condition")
+        self._check_block(s.body)
+
+    def _check_lock(self, s: LockStmt | UnlockStmt) -> None:
+        s.arg = self._check_expr(s.arg)
+        if s.arg.typ != MUTEX_PTR:
+            op = "lock" if type(s) is LockStmt else "unlock"
+            raise TypeCheckError(f"{op}() expects mutex*, got {s.arg.typ}", s.line, 0)
+
+    def _check_join(self, s: JoinStmt) -> None:
+        s.tid = self._check_expr(s.tid)
+        if s.tid.typ != THREAD_ID:
+            raise TypeCheckError(f"join() expects thread_t, got {s.tid.typ}", s.line, 0)
+        if s.ret is not None:
+            s.ret = self._check_lvalue(s.ret)
+            if s.ret.typ != INT:
+                raise TypeCheckError("join() result must go to an int", s.line, 0)
+
+    def _check_return(self, s: Return) -> None:
+        if s.expr is None:
+            if self.fn.ret != VOID:
+                raise TypeCheckError(f"{self.fn.name} must return {self.fn.ret}", s.line, 0)
+        else:
+            if self.fn.ret == VOID:
+                raise TypeCheckError(f"{self.fn.name} returns void", s.line, 0)
+            s.expr = self._check_expr(s.expr)
+            self._require_assignable(self.fn.ret, s.expr.typ, s.line)
+
+    def _check_call(self, s: CallStmt) -> None:
+        taken = len(self.taken)
         s.callee = self._check_expr(s.callee)
-        if isinstance(s.callee, FuncRef):
+        if type(s.callee) is FuncRef:
+            # A direct callee is a function name under '&' and '*' only, so
+            # the set grew by that name alone, which is not taken here.
+            if len(self.taken) > taken:
+                self.taken.discard(s.callee.name)
             ft = self.functions[s.callee.name].func_type
         elif is_fnptr(s.callee.typ):
             ft = s.callee.typ.pointee
@@ -548,14 +512,13 @@ class _Checker:
                 raise TypeCheckError("void call cannot produce a value", s.line, 0)
             s.lhs = self._check_lvalue(s.lhs)
             self._require_assignable(s.lhs.typ, ft.ret, s.line)
-        return s
 
-    def _check_create(self, s: CreateStmt) -> CreateStmt:
+    def _check_create(self, s: CreateStmt) -> None:
         s.tid = self._check_expr(s.tid)
         if s.tid.typ != PointerType(THREAD_ID):
             raise TypeCheckError(f"create() expects thread_t* first, got {s.tid.typ}", s.line, 0)
         s.fn = self._check_expr(s.fn)
-        if isinstance(s.fn, FuncRef):
+        if type(s.fn) is FuncRef:
             ft = self.functions[s.fn.name].func_type
         elif is_fnptr(s.fn.typ):
             ft = s.fn.typ.pointee
@@ -568,49 +531,45 @@ class _Checker:
         if s.arg.typ != ft.params[0]:
             raise TypeCheckError(
                 f"thread argument type {s.arg.typ}, expected {ft.params[0]}", s.line, 0)
-        return s
 
     # --------------------------------------------------------- expressions
 
     def _check_expr(self, e: Expr) -> Expr:
-        if isinstance(e, IntLit):
-            e.typ = INT
+        return _CHECK_EXPR[type(e)](self, e)
+
+    def _check_int(self, e: IntLit) -> Expr:
+        e.typ = INT
+        return e
+
+    def _check_var(self, e: VarRef) -> Expr:
+        name = e.name
+        qual = self.scope.get(name)
+        if qual is not None:
+            e.name = qual
+            e.typ = self.var_types[qual]
             return e
-        if isinstance(e, VarRef):
-            if e.name in self.scope:
-                e.name = self.scope[e.name]
-                e.typ = self.var_types[e.name]
-                return e
-            if e.name in self.globals:
-                e.typ = self.var_types[e.name]
-                return e
-            if e.name in self.functions:
-                fr = FuncRef(e.name, e.line, e.col)
-                fr.typ = PointerType(self.functions[e.name].func_type)
-                return fr
-            raise TypeCheckError(f"unknown identifier {e.name!r}", e.line, e.col)
-        if isinstance(e, FuncRef):
-            e.typ = PointerType(self.functions[e.name].func_type)
+        if name in self.globals:
+            e.typ = self.var_types[name]
             return e
-        if isinstance(e, Unary):
-            return self._check_unary(e)
-        if isinstance(e, Binary):
-            return self._check_binary(e)
-        if isinstance(e, FieldAccess):
-            return self._check_field(e)
-        if isinstance(e, Index):
-            e.base = self._check_expr(e.base)
-            e.index = self._check_expr(e.index)
-            self._require_int(e.index, "array index")
-            if not isinstance(e.base.typ, ArrayType):
-                raise TypeCheckError(f"cannot index {e.base.typ}", e.line, e.col)
-            if not self._is_lvalue(e.base):
-                raise TypeCheckError("array expression is not an lvalue", e.line, e.col)
-            e.typ = e.base.typ.element
-            return e
-        if isinstance(e, Malloc):
-            raise TypeCheckError("malloc() only allowed as a whole assignment", e.line, e.col)
-        raise AssertionError(f"unhandled expression {e!r}")
+        fn = self.functions.get(name)
+        if fn is None:
+            raise TypeCheckError(f"unknown identifier {name!r}", e.line, e.col)
+        self.taken.add(name)
+        fr = FuncRef(name, e.line, e.col)
+        fr.typ = PointerType(fn.func_type)
+        return fr
+
+    def _check_index(self, e: Index) -> Expr:
+        e.base = self._check_expr(e.base)
+        e.index = self._check_expr(e.index)
+        self._require_int(e.index, "array index")
+        if not isinstance(e.base.typ, ArrayType):
+            raise TypeCheckError(f"cannot index {e.base.typ}", e.line, e.col)
+        if not self._is_lvalue(e.base):
+            raise TypeCheckError("array expression is not an lvalue", e.line, e.col)
+        e.typ = e.base.typ.element
+        return e
+
 
     def _check_unary(self, e: Unary) -> Expr:
         e.operand = self._check_expr(e.operand)
@@ -703,9 +662,22 @@ class _Checker:
             raise TypeCheckError(f"cannot assign {rt} to {lt}", line, 0)
 
 
+# The checker of each node type, found by one dict lookup on the exact type.
+_CHECK_STMT = {
+    Decl: lambda self, s: None,  # bound with the function's other locals
+    Assign: _Checker._check_assign,
+    CallStmt: _Checker._check_call, If: _Checker._check_if, While: _Checker._check_while,
+    LockStmt: _Checker._check_lock, UnlockStmt: _Checker._check_lock,
+    CreateStmt: _Checker._check_create, JoinStmt: _Checker._check_join,
+    Return: _Checker._check_return, Block: _Checker._check_block,
+}
+_CHECK_EXPR = {
+    IntLit: _Checker._check_int, VarRef: _Checker._check_var,
+    Unary: _Checker._check_unary, Binary: _Checker._check_binary,
+    FieldAccess: _Checker._check_field, Index: _Checker._check_index,
+}
+
+
 def parse(source: str) -> Program:
     """Parse, resolve and type check a program."""
-    functions, globals_, structs = _Parser(source).parse_program()
-    prog = _Checker(functions, globals_, structs).run()
-    prog.address_taken = address_taken_functions(prog)
-    return prog
+    return _Checker(*_Parser(source).parse_program()).run()

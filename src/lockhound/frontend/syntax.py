@@ -332,15 +332,20 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
     return []
 
 
-def walk_stmts(block: Block, out: list[Stmt] | None = None) -> list[Stmt]:
+def walk_stmts(block: Block) -> list[Stmt]:
     """Every statement inside block, nested ones included, in source order
-    (a compound statement comes before the statements it contains)."""
-    if out is None:
-        out = []
-    for s in block.stmts:
+    (a compound statement comes before the statements it contains). The
+    walk keeps its own stack, so an else-if chain may be any length."""
+    out: list[Stmt] = []
+    stack = block.stmts[::-1]  # the statements still to visit, the next one last
+    sub_blocks_of = _SUB_BLOCKS.get
+    while stack:
+        s = stack.pop()
         out.append(s)
-        for b in sub_blocks(s):
-            walk_stmts(b, out)
+        get = sub_blocks_of(type(s))
+        if get is not None:
+            for b in reversed(get(s)):
+                stack += reversed(b.stmts)
     return out
 
 

@@ -11,22 +11,8 @@ from __future__ import annotations
 
 from .syntax import (
     INT, Assign, Binary, Block, CallStmt, Decl, Expr, FuncRef, Function, If,
-    PointerType, Program, Return, ExitJump, Stmt, VarRef, VOID, stmt_exprs,
-    sub_blocks, walk_exprs, walk_stmts,
+    PointerType, Program, Return, ExitJump, Stmt, VarRef, VOID, sub_blocks, walk_stmts,
 )
-
-
-def address_taken_functions(prog: Program) -> set[str]:
-    """Functions whose value is used anywhere outside a direct call position."""
-    exprs: list[Expr] = []
-    for fn in prog.functions.values():
-        for s in walk_stmts(fn.body):
-            roots = stmt_exprs(s)
-            if isinstance(s, CallStmt) and isinstance(s.callee, FuncRef):
-                roots = roots[1:]  # direct callees do not count as taken
-            for e in roots:
-                walk_exprs(e, exprs)
-    return {e.name for e in exprs if isinstance(e, FuncRef)}
 
 
 def fp_call_candidates(prog: Program, callee: Expr) -> list[Function]:
@@ -39,13 +25,6 @@ def fp_call_candidates(prog: Program, callee: Expr) -> list[Function]:
 
 def remove_fp_calls(prog: Program) -> Program:
     """Replace calls through function pointers with direct-call dispatch chains."""
-
-    def rewrite(block: Block) -> None:
-        for i, s in enumerate(block.stmts):
-            if isinstance(s, CallStmt) and not isinstance(s.callee, FuncRef):
-                block.stmts[i] = dispatch(s)
-            for b in sub_blocks(s):
-                rewrite(b)
 
     def dispatch(s: CallStmt) -> Stmt:
         cands = fp_call_candidates(prog, s.callee)
@@ -66,7 +45,12 @@ def remove_fp_calls(prog: Program) -> Program:
         return chain
 
     for fn in prog.functions.values():
-        rewrite(fn.body)
+        stmts = walk_stmts(fn.body)  # in source order, before any rewrite
+        chains = {id(s): dispatch(s) for s in stmts
+                  if type(s) is CallStmt and type(s.callee) is not FuncRef}
+        for s in [fn.body, *stmts] if chains else ():
+            for b in sub_blocks(s):
+                b.stmts = [chains.get(id(c), c) for c in b.stmts]
     return prog
 
 
@@ -96,7 +80,9 @@ def single_exit(prog: Program) -> Program:
             ret_var = VarRef(ret_name)
             ret_var.typ = fn.ret
 
-        def rewrite(block: Block) -> None:
+        blocks = [fn.body]  # each block is rewritten on its own, in any order
+        while blocks:
+            block = blocks.pop()
             out: list[Stmt] = []
             for s in block.stmts:
                 if isinstance(s, Return):
@@ -105,12 +91,9 @@ def single_exit(prog: Program) -> Program:
                         out[-1].lhs.typ = fn.ret
                     out.append(ExitJump(s.line))
                     break  # statements after a return are dead
-                for b in sub_blocks(s):
-                    rewrite(b)
+                blocks.extend(sub_blocks(s))
                 out.append(s)
             block.stmts = out
-
-        rewrite(fn.body)
         final = VarRef(ret_name) if ret_var is not None else None
         if final is not None:
             final.typ = fn.ret

@@ -201,9 +201,14 @@ class NonConcurrency:
         key = frozenset((p1, p2))
         if key in self._memo:
             return self._memo[key]
-        r = self._check(p1, p2)
-        self._memo[key] = r
+        r = self._memo[key] = self._check(p1, p2)
         return r
+
+    def answer(self, p1: Place, p2: Place) -> str | None:
+        """check()'s answer, not stored: a dump of every pair of places
+        would fill the memo with pairs the analysis never asked about."""
+        key = frozenset((p1, p2))
+        return self._memo[key] if key in self._memo else self._check(p1, p2)
 
     def multiple_thread(self, t: Place) -> bool:
         """May several instances of thread t run at once?"""

@@ -1,6 +1,7 @@
 import contextlib
 import functools
 import random
+import re
 import sys
 from collections import deque
 from pathlib import Path
@@ -10,9 +11,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make checks.py importable
 
 import lockhound.framework
+from lockhound.errors import ParseError
 from lockhound.frontend import build_icfa, parse, preprocess
 from lockhound.frontend.icfa import (
     FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+)
+from lockhound.frontend.lexer import KEYWORDS, SYMBOLS
+from lockhound.frontend.syntax import (
+    CallStmt, FuncRef, Program, stmt_exprs, walk_exprs, walk_stmts,
 )
 from lockhound.generator import GenConfig
 from lockhound.lockgraph import LockEdge, close_lock_edges
@@ -63,6 +69,71 @@ def shuffled_worklists(seed: int):
         yield
     finally:
         lockhound.framework._Worklist = fifo
+
+
+# The tests' reference tokenizer: one compiled pattern cuts the source into
+# gapless pieces by maximal munch; a piece's offset is the sum of the
+# lengths before it, and its first character tells its kind.
+_PIECE = re.compile("|".join([
+    r"\n",
+    r"[ \t\r]+",
+    r"//[^\n]*",
+    r"/\*(?:.*?\*/|.*)",  # a block comment, or an unterminated one to the end
+    r"[0-9]+",
+    r"\w+",  # \w is exactly str.isalnum() or '_'
+    *map(re.escape, SYMBOLS),
+    r".",  # a bad character
+]), re.DOTALL)
+_SYMBOL_SET = set(SYMBOLS)
+
+
+def reference_tokenize(source: str) -> list[tuple[str, str, int, int]]:
+    """(kind, text, line, col) tuples, or a ParseError, as tokenize() gives."""
+    toks = []
+    line, line_start, end = 1, 0, 0  # line_start: offset of the line's first character
+    text = ""
+    for text in _PIECE.findall(source):
+        start, end = end, end + len(text)
+        c = text[0]
+        if text in _SYMBOL_SET:
+            kind = text
+        elif c.isalpha() or c == "_":
+            kind = "kw" if text in KEYWORDS else "ident"
+        elif "0" <= c <= "9":
+            kind = "int"
+        else:
+            if c == "\n":
+                line += 1
+                line_start = end
+            elif text.startswith("/*"):
+                if len(text) < 4 or not text.endswith("*/"):
+                    raise ParseError("unterminated comment", line, start - line_start + 1)
+                if "\n" in text:
+                    line += text.count("\n")
+                    line_start = start + text.rindex("\n") + 1
+            elif c not in " \t\r" and not text.startswith("//"):
+                raise ParseError(f"unexpected character {c!r}", line, start - line_start + 1)
+            continue
+        toks.append((kind, text, line, start - line_start + 1))
+    if text.startswith("//"):
+        end = start  # the end of input sits at a trailing // comment
+    toks.append(("eof", "", line, end - line_start + 1))
+    return toks
+
+
+def reference_address_taken(prog: Program) -> set[str]:
+    """The tests' reference for Program.address_taken: functions whose value
+    is used anywhere outside a direct call position, by a walk over every
+    statement of the parsed program."""
+    exprs = []
+    for fn in prog.functions.values():
+        for s in walk_stmts(fn.body):
+            roots = stmt_exprs(s)
+            if isinstance(s, CallStmt) and isinstance(s.callee, FuncRef):
+                roots = roots[1:]  # direct callees do not count as taken
+            for e in roots:
+                walk_exprs(e, exprs)
+    return {e.name for e in exprs if isinstance(e, FuncRef)}
 
 
 def close_triples(triples) -> frozenset:

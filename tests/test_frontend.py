@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, icfa_of
+from conftest import FIXTURES, icfa_of, reference_address_taken, reference_tokenize
 from lockhound.errors import MissingMainError, ParseError, TypeCheckError
 from lockhound.frontend import parse, remove_fp_calls, single_exit
 from lockhound.frontend.lexer import tokenize
@@ -13,8 +13,9 @@ from lockhound.frontend.syntax import (
     INT, MUTEX, Assign, Binary, CreateStmt, FuncRef, If, JoinStmt, LockStmt,
     PointerType, Return, Unary, UnlockStmt, VarRef, expr_text, walk_stmts,
 )
-from lockhound.frontend.transform import address_taken_functions
 from lockhound.generator import generate, random_config
+
+import error_positions
 from lockhound.pipeline import analyze_source
 
 
@@ -23,21 +24,21 @@ from lockhound.pipeline import analyze_source
 
 def test_tokenize_kinds():
     toks = tokenize("int x; x = x + 41; // tail\n")
-    assert [(t.kind, t.text) for t in toks[:4]] == [
+    assert [(t[0], t[1]) for t in toks[:4]] == [
         ("kw", "int"), ("ident", "x"), (";", ";"), ("ident", "x")]
-    assert toks[-1].kind == "eof"
-    assert [t.text for t in toks if t.kind == "int"] == ["41"]
+    assert toks[-1][0] == "eof"
+    assert [t[1] for t in toks if t[0] == "int"] == ["41"]
 
 
 def test_tokenize_longest_symbol_wins():
     toks = tokenize("a->b == c - > d")
-    kinds = [t.kind for t in toks[:-1]]
+    kinds = [t[0] for t in toks[:-1]]
     assert kinds == ["ident", "->", "ident", "==", "ident", "-", ">", "ident"]
 
 
 def test_tokenize_positions_and_comments():
     toks = tokenize("/* skip\nme */ x\n  y")
-    assert [(t.text, t.line, t.col) for t in toks[:-1]] == [("x", 2, 7), ("y", 3, 3)]
+    assert [t[1:] for t in toks[:-1]] == [("x", 2, 7), ("y", 3, 3)]
 
 
 def test_tokenize_errors():
@@ -101,8 +102,40 @@ def test_tokens_and_errors_sit_at_their_positions(source):
         else:
             assert e.msg == f"unexpected character {text_at(e.line, e.col, 1)!r}"
         return
-    for t in toks:
-        assert text_at(t.line, t.col, len(t.text)) == t.text
+    for _, text, line, col in toks:
+        assert text_at(line, col, len(text)) == text
+
+
+def lexed(tokenizer, source: str):
+    try:
+        return tokenizer(source)
+    except ParseError as e:
+        return str(e)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.sampled_from(LEX_PIECES), max_size=30).map("".join))
+def test_tokenize_equals_the_reference_on_lex_pieces(source):
+    assert lexed(tokenize, source) == lexed(reference_tokenize, source)
+
+
+def test_tokenize_equals_the_reference_on_programs():
+    sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(seed, random_config(seed)) for seed in range(500)]  # corpus 0-499
+    for src in sources:
+        toks = lexed(tokenize, src)
+        assert all(type(t) is tuple for t in toks)
+        assert toks == lexed(reference_tokenize, src)
+
+
+def test_end_of_input_after_a_trailing_line_comment_sits_at_the_comment():
+    src = "int x;\n  // tail"
+    assert tokenize(src)[-1] == ("eof", "", 2, 3) == reference_tokenize(src)[-1]
+
+
+def test_error_positions_match_the_golden_file():
+    # every fixture with one token blanked out, str(error) or "ok" for each
+    assert error_positions.GOLDEN.read_text().splitlines() == error_positions.lines()
 
 
 # ---------------------------------------------------------------- parser
@@ -229,7 +262,7 @@ def test_address_taken_and_fp_dispatch():
             return r;
         }
     """)
-    assert address_taken_functions(prog) == {"w1", "w2"}
+    assert prog.address_taken == reference_address_taken(prog) == {"w1", "w2"}
     remove_fp_calls(prog)
     body = prog.functions["main"].body.stmts
     disp = body[4]
@@ -276,7 +309,7 @@ def test_address_taken_and_fp_dispatch():
             return r;
         }
     """)
-    assert address_taken_functions(prog) == {
+    assert prog.address_taken == reference_address_taken(prog) == {
         "t_rhs", "t_arg", "t_callee", "t_if", "t_while", "runner", "t_carg",
         "t_ret", "t_lock"}
 
@@ -288,7 +321,7 @@ def test_address_taken_is_the_parsed_programs():
     sources += [generate(seed, random_config(seed)) for seed in range(40)]
     for src in sources:
         taken = icfa_of(src).prog.address_taken
-        assert taken and taken == address_taken_functions(parse(src))
+        assert taken and taken == reference_address_taken(parse(src))
 
 
 def test_code_after_a_return_still_takes_addresses():

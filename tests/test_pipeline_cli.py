@@ -1,12 +1,18 @@
 """End-to-end pipeline results, report formats, and the command line."""
 
 import gc
+import hashlib
 import importlib.util
 import io
 import json
+import os
+import random
 import re
 import shutil
+import subprocess
 import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,15 +21,21 @@ from hypothesis import strategies as st
 import lockhound.framework
 import lockhound.pipeline
 from conftest import FIXTURES, icfa_of, load
-from lockhound.cli import _want_color, main
+from lockhound.cli import _dumps, _want_color, main
 from lockhound.errors import DivergedError, MissingMainError, SourceError
+from lockhound.frontend import preprocess
 from lockhound.frontend.parser import MAX_NESTING
 from lockhound.generator import GenConfig, generate
 from lockhound.locksets import MayLockset
+from lockhound.oracle import run_oracle
 from lockhound.pipeline import (
     INCONCLUSIVE, POTENTIAL, PROVED_FREE, Config, analyze_icfa,
     analyze_source, report_dict, report_text,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import diamond_source  # noqa: E402
 
 SHOWCASE = str(FIXTURES / "showcase.mc")
 NOGATE = str(FIXTURES / "mutant_nogate.mc")
@@ -309,6 +321,32 @@ def test_nesting_limit_is_a_parse_error(form, tmp_path, capsys):
             assert "internal error" not in err
 
 
+def test_call_through_a_pointer_with_many_candidates(tmp_path, capsys):
+    # the dispatch chain nests one else-block per candidate, deeper than
+    # Python's stack: every walk over it loops
+    n = 1200
+    src = "".join(f"int f{i}(int a) {{ return a; }}\n" for i in range(n))
+    src += ("int main() {\n  int (*fp)(int);\n  int r;\n"
+            + "".join(f"  fp = f{i};\n" for i in range(n))
+            + "  r = fp(3);\n  return r;\n}\n")
+    prog = tmp_path / "many.mc"
+    prog.write_text(src)
+    assert main(["analyze", str(prog)]) == 0
+    assert capsys.readouterr().out.startswith(f"verdict: {PROVED_FREE}\n")
+    icfa = icfa_of(src)
+    preprocess(icfa.prog)  # a second pass over the chain changes nothing
+    res = run_oracle(icfa, max_states=100_000)
+    assert not res.truncated and not res.witnesses and res.states == 1654
+
+
+def test_python_dash_m_lockhound():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-m", "lockhound", "analyze", SHOWCASE],
+                         capture_output=True, text=True, env=env, cwd=ROOT, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(f"verdict: {PROVED_FREE}\n")
+
+
 def front_door(source: str) -> str:
     """The verdict on a source text, or "error" for a one-line input error;
     anything else propagates and fails the caller."""
@@ -411,6 +449,18 @@ def test_json_report_is_the_whole_stdout(flags, marker, capsys):
     out, err = capsys.readouterr()
     assert json.loads(out)["verdict"] == PROVED_FREE
     assert marker in err and marker not in out
+
+
+def test_nonconc_dump_keeps_no_answer_the_analysis_did_not_ask_for(capsys):
+    a = analyze_source(diamond_source(6, random.Random(0)))
+    memo = len(a.nonconc._memo)
+    _dumps(a, SimpleNamespace(dump_places=False, dump_points_to=False, dump_deps=False,
+                              dump_locksets=None, dump_nonconc=True))
+    assert len(a.nonconc._memo) == memo
+    out = capsys.readouterr().out
+    assert out.count("\n") == 8257  # the header and 8,256 pairs, as before
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "9d2c5c680b5f64a244488482089b68490719bf3ecc0dc3ac8993f73425a18769"
 
 
 @pytest.mark.parametrize("stem", ["showcase", "wrapper_ok"])
