@@ -1,10 +1,8 @@
-"""Mini-C frontend: parsing, preprocessing and automaton construction."""
+"""Mini-C frontend: parsing and type checking, the candidate table of calls
+through function pointers (preprocess), and the automaton builder, which
+compiles returns and calls through pointers itself (see icfa)."""
 
 from .parser import parse
-from .transform import preprocess, remove_fp_calls, single_exit
-from .icfa import ICFA, Edge, Location, build_icfa
+from .icfa import ICFA, Edge, Location, build_icfa, preprocess
 
-__all__ = [
-    "parse", "preprocess", "remove_fp_calls", "single_exit",
-    "ICFA", "Edge", "Location", "build_icfa",
-]
+__all__ = ["parse", "preprocess", "ICFA", "Edge", "Location", "build_icfa"]

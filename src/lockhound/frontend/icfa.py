@@ -1,11 +1,22 @@
 """Interprocedural control flow automaton.
 
-Each function body becomes a control flow automaton. An edge for an
-assignment, lock, unlock, create or join carries that checked statement
-itself, and every edge into a function's exit carries the function's final
-Return. The other ops exist only in the automaton: a guard (a branch
-condition with the side taken), a skip, and five kinds of inter-function
-edges that stitch the per-function automata together:
+The builder compiles each checked function body, in one pass, into a
+control flow automaton. An edge for an assignment, lock, unlock, create or
+join carries that checked statement itself, and every edge into a
+function's exit carries the function's one final Return. When the body ends
+in its only return, that is this return. Otherwise each return becomes an
+edge f::__ret = e (none in a void function) and a jump to the exit, and the
+final Return reads f::__ret, a variable the builder declares in the
+program's var_types. A call through a function pointer becomes a dispatch
+over the address-taken functions of its type (preprocess fills that table):
+per candidate f, a guard [fp == f], a direct call and a skip to f's merge.
+A failed guard goes on to the next candidate, and each merge flows into the
+one above it, as the else-if chain `if (fp == f1) f1(..); else if ...`
+would compile. Statements after a return are dead and not compiled.
+
+The other ops exist only in the automaton: a guard (a branch condition with
+the side taken), a skip, and five kinds of inter-function edges that stitch
+the per-function automata together:
 
   func_entry    call site           -> callee entry     (argument binding)
   func_exit     callee exit         -> after call site  (return binding)
@@ -29,11 +40,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .syntax import (
-    Assign, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef, Function, If,
-    JoinStmt, LockStmt, Program, Return, ExitJump, Stmt,
+    INT, VOID, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef,
+    Function, If, JoinStmt, LockStmt, PointerType, Program, Return, Stmt,
     UnlockStmt, VarRef, While, expr_text, is_fnptr,
 )
-from .transform import _is_canonical, fp_call_candidates
 from ..errors import MissingMainError
 from ..graphs import sccs
 
@@ -288,9 +298,15 @@ class ICFA:
 # ----------------------------------------------------------------- builder
 
 
-def is_preprocessed(prog: Program) -> bool:
-    """Every function ends in its only return and calls only by name."""
-    return all(_is_canonical(f, fp_calls=False) for f in prog.functions.values())
+def preprocess(prog: Program) -> Program:
+    """Fill prog.fp_targets, the candidate table build_icfa reads: per
+    function pointer type, the address-taken functions of that type in name
+    order."""
+    prog.fp_targets = {}
+    for name in sorted(prog.address_taken):
+        fn = prog.functions[name]
+        prog.fp_targets.setdefault(PointerType(fn.func_type), []).append(fn)
+    return prog
 
 
 class _FunctionCompiler:
@@ -299,20 +315,29 @@ class _FunctionCompiler:
         self.fn = fn
         self.pending_calls: list[tuple[int, int, str, CallStmt]] = []
         self.pending_creates: list[tuple[int, int, CreateStmt]] = []
-        self.exit_sources: list[int] = []
+        self.exit_sources: list[int] = []  # locations a return jumps out of
+        self.final: Return | None = None  # the body's only, trailing return
 
     def compile(self) -> FuncInfo:
         icfa, fn = self.icfa, self.fn
         entry = icfa.new_loc(fn.name, fn.line)
-        body = fn.body.stmts
-        final = body[-1]
-        assert isinstance(final, Return)
-        cur = self.compile_stmts(body[:-1], entry)
+        cur = self.compile_stmts(fn.body.stmts, entry)
+        final = self.final
+        if final is None:  # every return went through f::__ret
+            final = Return(self.ret_var(0) if fn.ret != VOID else None, fn.line)
         exit_loc = icfa.new_loc(fn.name, final.line)
         for src in ([cur] if cur is not None else []) + self.exit_sources:
             icfa.add_edge(src, exit_loc, final, final.line)
         return FuncInfo(fn.name, entry, exit_loc, tuple(p.name for p in fn.params),
                         final.expr)
+
+    def ret_var(self, line: int) -> VarRef:
+        """A reference to f::__ret, declared in var_types on first use."""
+        name = f"{self.fn.name}::__ret"
+        self.icfa.prog.var_types.setdefault(name, self.fn.ret)
+        v = VarRef(name, line)
+        v.typ = self.fn.ret
+        return v
 
     def compile_stmts(self, stmts: list[Stmt], cur: int | None) -> int | None:
         for s in stmts:
@@ -336,7 +361,8 @@ class _FunctionCompiler:
                 self.pending_creates.append((cur, nxt, s))
             return nxt
         if isinstance(s, CallStmt):
-            assert isinstance(s.callee, FuncRef)
+            if type(s.callee) is not FuncRef:
+                return self.compile_dispatch(s, cur)
             nxt = icfa.new_loc(fname, s.line)
             if icfa.locations[cur].line == 0:
                 icfa.locations[cur].line = s.line
@@ -346,51 +372,63 @@ class _FunctionCompiler:
             return self.compile_if(s, cur)
         if isinstance(s, While):
             return self.compile_while(s, cur)
-        if isinstance(s, ExitJump):
+        if isinstance(s, Return):
+            if s is self.fn.body.stmts[-1] and not self.exit_sources:
+                self.final = s
+                return cur
+            # an early return, or the last of several: set f::__ret and jump
+            if s.expr is not None:
+                cur = self.compile_stmt(Assign(self.ret_var(s.line), s.expr, s.line), cur)
             self.exit_sources.append(cur)
             return None
         raise AssertionError(f"unexpected statement in automaton builder: {s!r}")
 
+    def compile_dispatch(self, s: CallStmt, cur: int) -> int:
+        """A call through a pointer, over its candidates f in turn: a guard
+        [fp == f], a direct call and a skip to f's merge. A failed guard goes
+        on to the next candidate, the last one's to the last merge, and each
+        merge flows into the one above it."""
+        icfa, fname, line = self.icfa, self.fn.name, s.line
+        cands = icfa.prog.fp_targets.get(s.callee.typ, [])
+        if not cands:
+            icfa.warnings.append(
+                f"line {line}: call through function pointer has no candidates, dropped")
+            return cur
+        merges: list[int] = []
+        for fn in cands:
+            ref = FuncRef(fn.name, line)
+            ref.typ = s.callee.typ
+            cond = Binary("==", s.callee, ref, line)
+            cond.typ = INT
+            site = icfa.new_loc(fname, line)
+            icfa.add_edge(cur, site, GuardOp(cond), line)
+            nxt = icfa.new_loc(fname, line)
+            self.pending_calls.append((site, nxt, fn.name, s))
+            merges.append(icfa.new_loc(fname, line))
+            icfa.add_edge(nxt, merges[-1], SkipOp(), line)
+            other = merges[-1] if fn is cands[-1] else icfa.new_loc(fname, line)
+            icfa.add_edge(cur, other, GuardOp(cond, True), line)
+            cur = other
+        for k in range(len(merges) - 1, 0, -1):
+            icfa.add_edge(merges[k], merges[k - 1], SkipOp(), line)
+        return merges[0]
+
     def compile_if(self, s: If, cur: int) -> int | None:
-        """An if and the else-if chain below it, a link per round, since a
-        dispatch chain can outgrow Python's stack. Locations and edges come
-        in the order of a recursion: a link's merge flows into the one above
-        it once the rest of the chain is built."""
         icfa, fname = self.icfa, self.fn.name
-        links: list[If] = []
-        merges: list[int | None] = []  # each link's merge, made when first needed
-
-        def to_merge(k: int, src: int, op: Op) -> None:
-            if merges[k] is None:
-                merges[k] = icfa.new_loc(fname, links[k].line)
-            icfa.add_edge(src, merges[k], op, links[k].line)
-
-        while True:
-            k = len(links)
-            links.append(s)
-            merges.append(None)
-            els = s.els.stmts
-            for branch, negated in ((s.then, False), (s.els, True)):
-                guard = GuardOp(s.cond, negated)
-                if not branch.stmts:
-                    to_merge(k, cur, guard)
-                    continue
+        merge = None
+        for branch, negated in ((s.then, False), (s.els, True)):
+            guard = GuardOp(s.cond, negated)
+            if branch.stmts:
                 b_entry = icfa.new_loc(fname, branch.line or s.line)
                 icfa.add_edge(cur, b_entry, guard, s.line)
-                if negated and len(els) == 1 and type(els[0]) is If:
-                    cur, s = b_entry, els[0]  # the next link
-                    break
-                b_end = self.compile_stmts(branch.stmts, b_entry)
-                if b_end is not None:
-                    to_merge(k, b_end, SkipOp())
+                end, op = self.compile_stmts(branch.stmts, b_entry), SkipOp()
             else:
-                break
-        end = merges[-1]
-        for k in range(len(links) - 2, -1, -1):
+                end, op = cur, guard
             if end is not None:
-                to_merge(k, end, SkipOp())
-            end = merges[k]
-        return end
+                if merge is None:
+                    merge = icfa.new_loc(fname, s.line)
+                icfa.add_edge(end, merge, op, s.line)
+        return merge
 
     def compile_while(self, s: While, cur: int) -> int:
         icfa, fname = self.icfa, self.fn.name
@@ -406,14 +444,14 @@ class _FunctionCompiler:
 
 
 def build_icfa(prog: Program) -> ICFA:
-    """Construct the interprocedural automaton from a preprocessed program."""
+    """Construct the interprocedural automaton from a checked program whose
+    candidate table preprocess has filled."""
     if prog.entry not in prog.functions:
         raise MissingMainError(f"no {prog.entry}() function")
-    if not is_preprocessed(prog):
-        raise ValueError("program must go through remove_fp_calls and single_exit first")
+    if prog.fp_targets is None:
+        raise ValueError("program must go through preprocess first")
 
     icfa = ICFA(prog)
-    icfa.warnings.extend(prog.warnings)
 
     compilers = []
     for fn in prog.functions.values():
@@ -439,7 +477,7 @@ def build_icfa(prog: Program) -> ICFA:
             if isinstance(stmt.fn, FuncRef):
                 cands = [stmt.fn.name]
             else:
-                cands = [fn.name for fn in fp_call_candidates(prog, stmt.fn)]
+                cands = [fn.name for fn in prog.fp_targets.get(stmt.fn.typ, [])]
             if not cands:
                 icfa.warnings.append(
                     f"line {stmt.line}: create() has no thread candidates")

@@ -1,13 +1,14 @@
 """AST and static types for the mini pthreads-style C dialect.
 
 Expression and statement nodes are plain dataclasses. Positions (line/col)
-and inferred types are excluded from equality so that structural comparison
-of transformed programs is stable.
+and inferred types are excluded from equality, so two nodes compare equal
+when their structure is the same.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ class Assign:
 
 @dataclass
 class CallStmt:
-    callee: Expr  # FuncRef after fp-call removal
+    callee: Expr  # a FuncRef, or a function pointer to dispatch over
     args: list[Expr]
     lhs: Expr | None  # receiving lvalue, if any
     line: int = field(default=0, compare=False)
@@ -232,13 +233,6 @@ class Return:
 
 
 @dataclass
-class ExitJump:
-    """Synthetic goto-to-exit produced by the single-exit pass."""
-
-    line: int = field(default=0, compare=False)
-
-
-@dataclass
 class Block:
     stmts: list["Stmt"]
     line: int = field(default=0, compare=False)
@@ -246,7 +240,7 @@ class Block:
 
 Stmt = Union[
     Decl, Assign, CallStmt, If, While, LockStmt, UnlockStmt, CreateStmt, JoinStmt,
-    Return, ExitJump, Block,
+    Return, Block,
 ]
 
 
@@ -263,7 +257,7 @@ class Function:
     body: Block
     line: int = field(default=0, compare=False)
 
-    @property
+    @cached_property
     def func_type(self) -> FuncType:
         return FuncType(tuple(p.typ for p in self.params), self.ret)
 
@@ -275,9 +269,12 @@ class Program:
     structs: dict[str, list[Decl]]
     entry: str = "main"
     var_types: dict[str, Type] = field(default_factory=dict, compare=False)
-    warnings: list[str] = field(default_factory=list, compare=False)
     # functions used as values, computed once by parse()
     address_taken: set[str] = field(default_factory=set, compare=False)
+    # per function pointer type, the address-taken functions of that type in
+    # name order: what a call or create through such a pointer may start.
+    # Filled by preprocess; build_icfa reads it.
+    fp_targets: dict[Type, list[Function]] | None = field(default=None, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +282,7 @@ class Program:
 
 
 # The direct children of each compound node type, in source order, found
-# by one dict lookup on the exact type instead of an isinstance chain: the
-# walks below ask this for every node.
+# by one dict lookup on the exact type instead of an isinstance chain.
 _SUB_BLOCKS = {
     If: lambda s: (s.then, s.els),
     While: lambda s: (s.body,),
@@ -298,13 +294,6 @@ _SUB_EXPRS = {
     FieldAccess: lambda e: (e.base,),
     Index: lambda e: (e.base, e.index),
 }
-
-
-def sub_blocks(s: Stmt) -> tuple[Block, ...]:
-    """The blocks a statement directly contains, in source order: both
-    branches of an if, a loop body, or a nested block itself."""
-    get = _SUB_BLOCKS.get(type(s))
-    return () if get is None else get(s)
 
 
 def sub_exprs(e: Expr) -> tuple[Expr, ...]:
@@ -335,7 +324,9 @@ def stmt_exprs(s: Stmt) -> list[Expr]:
 def walk_stmts(block: Block) -> list[Stmt]:
     """Every statement inside block, nested ones included, in source order
     (a compound statement comes before the statements it contains). The
-    walk keeps its own stack, so an else-if chain may be any length."""
+    pipeline never lists a body like this, since the checker and the
+    automaton builder each visit a statement as they reach it; the tests
+    use this walk as their reference."""
     out: list[Stmt] = []
     stack = block.stmts[::-1]  # the statements still to visit, the next one last
     sub_blocks_of = _SUB_BLOCKS.get

@@ -4,13 +4,13 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES, icfa_of, reference_address_taken, reference_tokenize
 from lockhound.errors import MissingMainError, ParseError, TypeCheckError
-from lockhound.frontend import parse, remove_fp_calls, single_exit
+from lockhound.frontend import build_icfa, parse, preprocess
 from lockhound.frontend.lexer import tokenize
 from lockhound.frontend.icfa import (
-    FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+    FuncEntryOp, FuncExitOp, GuardOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp, op_text,
 )
 from lockhound.frontend.syntax import (
-    INT, MUTEX, Assign, Binary, CreateStmt, FuncRef, If, JoinStmt, LockStmt,
+    INT, MUTEX, Assign, Binary, CreateStmt, FuncRef, JoinStmt, LockStmt,
     PointerType, Return, Unary, UnlockStmt, VarRef, expr_text, walk_stmts,
 )
 from lockhound.generator import generate, random_config
@@ -230,22 +230,135 @@ def test_parse_and_check_errors(src, err):
             parse(src)
 
 
-# ------------------------------------------------------------- transforms
+# ------------------------------------------- returns and calls through pointers
+# Every lowering the builder does for a return and a call through a pointer:
+# calls with 1, 2 and 3 candidates (and none), with and without a left-hand
+# side, in a loop and in an else-if chain; a create through a pointer; early
+# returns in int and void functions, in a loop and in both branches;
+# functions that fall off their end; and dead code after a return.
+LOWERING_SRC = """\
+    mutex m;
+    int g;
+
+    int a1(int a) { return a + 1; }
+    int a2(int a) {
+      if (a == 0) { return 0; } else { return 1; }
+      g = a;
+    }
+    int a3(int a) {
+      while (a) {
+        if (a == 2) { return 2; }
+        a = a - 1;
+      }
+      lock(&m);
+      g = a;
+      unlock(&m);
+      return a;
+    }
+    int b1(int a, int b) { if (a) { return b; } return a; }
+    int b2(int a, int b) { g = a; }
+    void c1(int a) {
+      while (a) { if (a == 3) { return; } a = a - 1; }
+      lock(&m);
+      unlock(&m);
+    }
+    void c2(int a) { if (a) { return; } else { return; } g = 1; }
+    void c3(int a) { return; g = a; }
+    int helper(int a) { return a; }
+    int e1(int *p) { return 0; }
+
+    int main() {
+      int (*fa)(int);
+      int (*fb)(int, int);
+      void (*fc)(int);
+      void (*fd)(mutex *);
+      int (*fe)(int *);
+      int r;
+      thread_t t;
+      fa = a1;
+      fa = a2;
+      fa = &a3;
+      fb = b1;
+      fb = &b2;
+      fc = c1;
+      fe = e1;
+      r = fa(1);
+      fa(2);
+      r = fb(r, 1);
+      fb(1, 2);
+      fc(r);
+      fd(&m);
+      r = fe(&g);
+      while (r) {
+        r = fa(r);
+        fc(0);
+      }
+      if (r == 1) {
+        r = helper(r);
+      } else if (r == 2) {
+        r = fb(r, r);
+      } else if (r == 3) {
+        fc(r);
+      } else {
+        fa(r);
+      }
+      create(&t, fa, 5);
+      join(t);
+      c2(r);
+      c3(r);
+      return r;
+    }
+"""
+LOWERING_GOLDEN = FIXTURES / "lowering.txt"
 
 
-def test_single_exit_rewrites_early_returns():
-    prog = parse("""
+def lowering_lines(icfa) -> list[str]:
+    """The automaton of a program: its dot text, each location's function
+    and line, the program's variable types and the warnings."""
+    return (icfa.to_dot().splitlines()
+            + [f"loc {loc.id} {loc.func} {loc.line}" for loc in icfa.locations]
+            + [f"var {name} {typ}" for name, typ in icfa.prog.var_types.items()]
+            + [f"warning {w}" for w in icfa.warnings])
+
+
+def test_lowering_matches_the_golden_file():
+    # the builder declares each f::__ret in var_types, so a second build of
+    # one program must find the table as the first left it and change nothing
+    prog = preprocess(parse(LOWERING_SRC))
+    first = lowering_lines(build_icfa(prog))
+    assert LOWERING_GOLDEN.read_text().splitlines() == first == lowering_lines(build_icfa(prog))
+
+
+def test_build_icfa_needs_the_candidate_table():
+    src = "int main() { return 0; }"
+    with pytest.raises(ValueError, match="preprocess"):
+        build_icfa(parse(src))
+    assert build_icfa(preprocess(parse(src))).functions.keys() == {"main"}
+
+
+
+
+def test_early_returns_set_ret_and_jump_to_the_one_exit():
+    icfa = icfa_of("""
         int f(int x) { if (x == 0) { return 7; } return x; }
         int main() { int r; r = f(1); return r; }
     """)
-    single_exit(prog)
-    f = prog.functions["f"]
-    returns = [s for s in f.body.stmts if isinstance(s, Return)]
-    assert len(returns) == 1 and f.body.stmts[-1] is returns[0]
-    assert isinstance(returns[0].expr, VarRef) and returns[0].expr.name == "f::__ret"
-    before = [type(s).__name__ for s in f.body.stmts]
-    single_exit(prog)  # idempotent
-    assert [type(s).__name__ for s in prog.functions["f"].body.stmts] == before
+    f = icfa.functions["f"]
+    into = [e for e in icfa.edges if e.tgt == f.exit]
+    sets = [e for e in icfa.edges
+            if isinstance(e.op, Assign) and e.op.lhs.name == "f::__ret"]
+    # each return sets f::__ret and jumps to the exit, whose edges all carry
+    # one final return of f::__ret
+    assert [expr_text(e.op.rhs) for e in sets] == ["7", "x"]
+    assert [e.src for e in into] == [e.tgt for e in sets]
+    assert all(isinstance(e.op, Return) and e.op is into[0].op for e in into)
+    assert isinstance(f.ret_expr, VarRef) and f.ret_expr.name == "f::__ret"
+    assert into[0].op.expr is f.ret_expr and icfa.prog.var_types["f::__ret"] == INT
+    # main ends in its only return, and its exit edge carries that return
+    main = icfa.prog.functions["main"]
+    assert [e.op for e in icfa.edges if e.tgt == icfa.functions["main"].exit] == \
+        [main.body.stmts[-1]]
+    assert "main::__ret" not in icfa.prog.var_types
 
 
 def test_address_taken_and_fp_dispatch():
@@ -263,14 +376,16 @@ def test_address_taken_and_fp_dispatch():
         }
     """)
     assert prog.address_taken == reference_address_taken(prog) == {"w1", "w2"}
-    remove_fp_calls(prog)
-    body = prog.functions["main"].body.stmts
-    disp = body[4]
-    assert isinstance(disp, If)  # if (fp == w1) ... else if (fp == w2) ...
-    assert disp.cond.op == "==" and disp.cond.right.name == "w1"
-    inner = disp.els.stmts[0]
-    assert isinstance(inner, If) and inner.cond.right.name == "w2"
-    assert inner.then.stmts[0].callee.name == "w2"
+    icfa = build_icfa(preprocess(prog))
+    # if (fp == w1) w1(3) else if (fp == w2) w2(3), the else-if a failed guard
+    disp = [e for e in icfa.edges
+            if isinstance(e.op, GuardOp) and isinstance(e.op.cond, Binary)]
+    assert [op_text(e.op) for e in disp] == [
+        "[fp == w1]", "![fp == w1]", "[fp == w2]", "![fp == w2]"]
+    then_w1, else_w1, then_w2, else_w2 = disp
+    assert else_w1.tgt == then_w2.src == else_w2.src
+    for guard, callee in ((then_w1, "w1"), (then_w2, "w2")):
+        assert [icfa.func_of(e.tgt) for e in icfa.out_edges[guard.tgt]] == [callee]
 
     # a function name in every statement position, each nested in blocks
     prog = parse("""
@@ -315,7 +430,7 @@ def test_address_taken_and_fp_dispatch():
 
 
 def test_address_taken_is_the_parsed_programs():
-    # the set that preprocessing and build_icfa read is one walk over the
+    # the set that preprocess and build_icfa read is one walk over the
     # program as parsed
     sources = [p.read_text() for p in sorted(FIXTURES.glob("*.mc"))]
     sources += [generate(seed, random_config(seed)) for seed in range(40)]
@@ -325,7 +440,7 @@ def test_address_taken_is_the_parsed_programs():
 
 
 def test_code_after_a_return_still_takes_addresses():
-    # single_exit drops the dead assignment, but g stays a candidate for the
+    # the builder skips the dead assignment, but g stays a candidate for the
     # create through fp, as it would for a call through fp
     icfa = icfa_of("""
         int f(int a) { return 0; }
@@ -345,11 +460,21 @@ def test_code_after_a_return_still_takes_addresses():
 
 
 def test_fp_call_with_no_candidates_warns():
-    prog = parse("""
+    icfa = icfa_of("""
         int main() { int (*fp)(int); int r; r = fp(3); return r; }
     """)
-    remove_fp_calls(prog)
-    assert any("no candidates" in w for w in prog.warnings)
+    assert "line 2: call through function pointer has no candidates, dropped" in icfa.warnings
+    assert [op_text(e.op) for e in icfa.edges] == ["return r"]  # the call is dropped
+
+
+def test_fp_call_in_dead_code_is_not_compiled_and_does_not_warn():
+    # the builder compiles no statement after a return, so a call through a
+    # pointer without candidates there makes no warning
+    icfa = icfa_of("""
+        int main() { int (*fp)(int); int r; r = 0; return r; r = fp(3); }
+    """)
+    assert not any("no candidates" in w for w in icfa.warnings)
+    assert [op_text(e.op) for e in icfa.edges] == ["r = 0", "__ret = r", "return __ret"]
 
 
 # ------------------------------------------------------------------ icfa
@@ -399,12 +524,17 @@ def test_icfa_showcase_wiring(showcase_icfa):
     carried = [e.op for e in icfa.edges if isinstance(e.op, stmt_kinds)]
     assert all(stmts.get(id(op)) is op for op in carried)
     assert len({id(op) for op in carried}) == len(carried) == len(stmts)
-    # and every edge into an exit carries its function's final return
+    # and every edge into an exit carries its function's one final return:
+    # the body's trailing return, or for func2, which falls off its end, the
+    # builder's own
     for name, fi in icfa.functions.items():
         final = icfa.prog.functions[name].body.stmts[-1]
         into = [e for e in icfa.edges if e.tgt == fi.exit]
-        assert isinstance(final, Return) and into
-        assert all(e.op is final for e in into)
+        assert into and all(e.op is into[0].op for e in into)
+        if name == "func2":
+            assert isinstance(into[0].op, Return) and into[0].op.expr is None
+        else:
+            assert isinstance(final, Return) and into[0].op is final
 
 
 def test_thread_exit_resumes_only_after_the_creates_that_start_it():
