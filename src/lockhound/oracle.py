@@ -17,10 +17,13 @@ Per-state work is only what the state needs. A step table, built once per
 program, says what a thread standing at each location does next: call
 through the entry edge, leave the function, take the guard branch that
 holds, or run the one intra op; the op's expressions are compiled into
-closures once, with the table. Expanding a state builds one read-only dict
-of its memory, only if some step evaluates an expression, and shares it
-among the steps of all threads; the steps that write derive the successor's
-memory from the frozen one instead of copying the dict.
+closures once, with the table. Every successor carries a read-only dict of
+its memory next to the frozen one: a step that leaves memory alone hands on
+its state's dict, and a step that writes derives both the successor's
+frozen memory and its dict from its state's. So the steps of all threads
+of a state share one dict, and only the initial state builds one from the
+frozen memory. The cells a thread holds are looked up once per lock table
+and thread, in a memo the oracle keeps for its run.
 
 Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
 Concurrent Systems", LNCS 1032, 1996) keep the search from running two
@@ -164,10 +167,12 @@ class OracleResult:
 # with "mutex", "threads", "status" or "alloc".
 #
 # Expanding a state shares one read-only dict of its mem among the steps of
-# all its threads, built for the first step that evaluates an expression. A
-# step that writes never copies that dict: it derives the successor's mem
-# from the frozenset by removing the pairs it overwrites or kills and adding
-# the pairs it writes.
+# all its threads: the dict its predecessor's step handed on, or, for the
+# initial state, one built from the frozenset. A step that writes derives
+# the successor's mem from the frozenset by removing the pairs it
+# overwrites or kills and adding the pairs it writes, and the successor's
+# dict from a copy of the state's by the same changes; a step that does not
+# write hands on the state's dict itself.
 
 _EMPTY: frozenset = frozenset()
 _THREADS = ("threads",)  # the pseudo-cell of the thread table
@@ -224,6 +229,8 @@ class Oracle:
                 self._locals[None].extend(cells)
         self._frames: dict[tuple, frozenset] = {}  # (function, tid) -> cells
         self._mutexes: dict[tuple, tuple | None] = {}  # cell -> pseudo-cell
+        # (lock table, tid) -> the cells tid holds in it
+        self._held: dict[tuple[frozenset, int], frozenset] = {}
 
     def _move_at(self, loc: int) -> Move:
         """The step table entry of loc: its entry edge first, then its
@@ -280,12 +287,14 @@ class Oracle:
             if len(path) >= MAX_DEPTH:
                 self.res.truncated = True
                 continue
-            tid, tag, s2, fp = move
-            asleep = {u: f for u, f in sleep.items() if _independent(f, fp)}
-            sleep[tid] = fp
+            tid, tag, s2, fp, mem2 = move
+            asleep = {}
             mask = 0
-            for u in asleep:
-                mask |= 1 << u
+            for u, f in sleep.items():
+                if _independent(f, fp):
+                    asleep[u] = f
+                    mask |= 1 << u
+            sleep[tid] = fp
             seen = len(visited)
             old = visited.setdefault(s2, mask)  # one hash for a new state
             if len(visited) > seen:
@@ -296,20 +305,23 @@ class Oracle:
                 path.append((tid, tag))
                 self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
                                    else (tid,))
-                stack.append((iter(self._expand(s2, path, mask)), asleep))
+                stack.append((iter(self._expand(s2, path, mask, mem2)), asleep))
             elif old & ~mask:  # step the threads asleep before, awake now
                 visited[s2] = old & mask
                 path.append((tid, tag))
-                stack.append((iter(self._expand(s2, path, ~(old & ~mask))),
+                stack.append((iter(self._expand(s2, path, ~(old & ~mask), mem2)),
                               asleep))
         self.res.states = len(visited)
 
-    def _expand(self, state, path, skip: int) -> list:
-        """Successors (tid, tag, state, footprint) of every runnable thread
-        whose bit is not set in skip; a footprint is (reads, writes)."""
+    def _expand(self, state, path, skip: int, mem: dict | None = None) -> list:
+        """Successors (tid, tag, state, footprint, mem) of every runnable
+        thread whose bit is not set in skip; a footprint is (reads, writes),
+        and mem is the successor's memory as a read-only dict. The mem given
+        is state's, or None to build it from state[1]."""
         succs = []
-        blocked: list[tuple[int, tuple]] = []   # (tid, lock cell)
-        mem = None  # state[1] as a dict, once a step reads it
+        blocked: list[tuple[int, tuple]] = []   # (tid, (lock cell, owner))
+        if mem is None:
+            mem = dict(state[1])
         alive = False
         for tid, th in enumerate(state[0]):
             if th[1] != "run":
@@ -318,14 +330,10 @@ class Oracle:
             if skip >> tid & 1:
                 continue
             _, arg, reads_mem, run, code = self._moves[th[0][-1]]
-            if reads_mem:
-                if mem is None:
-                    mem = dict(state[1])
-                reads = set()
-            else:
-                reads = _EMPTY
+            reads = set() if reads_mem else _EMPTY
             try:
-                tag, s2, writes = run(self, state, tid, arg, code, mem, reads)
+                tag, s2, writes, mem2 = run(self, state, tid, arg, code, mem,
+                                            reads)
             except _UB:
                 self.res.ub_events += 1
                 continue
@@ -333,7 +341,7 @@ class Oracle:
                 if s2 is not None:
                     blocked.append((tid, s2))
             else:
-                succs.append((tid, tag, s2, (reads, writes)))
+                succs.append((tid, tag, s2, (reads, writes), mem2))
         if blocked:
             self._check_lag(state, blocked, path)
         if not succs and not alive:
@@ -350,14 +358,18 @@ class Oracle:
         threads, _, locks, _ = state
         arrivals = self.res.arrivals
         copairs = self.res.copairs if self.collect_copairs else None
+        held_memo = self._held
         if movers is None:
             movers = range(len(threads))
         for t in movers:
             place, status, _ = threads[t]
             if status != "run":
                 continue
-            cells = [c for c, owner in locks if owner == t] if locks else None
-            arrivals.add((place, frozenset(cells) if cells else _EMPTY))
+            held = held_memo.get((locks, t))
+            if held is None:
+                held = held_memo[locks, t] = frozenset(
+                    [c for c, owner in locks if owner == t])
+            arrivals.add((place, held))
             if copairs is not None:
                 for u, (other, ustatus, _) in enumerate(threads):
                     if u != t and ustatus == "run":
@@ -365,8 +377,9 @@ class Oracle:
                                     else (other, place))
 
     def _check_lag(self, state, blocked, path) -> None:
-        threads, _, locks, _ = state
-        owner = dict(locks)
+        """Record a witness for each new ring of threads that wait for a
+        mutex the next one holds; blocked lists (tid, (cell, owner))."""
+        threads = state[0]
         want = dict(blocked)
         for start in want:
             cycle = []
@@ -374,13 +387,10 @@ class Oracle:
             seen = set()
             while t in want and t not in seen:
                 seen.add(t)
-                cell = want[t]
+                cell, owner = want[t]
                 cycle.append((t, threads[t][0], cell))
-                t = owner.get(cell)
-                if t is None:
-                    cycle = []
-                    break
-            if cycle and t == start:
+                t = owner
+            if t == start:
                 key = frozenset((p, c) for (_, p, c) in cycle)
                 if key not in self._witness_keys:
                     self._witness_keys.add(key)
@@ -421,44 +431,49 @@ class Oracle:
         through."""
         threads, mem0, locks0, allocs0 = state
         place, status, retval = threads[tid]
-        th = (place[:-1] + (e.tgt,), status, retval)
-        threads = threads[:tid] + (th,) + threads[tid + 1:]
-        return (threads, mem0 if mem is None else mem,
+        threads = list(threads)
+        threads[tid] = (place[:-1] + (e.tgt,), status, retval)
+        return (tuple(threads), mem0 if mem is None else mem,
                 locks0 if locks is None else locks,
                 allocs0 if allocs is None else allocs)
 
     @staticmethod
-    def _store(mem_t: frozenset, mem: dict, writes: dict, kills=()) -> frozenset:
-        """mem_t (read as the dict mem) without the cells in kills and with
-        every cell in writes bound to its new value."""
-        old = [(c, mem[c]) for c in writes if c in mem]
-        old += [(c, mem[c]) for c in kills]
-        return mem_t.difference(old).union(writes.items())
+    def _store(mem_t: frozenset, mem: dict, writes: dict,
+               kills=()) -> tuple[frozenset, dict]:
+        """mem_t (read as the dict mem) without the cells in kills, which
+        are all in mem, and with every cell in writes bound to its new
+        value: as a frozenset, and as a new dict."""
+        mem2 = mem.copy()
+        old = [(c, mem2.pop(c)) for c in kills]
+        old += [(c, mem[c]) for c in writes if c in mem]
+        mem2.update(writes)
+        return mem_t.difference(old).union(writes.items()), mem2
 
     # individual operations ----------------------------------------------
 
     # Every step is run(oracle, state, tid, arg, code, mem, reads) with the
-    # arg and code of its Move, the shared dict of state[1] (None when the
-    # step reads no memory) and the set that collects the cells it reads.
-    # It returns (tag, successor, writes), with writes the cells and
-    # pseudo-cells of its footprint; or (None, cell, None) when the thread
-    # blocks on the mutex cell, or (None, None, None) while it waits in a
-    # join. It raises _UB on poison.
+    # arg and code of its Move, the shared dict of state[1] and the set that
+    # collects the cells it reads. It returns (tag, successor, writes, mem2),
+    # with writes the cells and pseudo-cells of its footprint and mem2 the
+    # successor's memory as a dict (mem itself when the step writes none);
+    # or (None, (cell, owner), None, None) when the thread blocks on the
+    # mutex cell that thread owner holds, or (None, None, None, None) while
+    # it waits in a join. It raises _UB on poison.
 
     def _no_move(self, state, tid, why, code, mem, reads):
         raise AssertionError(why)
 
     def _do_skip(self, state, tid, e, code, mem, reads):
-        return "skip", self._advance(state, tid, e), _EMPTY
+        return "skip", self._advance(state, tid, e), _EMPTY, mem
 
     def _do_ret_edge(self, state, tid, e, code, mem, reads):
-        return "ret-edge", self._advance(state, tid, e), _EMPTY
+        return "ret-edge", self._advance(state, tid, e), _EMPTY, mem
 
     def _do_guard(self, state, tid, edges, code, mem, reads):
         v = bool(code[0](mem, tid, reads))
         for e in edges:
             if v != e.op.negated:
-                return "guard", self._advance(state, tid, e), _EMPTY
+                return "guard", self._advance(state, tid, e), _EMPTY, mem
         raise AssertionError("guard with no matching branch")
 
     def _do_assign(self, state, tid, e, code, mem, reads):
@@ -478,9 +493,10 @@ class Oracle:
             v = rhs(mem, tid, reads)
         cell = lhs(mem, tid, reads)
         self._note_rw(e, reads, (cell,))
-        s2 = self._advance(state, tid, e, mem=self._store(state[1], mem, {cell: v}),
-                           allocs=allocs)
-        return "assign", s2, {cell} if allocs is None else {cell, ("alloc", e.src)}
+        mem_t, mem2 = self._store(state[1], mem, {cell: v})
+        s2 = self._advance(state, tid, e, mem=mem_t, allocs=allocs)
+        return "assign", s2, \
+            {cell} if allocs is None else {cell, ("alloc", e.src)}, mem2
 
     def _do_lock(self, state, tid, e, code, mem, reads):
         cell, mutex = self._lock_operand(code[0](mem, tid, reads))
@@ -490,9 +506,9 @@ class Oracle:
             if c == cell:
                 if owner == tid:
                     raise _UB("relock of a held mutex")
-                return None, cell, None
+                return None, (cell, owner), None, None
         return "lock", self._advance(state, tid, e, locks=locks | {(cell, tid)}), \
-            {mutex}
+            {mutex}, mem
 
     def _do_unlock(self, state, tid, e, code, mem, reads):
         cell, mutex = self._lock_operand(code[0](mem, tid, reads))
@@ -500,7 +516,7 @@ class Oracle:
         if (cell, tid) not in state[2]:
             raise _UB("unlock of a mutex not held by this thread")
         return "unlock", self._advance(state, tid, e,
-                                       locks=state[2] - {(cell, tid)}), {mutex}
+                                       locks=state[2] - {(cell, tid)}), {mutex}, mem
 
     def _lock_operand(self, v) -> tuple[tuple, tuple]:
         """The mutex cell v points to, and its pseudo-cell."""
@@ -543,11 +559,12 @@ class Oracle:
         writes[pcell] = av
         self._note_rw(te, reads, (pcell,))
 
-        th = (place[:-1] + (e.tgt,), status, retval)
-        new_th = (tf_place, "run", None)
-        threads = threads[:tid] + (th,) + threads[tid + 1:] + (new_th,)
-        return "create", (threads, self._store(state[1], mem, writes),
-                          state[2], state[3]), {tv[1], pcell, _THREADS}
+        threads = list(threads)
+        threads[tid] = (place[:-1] + (e.tgt,), status, retval)
+        threads.append((tf_place, "run", None))
+        mem_t, mem2 = self._store(state[1], mem, writes)
+        return "create", (tuple(threads), mem_t, state[2], state[3]), \
+            {tv[1], pcell, _THREADS}, mem2
 
     def _do_join(self, state, tid, e, code, mem, reads):
         threads = state[0]
@@ -560,21 +577,22 @@ class Oracle:
         if t_status == "joined":
             raise _UB("thread joined twice")
         if t_status == "run":
-            return None, None, None  # wait
+            return None, None, None, None  # wait
         self._note_rw(e, reads, ())
-        threads = threads[:target] + ((t_place, "joined", t_retval),) \
-            + threads[target + 1:]
-        state = (threads,) + state[1:]
+        threads = list(threads)
+        threads[target] = (t_place, "joined", t_retval)
+        state = (tuple(threads),) + state[1:]
         status = ("status", target)
         if ret_of is None:
-            return "join", self._advance(state, tid, e), {status}
+            return "join", self._advance(state, tid, e), {status}, mem
         cell = ret_of(mem, tid, reads)
         for tj in self.icfa.out_edges[t_place[-1]]:
             if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
                 self._note_rw(tj, self._ret_reads.get(target, _EMPTY), (cell,))
                 break
-        return "join", self._advance(state, tid, e, mem=self._store(
-            state[1], mem, {cell: t_retval})), {status, cell}
+        mem_t, mem2 = self._store(state[1], mem, {cell: t_retval})
+        return "join", self._advance(state, tid, e, mem=mem_t), {status, cell}, \
+            mem2
 
     def _do_call(self, state, tid, e, code, mem, reads):
         threads = state[0]
@@ -586,9 +604,12 @@ class Oracle:
         vals = [arg(mem, tid, reads) for arg in code]
         writes = {("l", tid, par): v for par, v in zip(e.op.params, vals)}
         self._note_rw(e, reads, writes)
-        threads = threads[:tid] + ((p2, status, retval),) + threads[tid + 1:]
-        mem_f = self._store(state[1], mem, writes) if writes else state[1]
-        return "call", (threads, mem_f, state[2], state[3]), writes.keys()
+        threads = list(threads)
+        threads[tid] = (p2, status, retval)
+        mem_t, mem2 = self._store(state[1], mem, writes) if writes \
+            else (state[1], mem)
+        return "call", (tuple(threads), mem_t, state[2], state[3]), \
+            writes.keys(), mem2
 
     def _do_return(self, state, tid, _, code, mem, reads):
         func, ret = code
@@ -600,18 +621,17 @@ class Oracle:
             # the thread's bottom frame: the thread is done, and every local
             # cell it holds dies, also one written through a dangling pointer
             self._ret_reads[tid] = frozenset(reads)
-            th = (place, "done", v)
-            threads = threads[:tid] + (th,) + threads[tid + 1:]
+            threads = list(threads)
+            threads[tid] = (place, "done", v)
             frame = self._frame(None, tid)
-            dead = [c for c in frame if c in mem]
-            return "finish", (threads, self._store(state[1], mem, {}, dead),
-                              state[2], state[3]), frame | {("status", tid)}
+            mem_t, mem2 = self._store(state[1], mem, {}, mem.keys() & frame)
+            return "finish", (tuple(threads), mem_t, state[2], state[3]), \
+                frame | {("status", tid)}, mem2
 
         e, lhs = self._func_exits[place[-1], place[-2]]
         frame = self._frame(func, tid)
-        dead = [c for c in frame if c in mem]
-        th = (place[:-2] + (e.tgt,), status, retval)
-        threads = threads[:tid] + (th,) + threads[tid + 1:]
+        threads = list(threads)
+        threads[tid] = (place[:-2] + (e.tgt,), status, retval)
         writes = {}
         if lhs is not None:
             lhs_reads: set = set()
@@ -621,8 +641,9 @@ class Oracle:
             reads |= lhs_reads
             writes[cell] = v
         self._note_rw(e, reads, writes)  # the return value's and lhs's
-        return "return", (threads, self._store(state[1], mem, writes, dead),
-                          state[2], state[3]), frame | writes.keys()
+        mem_t, mem2 = self._store(state[1], mem, writes, mem.keys() & frame)
+        return "return", (tuple(threads), mem_t, state[2], state[3]), \
+            frame | writes.keys(), mem2
 
 
 def _independent(f, g) -> bool:

@@ -66,7 +66,8 @@ def analyze_source(source: str, cfg: Config | None = None) -> Analysis:
     prog = preprocess(parse(source))
     icfa = build_icfa(prog)
     timings["frontend"] = time.perf_counter() - t0
-    return analyze_icfa(icfa, cfg, timings)
+    # the collector is paused already: skip analyze_icfa's own pause
+    return analyze_icfa.__wrapped__(icfa, cfg, timings)
 
 
 @collector_paused()

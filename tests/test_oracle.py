@@ -1,6 +1,7 @@
 """Exhaustive-interleaving reference executor: witnesses, UB, determinism."""
 
 import gc
+import hashlib
 import json
 from collections import deque
 from itertools import combinations
@@ -289,7 +290,7 @@ def commuting_pairs(icfa, limit: int) -> int:
 
     def steps(state) -> dict:
         return {tid: (s2, (set(reads), set(writes)))
-                for tid, _, s2, (reads, writes) in oracle._expand(state, [], 0)}
+                for tid, _, s2, (reads, writes), _ in oracle._expand(state, [], 0)}
 
     s0 = oracle._initial_state()
     seen, queue, pairs = {s0}, deque([s0]), 0
@@ -358,6 +359,11 @@ int reader(int *p) { int v; v = *p; return v; }
 void spawn() { int x; thread_t t; x = 1; create(&t, reader, &x); }
 int main() { spawn(); return 0; }
 """,
+    "dying-thread": """
+int reader(int *p) { int v; v = *p; return v; }
+int spawner(int a) { int x; thread_t t; x = 1; create(&t, reader, &x); return 0; }
+int main() { thread_t s; create(&s, spawner, 0); join(s); return 0; }
+""",
 }
 
 
@@ -413,3 +419,48 @@ int main() { int x; x = f(3); return x; }
     finally:
         (gc.enable if was else gc.disable)()
     assert during and not any(during)  # paused while the search runs
+
+
+# sha256 of every oracle fact (tests/checks.oracle_facts, copairs included)
+# of corpus seeds 0-39 and of RACES, each run with max_states=2,000, written
+# one program a line as tools/oracle_digest.py writes them. It pins the facts
+# the labels leave out (rw, copairs, serial sites, UB events, terminals and
+# witness schedules), and through the truncated runs the order of the search.
+CORPUS_FACTS_SHA256 = (
+    "1bf0b7348c3a4a1ad04676003d2f03dae5efc6b62adb247040f548c21c1eb998")
+
+
+def test_oracle_facts_on_generated_programs_are_pinned():
+    programs = [(f"corpus-{k}", generate(k, random_config(k))) for k in range(40)]
+    programs += sorted(RACES.items())
+    total = hashlib.sha256()
+    for name, source in programs:
+        try:
+            facts = oracle_facts(run_oracle(icfa_of(source), max_states=2_000))
+        except OracleUnsupported:
+            facts = "unsupported"
+        total.update(f"# {name}\n{json.dumps(facts, sort_keys=True)}\n".encode())
+    assert total.hexdigest() == CORPUS_FACTS_SHA256
+
+
+def test_every_memory_dict_equals_its_frozen_memory(monkeypatch):
+    # A step hands its successor the memory as a dict next to the frozenset;
+    # the steps read the dict, so it must be the same memory, kills included.
+    checked = []
+    expand = Oracle._expand
+
+    def checked_expand(self, state, path, skip, mem=None):
+        if mem is not None:
+            assert mem == dict(state[1])
+            checked.append(state)
+        succs = expand(self, state, path, skip, mem)
+        for _, _, s2, _, mem2 in succs:
+            assert mem2 == dict(s2[1])
+        return succs
+
+    monkeypatch.setattr(Oracle, "_expand", checked_expand)
+    sources = [load(name) for name in FIXTURE_PROGRAMS]
+    sources += list(RACES.values()) + list(UB_PROGRAMS.values())
+    for src in sources:
+        run_oracle(icfa_of(src), max_states=5_000)
+    assert len(checked) >= 1000

@@ -142,21 +142,26 @@ def test_dumps_of_solved_stages_survive_a_diverged_lockset_solve(
 @pytest.mark.parametrize("enabled", [True, False])
 def test_analyze_source_restores_the_collector(enabled, showcase_source,
                                                monkeypatch):
-    during = []
+    during, pauses = [], []
     solve = lockhound.pipeline.solve_locksets
     monkeypatch.setattr(lockhound.pipeline, "solve_locksets", lambda *a: (
         during.append(gc.isenabled()), solve(*a))[1])
+    disable = gc.disable
     was = gc.isenabled()
     try:
-        (gc.enable if enabled else gc.disable)()
+        (gc.enable if enabled else disable)()
+        monkeypatch.setattr(gc, "disable", lambda: (pauses.append(1), disable()))
         analyze_source(showcase_source)
+        assert gc.isenabled() == enabled
+        assert len(pauses) == 1  # analyze_icfa's pause does not nest inside
+        analyze_icfa(icfa_of(showcase_source))
         assert gc.isenabled() == enabled
         with pytest.raises(SourceError):  # raised by the parser mid-parse
             analyze_source(showcase_source.replace("return 0;", "return 0"))
         assert gc.isenabled() == enabled
     finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False]  # paused while the lockset solve runs
+        (gc.enable if was else disable)()
+    assert during == [False, False]  # paused while the lockset solves run
 
 
 def test_bench_tracer_sees_every_stage(showcase_source, monkeypatch):
