@@ -41,26 +41,28 @@ thread's entry, which no other step changes.
 
 A thread's step sleeps in a state when the search already ran it from an
 ancestor on the current path and every step since is independent of it.
-The successor that thread t's step reaches inherits the sleeping steps and
+The new state that thread t's step reaches inherits the sleeping steps and
 the siblings explored before t that are independent of t's step; sleeping
-threads are not stepped. `visited` maps each state to a bitmask of the
-threads that slept on its visits. A revisit whose sleep set does not cover
-the stored mask steps the missing threads only, stores the intersection,
-and counts no state and records nothing. Every reachable state is still
-visited, and the facts are the same as without sleep sets:
+threads are not stepped. `visited` is a set of states, and each state is
+expanded once, with the sleep set of its first visit: a step into a
+visited state goes no further. Every reachable state is still visited,
+and the facts are the same as without sleep sets, as
+test_sleep_sets_keep_every_fact_of_a_plain_search in tests/test_oracle.py
+checks against a plain DFS:
 
 * A sleeping step is enabled and not undefined behaviour, since it ran
   from the ancestor. So the threads that block or fault, and hence
   ub_events, terminals and the blocked rings behind witnesses, are the
   same in every state.
-* The state a sleeping step reaches was visited before the search got to
-  the state it sleeps in: it lies below the ancestor's earlier sibling, as
-  the same steps in another order. A revisit steps only threads that slept
-  earlier, so it reaches only visited states. New states are therefore
-  found in the same order and along the same paths as by the plain DFS, so
-  states, arrivals, copairs, the witnesses with their schedules, serials,
-  the state cap and truncation stay the same, on every search that the
-  depth bound does not cut.
+* A step asleep in a state ran from an ancestor, and the state it reaches
+  lies below the ancestor's earlier sibling, as the same steps in another
+  order, also where the path runs round a cycle. So the search visited
+  that state before the one the step sleeps in, and skipping the step
+  loses no state. New states are therefore found in the same order and
+  along the same paths as by the plain DFS, so states, arrivals, copairs,
+  the witnesses with their schedules, serials, the state cap and
+  truncation stay the same, on every search that the depth bound does
+  not cut.
 * A step that sleeps ran before with the same reads and writes, so rw is
   the same union; pseudo-cells are footprint entries only and never reach
   rw.
@@ -270,7 +272,7 @@ class Oracle:
     def _search(self) -> None:
         """The sleep-set DFS of the module docstring."""
         s0 = self._initial_state()
-        visited = {s0: 0}  # state -> threads asleep on every visit, as bits
+        visited = {s0}
         self._record_state(s0)
         path: list[tuple[int, str]] = []
         # one frame per state on the path: its successors still to try, and
@@ -288,36 +290,32 @@ class Oracle:
                 self.res.truncated = True
                 continue
             tid, tag, s2, fp, mem2 = move
-            asleep = {}
-            mask = 0
-            for u, f in sleep.items():
-                if _independent(f, fp):
-                    asleep[u] = f
-                    mask |= 1 << u
-            sleep[tid] = fp
             seen = len(visited)
-            old = visited.setdefault(s2, mask)  # one hash for a new state
+            visited.add(s2)  # one hash for a new state
             if len(visited) > seen:
                 if seen >= self.max_states:
-                    del visited[s2]
+                    visited.remove(s2)
                     self.res.truncated = True
                     break
+                asleep = {}
+                mask = 0
+                for u, f in sleep.items():
+                    if _independent(f, fp):
+                        asleep[u] = f
+                        mask |= 1 << u
                 path.append((tid, tag))
                 self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
                                    else (tid,))
                 stack.append((iter(self._expand(s2, path, mask, mem2)), asleep))
-            elif old & ~mask:  # step the threads asleep before, awake now
-                visited[s2] = old & mask
-                path.append((tid, tag))
-                stack.append((iter(self._expand(s2, path, ~(old & ~mask), mem2)),
-                              asleep))
+            sleep[tid] = fp
         self.res.states = len(visited)
 
     def _expand(self, state, path, skip: int, mem: dict | None = None) -> list:
         """Successors (tid, tag, state, footprint, mem) of every runnable
-        thread whose bit is not set in skip; a footprint is (reads, writes),
-        and mem is the successor's memory as a read-only dict. The mem given
-        is state's, or None to build it from state[1]."""
+        thread whose bit is not set in skip, the bitmask of the threads
+        asleep in state; a footprint is (reads, writes), and mem is the
+        successor's memory as a read-only dict. The mem given is state's,
+        or None to build it from state[1]."""
         succs = []
         blocked: list[tuple[int, tuple]] = []   # (tid, (lock cell, owner))
         if mem is None:

@@ -10,12 +10,15 @@ import pytest
 
 from checks import check_may_covers, check_must_subset, oracle_facts
 from conftest import FIXTURES, INTER_OPS, analyzed, icfa_of, load
+from lockhound.cli import main
 from lockhound.frontend.icfa import FuncEntryOp, GuardOp, SkipOp
 from lockhound.frontend.syntax import (
     Assign, CreateStmt, JoinStmt, LockStmt, Return, UnlockStmt,
 )
 from lockhound.generator import generate, random_config
-from lockhound.oracle import Oracle, OracleUnsupported, _independent, run_oracle
+from lockhound.oracle import (
+    MAX_DEPTH, Oracle, OracleUnsupported, _independent, run_oracle,
+)
 from lockhound.pointsto import ArrayCellObj, FieldObj, GlobalObj, obj_label
 
 MUTANTS = [
@@ -105,6 +108,20 @@ def test_state_cap_sets_truncated(showcase_icfa):
     res = run_oracle(showcase_icfa, max_states=50)
     assert res.truncated
     assert res.states == 50
+
+
+def test_depth_bound_sets_truncated(tmp_path, capsys):
+    # One thread counting far past MAX_DEPTH steps: one state per step, so
+    # the search keeps the initial state and MAX_DEPTH more, and a cut
+    # search proves nothing.
+    prog = tmp_path / "count.mc"
+    prog.write_text("""
+int main() { int k; k = 0; while (k < 15000) { k = k + 1; } return 0; }
+""")
+    assert main(["oracle", str(prog)]) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["states"] == MAX_DEPTH + 1
+    assert out["truncated"]
 
 
 def test_state_cap_is_exact_at_every_budget(showcase_icfa):
@@ -464,3 +481,110 @@ def test_every_memory_dict_equals_its_frozen_memory(monkeypatch):
     for src in sources:
         run_oracle(icfa_of(src), max_states=5_000)
     assert len(checked) >= 1000
+
+
+# Programs whose state spaces have cycles: a thread that spins comes back
+# to a state it left. Not in RACES, so CORPUS_FACTS_SHA256 does not cover
+# them.
+CYCLIC = {
+    "spin-then-invert": """
+mutex a; mutex b;
+int flag;
+int spinner(int x) {
+    while (flag == 0) { lock(&a); unlock(&a); }
+    lock(&a); lock(&b); unlock(&b); unlock(&a);
+    return 0;
+}
+int main() {
+    thread_t t;
+    create(&t, spinner, 0);
+    lock(&a); flag = 1; unlock(&a);
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    join(t);
+    return 0;
+}
+""",
+    "turn-taking": """
+mutex m;
+int turn;
+int player(int me) {
+    int i; int mine;
+    i = 0;
+    while (i < 2) {
+        mine = 0;
+        while (mine == 0) {
+            lock(&m);
+            if (turn == me) { mine = 1; turn = 1 - me; }
+            unlock(&m);
+        }
+        i = i + 1;
+    }
+    return 0;
+}
+int main() {
+    thread_t t1; thread_t t2;
+    create(&t1, player, 0); create(&t2, player, 1);
+    join(t1); join(t2);
+    return 0;
+}
+""",
+}
+
+
+def plain_search(icfa, limit: int):
+    """The oracle's result from a DFS without sleep sets, depth bound or
+    schedules: every thread is stepped from every state, and each new state
+    is recorded whole. None when there are more than limit states."""
+    oracle = Oracle(icfa)
+    s0 = oracle._initial_state()
+    oracle._record_state(s0)
+    seen = {s0}
+    stack = [iter(oracle._expand(s0, [], 0))]
+    while stack:
+        move = next(stack[-1], None)
+        if move is None:
+            stack.pop()
+            continue
+        s2 = move[2]
+        if s2 not in seen:
+            if len(seen) >= limit:
+                return None
+            seen.add(s2)
+            oracle._record_state(s2)
+            stack.append(iter(oracle._expand(s2, [], 0)))
+    oracle.res.states = len(seen)
+    return oracle.res
+
+
+def search_facts(res) -> dict:
+    """Every fact of an oracle run that does not depend on the schedules."""
+    return {
+        "states": res.states, "terminals": res.terminals,
+        "ub_events": res.ub_events, "arrivals": res.arrivals,
+        "copairs": res.copairs, "rw": res.rw,
+        "rings": {frozenset((p, c) for _, p, c in w.cycle)
+                  for w in res.witnesses},
+    }
+
+
+def test_sleep_sets_keep_every_fact_of_a_plain_search():
+    programs = [(name, load(name)) for name in FIXTURE_PROGRAMS]
+    programs += sorted(RACES.items()) + sorted(UB_PROGRAMS.items())
+    programs += sorted(CYCLIC.items())
+    programs += [(f"corpus-{k}", generate(k, random_config(k)))
+                 for k in range(40)]
+    compared = set()
+    for name, source in programs:
+        icfa = icfa_of(source)
+        try:
+            plain = plain_search(icfa, 5_000)
+            if plain is None:
+                continue
+            res = run_oracle(icfa)
+        except OracleUnsupported:
+            continue
+        assert not res.truncated, name
+        assert search_facts(res) == search_facts(plain), name
+        compared.add(name)
+    assert set(CYCLIC) <= compared
+    assert len(compared) >= 40
