@@ -17,7 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .frontend.icfa import ICFA, INTRA, Edge, FuncEntryOp, ThreadEntryOp
-from .frontend.syntax import JoinStmt
+from .frontend.syntax import THREAD_ID, Assign, CreateStmt, JoinStmt
 from .graphs import idoms, sccs
 from .locksets import LocksetResults
 from .places import MAIN_THREAD, Place, common_prefix_len, get_thread, \
@@ -302,7 +302,26 @@ class NonConcurrency:
 
     def _match(self, p_c: Place, p_join: Place) -> bool:
         """The join at p_join certainly waits for the thread created at p_c
-        (cached: points-to is solved by now)."""
+        (cached: points-to is solved by now).
+
+        It does when the create's handle operand and the join's operand
+        denote one and the same cell, and the create at p_c is the only
+        writer of that cell. A thread_t cell holds a thread only once a
+        create wrote it, and two kinds of statement write one: a create,
+        through its handle operand, and an assignment whose lhs has type
+        thread_t. A call's or a thread's entry binds a thread_t parameter
+        too, but in a frame that is new, so never in a cell that a create
+        wrote before. Writers are told apart by place, not by location:
+        one create statement reached under two call strings, say by two
+        threads, may write a shared handle in between. So when no other
+        place may write the cell, a join that reads it reads what the last
+        run of p_c wrote. A later run of p_c is a run of the same call
+        string: by a second instance of one of the threads in it, which
+        needs a create of that call string on a loop, or by the same
+        instance, on a path from p_c back to itself. _check and _unwind
+        refuse both unless a matching join lies on every such cycle. A
+        writer whose cells are unknown (*) may write any cell, so it
+        refuses every match."""
         got = self._matches.get((p_c, p_join))
         if got is None:
             got = self._matches[p_c, p_join] = self._match_values(p_c, p_join)
@@ -319,6 +338,30 @@ class NonConcurrency:
             return False
         cv = self.pt.value_set(p_c, create.tid, at_sync=True)
         jv = self.pt.lvalue_set(p_join, join_op.tid)
-        if cv is STAR or jv is STAR:
+        if cv is STAR or jv is STAR or len(cv) != 1 or cv != jv:
             return False
-        return len(cv) == 1 and cv == jv
+        writers = self._handle_writers
+        return writers is not None and writers.get(next(iter(cv))) == {p_c}
+
+    @cached_property
+    def _handle_writers(self) -> dict | None:
+        """The places that may write each thread_t cell, over the lockset
+        place graph: those of creates, through their handle operand, and of
+        assignments to a thread_t lvalue. None when one of them may write
+        through an unknown pointer (*)."""
+        ops = {}
+        for e in self.icfa.edges:
+            kind = type(e.op)
+            if kind is CreateStmt or (
+                    kind is Assign and e.op.lhs.typ == THREAD_ID):
+                ops[e.src] = e.op
+        writers: dict = {}
+        for p in [p for p in self.locks.graph.places.by_id if p[-1] in ops]:
+            op = ops[p[-1]]
+            cells = self.pt.value_set(p, op.tid, at_sync=True) \
+                if type(op) is CreateStmt else self.pt.lvalue_set(p, op.lhs)
+            if cells is STAR:
+                return None
+            for c in cells:
+                writers.setdefault(c, set()).add(p)
+        return writers

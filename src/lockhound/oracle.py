@@ -17,13 +17,15 @@ Per-state work is only what the state needs. A step table, built once per
 program, says what a thread standing at each location does next: call
 through the entry edge, leave the function, take the guard branch that
 holds, or run the one intra op; the op's expressions are compiled into
-closures once, with the table. Every successor carries a read-only dict of
-its memory next to the frozen one: a step that leaves memory alone hands on
-its state's dict, and a step that writes derives both the successor's
-frozen memory and its dict from its state's. So the steps of all threads
-of a state share one dict, and only the initial state builds one from the
-frozen memory. The cells a thread holds are looked up once per lock table
-and thread, in a memo the oracle keeps for its run.
+closures once, with the table. A state's memory is one tuple with a slot
+per cell, in the manner of SPIN's state vector (Holzmann, "The Model
+Checker SPIN", TSE 1997). Each run numbers the globals' cells first and
+any other cell when it is first written, so the closures read a cell
+through one dict lookup and one index, and a step that writes one cell
+splices one value into its state's tuple. A dead or never written cell
+reads None, which no stored value is, and trailing Nones are trimmed:
+equal memories are equal tuples. The cells a thread holds are looked up
+once per lock table and thread, in a memo the oracle keeps for its run.
 
 Sleep sets (Godefroid, "Partial-Order Methods for the Verification of
 Concurrent Systems", LNCS 1032, 1996) keep the search from running two
@@ -158,7 +160,7 @@ class OracleResult:
 #     place:  the thread's call stack (see the module docstring); it ends
 #             at the thread function's exit once the thread is done
 #     status: "run" | "done" | "joined"
-#   mem:    frozenset of (cell, value) pairs, one per cell
+#   mem:    tuple of values, one per slot (see below)
 #   locks:  frozenset of (cell, owner) pairs, one per held mutex
 #   allocs: tuple of allocations made so far, one count per malloc site
 # Values: int | ("ptr", cell) | ("fn", name) | ("tid", k)
@@ -168,13 +170,20 @@ class OracleResult:
 # site on every path. Pseudo-cells, which appear only in footprints, start
 # with "mutex", "threads", "status" or "alloc".
 #
-# Expanding a state shares one read-only dict of its mem among the steps of
-# all its threads: the dict its predecessor's step handed on, or, for the
-# initial state, one built from the frozenset. A step that writes derives
-# the successor's mem from the frozenset by removing the pairs it
-# overwrites or kills and adding the pairs it writes, and the successor's
-# dict from a copy of the state's by the same changes; a step that does not
-# write hands on the state's dict itself.
+# Slots. Every Oracle numbers the memory cells it meets: _slots maps a cell
+# to its slot, and _slot_cells lists the cells by slot. The globals' cells
+# take the first slots, and every other cell takes the next slot when a
+# step first writes it. mem[k] is the value of cell _slot_cells[k], or None
+# when that cell is dead (its frame returned) or was never written; every
+# value is an int or a tuple, and a thread with no return expression
+# returns 0, so None marks only those. mem ends at its last live slot: a
+# write past the end pads with None, and a kill trims the Nones it leaves
+# at the end. So one memory is one tuple whatever slots the run has added
+# since, and a state a spin loop comes back to after a call is the state
+# it left. A step that writes one cell and kills none builds its
+# successor's mem with one splice; a return or finish, which kills a
+# frame, and a create or a call that writes several cells take one pass
+# over a list.
 
 _EMPTY: frozenset = frozenset()
 _THREADS = ("threads",)  # the pseudo-cell of the thread table
@@ -187,7 +196,7 @@ class Move(NamedTuple):
     arg: object      # the entry edge, the guard edges in order, the intra
                      # edge, None at an exit, or why there is no move
     reads_mem: bool  # does the step evaluate expressions?
-    run: Callable    # run(oracle, state, tid, arg, code, mem, reads)
+    run: Callable    # run(oracle, state, tid, arg, code, reads)
     code: tuple      # the op's expressions, compiled (see _value, _address)
 
 
@@ -205,6 +214,13 @@ class Oracle:
         self.res = OracleResult()
         self._ret_reads: dict[int, frozenset] = {}
         self._witness_keys: set = set()
+        # the slot table of the memory tuples (see "Slots" above)
+        self._slot_cells: list[tuple] = [
+            cell for name, decl in icfa.prog.globals.items()
+            for cell in _cells(("g", name), decl.typ, icfa.prog.structs)]
+        self._slots: dict[tuple, int] = {
+            cell: k for k, cell in enumerate(self._slot_cells)}
+        self._mem0 = (0,) * len(self._slot_cells)  # every global is 0
         self._moves = [self._move_at(loc) for loc in range(len(icfa.locations))]
         self._alloc_index: dict[int, int] = {}   # malloc site -> allocs slot
         self._serials: dict[tuple[int, int], int] = {}  # (site, n) -> serial
@@ -219,8 +235,8 @@ class Oracle:
                 self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
             elif isinstance(op, FuncExitOp) and (e.src, e.call_site) \
                     not in self._func_exits:
-                self._func_exits[e.src, e.call_site] = (
-                    e, None if op.lhs is None else _address(op.lhs))
+                lhs = None if op.lhs is None else _address(op.lhs, self._slots)
+                self._func_exits[e.src, e.call_site] = (e, lhs)
         # function -> (name, *path) of every local cell its frame can hold;
         # None -> those of every function (a finishing thread's cells)
         self._locals: dict[str | None, list[tuple]] = {None: []}
@@ -239,16 +255,17 @@ class Oracle:
         function's exit, then its intra edges (every guard branch in order,
         or the one op)."""
         icfa = self.icfa
+        slots = self._slots
         out = icfa.out_edges[loc]
         for e in out:
             if isinstance(e.op, FuncEntryOp):
                 return Move("call", e, True, Oracle._do_call,
-                            tuple(map(_value, e.op.args)))
+                            tuple(_value(a, slots) for a in e.op.args))
         func = icfa.func_of(loc)
         if loc == icfa.exit_of(func):
             ret = icfa.functions[func].ret_expr
             return Move("exit", None, True, Oracle._do_return,
-                        (func, None if ret is None else _value(ret)))
+                        (func, None if ret is None else _value(ret, slots)))
         intra = [e for e in out if e.kind == INTRA]
         if not intra:
             return Move("none", f"no move at location {loc}", False,
@@ -256,11 +273,11 @@ class Oracle:
         op = intra[0].op
         if isinstance(op, GuardOp):
             return Move("guard", tuple(intra), True, Oracle._do_guard,
-                        (_value(op.cond),))
+                        (_value(op.cond, slots),))
         if type(op) not in _INTRA_STEPS:
             return Move("none", f"unhandled op {op}", False, Oracle._no_move, ())
         kind, reads_mem, run, compile_op = _INTRA_STEPS[type(op)]
-        return Move(kind, intra[0], reads_mem, run, compile_op(op))
+        return Move(kind, intra[0], reads_mem, run, compile_op(op, slots))
 
     # ------------------------------------------------------------- driver
 
@@ -289,7 +306,7 @@ class Oracle:
             if len(path) >= MAX_DEPTH:
                 self.res.truncated = True
                 continue
-            tid, tag, s2, fp, mem2 = move
+            tid, tag, s2, fp = move
             seen = len(visited)
             visited.add(s2)  # one hash for a new state
             if len(visited) > seen:
@@ -306,20 +323,16 @@ class Oracle:
                 path.append((tid, tag))
                 self._record_state(s2, (tid, len(s2[0]) - 1) if tag == "create"
                                    else (tid,))
-                stack.append((iter(self._expand(s2, path, mask, mem2)), asleep))
+                stack.append((iter(self._expand(s2, path, mask)), asleep))
             sleep[tid] = fp
         self.res.states = len(visited)
 
-    def _expand(self, state, path, skip: int, mem: dict | None = None) -> list:
-        """Successors (tid, tag, state, footprint, mem) of every runnable
-        thread whose bit is not set in skip, the bitmask of the threads
-        asleep in state; a footprint is (reads, writes), and mem is the
-        successor's memory as a read-only dict. The mem given is state's,
-        or None to build it from state[1]."""
+    def _expand(self, state, path, skip: int) -> list:
+        """Successors (tid, tag, state, footprint) of every runnable thread
+        whose bit is not set in skip, the bitmask of the threads asleep in
+        state; a footprint is (reads, writes)."""
         succs = []
         blocked: list[tuple[int, tuple]] = []   # (tid, (lock cell, owner))
-        if mem is None:
-            mem = dict(state[1])
         alive = False
         for tid, th in enumerate(state[0]):
             if th[1] != "run":
@@ -330,8 +343,7 @@ class Oracle:
             _, arg, reads_mem, run, code = self._moves[th[0][-1]]
             reads = set() if reads_mem else _EMPTY
             try:
-                tag, s2, writes, mem2 = run(self, state, tid, arg, code, mem,
-                                            reads)
+                tag, s2, writes = run(self, state, tid, arg, code, reads)
             except _UB:
                 self.res.ub_events += 1
                 continue
@@ -339,8 +351,8 @@ class Oracle:
                 if s2 is not None:
                     blocked.append((tid, s2))
             else:
-                succs.append((tid, tag, s2, (reads, writes), mem2))
-        if blocked:
+                succs.append((tid, tag, s2, (reads, writes)))
+        if len(blocked) > 1:
             self._check_lag(state, blocked, path)
         if not succs and not alive:
             self.res.terminals += 1
@@ -376,7 +388,10 @@ class Oracle:
 
     def _check_lag(self, state, blocked, path) -> None:
         """Record a witness for each new ring of threads that wait for a
-        mutex the next one holds; blocked lists (tid, (cell, owner))."""
+        mutex the next one holds; blocked lists (tid, (cell, owner)). A ring
+        has at least two threads: a thread that waited for a mutex it holds
+        would relock it, and _do_lock raises that as _UB before the thread
+        can block, so _expand calls this only when two threads wait."""
         threads = state[0]
         want = dict(blocked)
         for start in want:
@@ -405,11 +420,9 @@ class Oracle:
     # ------------------------------------------------------------ stepping
 
     def _initial_state(self):
-        mem = {cell: 0 for name, decl in self.icfa.prog.globals.items()
-               for cell in _cells(("g", name), decl.typ, self.icfa.prog.structs)}
         entry = self.icfa.entry_of(self.icfa.entry_fn)
         threads = (((entry,), "run", None),)
-        return (threads, frozenset(mem.items()), frozenset(),
+        return (threads, self._mem0, frozenset(),
                 (0,) * len(self._alloc_index))
 
     def _frame(self, func: str | None, tid: int) -> frozenset:
@@ -424,9 +437,8 @@ class Oracle:
     # helpers to rebuild the immutable state ------------------------------
 
     def _advance(self, state, tid, e, mem=None, locks=None, allocs=None):
-        """state with thread tid moved along intra edge e. The frozen mem,
-        locks and allocs given replace the state's; the others pass
-        through."""
+        """state with thread tid moved along intra edge e. The mem, locks
+        and allocs given replace the state's; the others pass through."""
         threads, mem0, locks0, allocs0 = state
         place, status, retval = threads[tid]
         threads = list(threads)
@@ -435,47 +447,68 @@ class Oracle:
                 locks0 if locks is None else locks,
                 allocs0 if allocs is None else allocs)
 
-    @staticmethod
-    def _store(mem_t: frozenset, mem: dict, writes: dict,
-               kills=()) -> tuple[frozenset, dict]:
-        """mem_t (read as the dict mem) without the cells in kills, which
-        are all in mem, and with every cell in writes bound to its new
-        value: as a frozenset, and as a new dict."""
-        mem2 = mem.copy()
-        old = [(c, mem2.pop(c)) for c in kills]
-        old += [(c, mem[c]) for c in writes if c in mem]
-        mem2.update(writes)
-        return mem_t.difference(old).union(writes.items()), mem2
+    def _store(self, mem: tuple, writes: dict,
+               kills: frozenset = _EMPTY) -> tuple:
+        """The memory tuple mem with the cells in kills dead and every cell
+        in writes bound to its new value (a cell in both is written)."""
+        slots = self._slots
+        if len(writes) == 1 and not kills:  # most steps: splice one value
+            (cell, v), = writes.items()
+            k = slots.get(cell)
+            if k is None:
+                k = self._new_slot(cell)
+            if k < len(mem):
+                return mem[:k] + (v,) + mem[k + 1:]
+            return mem + (None,) * (k - len(mem)) + (v,)
+        new = list(mem)
+        for c in slots.keys() & kills:
+            k = slots[c]
+            if k < len(new):
+                new[k] = None
+        for c, v in writes.items():
+            k = slots.get(c)
+            if k is None:
+                k = self._new_slot(c)
+            if k >= len(new):
+                new += [None] * (k + 1 - len(new))
+            new[k] = v
+        while new and new[-1] is None:  # equal memories, equal tuples
+            new.pop()
+        return tuple(new)
+
+    def _new_slot(self, cell: tuple) -> int:
+        k = self._slots[cell] = len(self._slot_cells)
+        self._slot_cells.append(cell)
+        return k
 
     # individual operations ----------------------------------------------
 
-    # Every step is run(oracle, state, tid, arg, code, mem, reads) with the
-    # arg and code of its Move, the shared dict of state[1] and the set that
-    # collects the cells it reads. It returns (tag, successor, writes, mem2),
-    # with writes the cells and pseudo-cells of its footprint and mem2 the
-    # successor's memory as a dict (mem itself when the step writes none);
-    # or (None, (cell, owner), None, None) when the thread blocks on the
-    # mutex cell that thread owner holds, or (None, None, None, None) while
-    # it waits in a join. It raises _UB on poison.
+    # Every step is run(oracle, state, tid, arg, code, reads) with the arg
+    # and code of its Move and the set that collects the cells it reads. It
+    # returns (tag, successor, writes), with writes the cells and
+    # pseudo-cells of its footprint; or (None, (cell, owner), None) when the
+    # thread blocks on the mutex cell that thread owner holds, or (None,
+    # None, None) while it waits in a join. It raises _UB on poison.
 
-    def _no_move(self, state, tid, why, code, mem, reads):
+    def _no_move(self, state, tid, why, code, reads):
         raise AssertionError(why)
 
-    def _do_skip(self, state, tid, e, code, mem, reads):
-        return "skip", self._advance(state, tid, e), _EMPTY, mem
+    def _do_skip(self, state, tid, e, code, reads):
+        return "skip", self._advance(state, tid, e), _EMPTY
 
-    def _do_ret_edge(self, state, tid, e, code, mem, reads):
-        return "ret-edge", self._advance(state, tid, e), _EMPTY, mem
+    def _do_ret_edge(self, state, tid, e, code, reads):
+        return "ret-edge", self._advance(state, tid, e), _EMPTY
 
-    def _do_guard(self, state, tid, edges, code, mem, reads):
-        v = bool(code[0](mem, tid, reads))
+    def _do_guard(self, state, tid, edges, code, reads):
+        v = bool(code[0](state[1], tid, reads))
         for e in edges:
             if v != e.op.negated:
-                return "guard", self._advance(state, tid, e), _EMPTY, mem
+                return "guard", self._advance(state, tid, e), _EMPTY
         raise AssertionError("guard with no matching branch")
 
-    def _do_assign(self, state, tid, e, code, mem, reads):
+    def _do_assign(self, state, tid, e, code, reads):
         rhs, lhs = code
+        mem = state[1]
         allocs = None
         if rhs is None:  # malloc
             allocs = state[3]
@@ -491,30 +524,30 @@ class Oracle:
             v = rhs(mem, tid, reads)
         cell = lhs(mem, tid, reads)
         self._note_rw(e, reads, (cell,))
-        mem_t, mem2 = self._store(state[1], mem, {cell: v})
-        s2 = self._advance(state, tid, e, mem=mem_t, allocs=allocs)
+        s2 = self._advance(state, tid, e, mem=self._store(mem, {cell: v}),
+                           allocs=allocs)
         return "assign", s2, \
-            {cell} if allocs is None else {cell, ("alloc", e.src)}, mem2
+            {cell} if allocs is None else {cell, ("alloc", e.src)}
 
-    def _do_lock(self, state, tid, e, code, mem, reads):
-        cell, mutex = self._lock_operand(code[0](mem, tid, reads))
+    def _do_lock(self, state, tid, e, code, reads):
+        cell, mutex = self._lock_operand(code[0](state[1], tid, reads))
         self._note_rw(e, reads, ())
         locks = state[2]
         for c, owner in locks:
             if c == cell:
                 if owner == tid:
                     raise _UB("relock of a held mutex")
-                return None, (cell, owner), None, None
+                return None, (cell, owner), None
         return "lock", self._advance(state, tid, e, locks=locks | {(cell, tid)}), \
-            {mutex}, mem
+            {mutex}
 
-    def _do_unlock(self, state, tid, e, code, mem, reads):
-        cell, mutex = self._lock_operand(code[0](mem, tid, reads))
+    def _do_unlock(self, state, tid, e, code, reads):
+        cell, mutex = self._lock_operand(code[0](state[1], tid, reads))
         self._note_rw(e, reads, ())
         if (cell, tid) not in state[2]:
             raise _UB("unlock of a mutex not held by this thread")
         return "unlock", self._advance(state, tid, e,
-                                       locks=state[2] - {(cell, tid)}), {mutex}, mem
+                                       locks=state[2] - {(cell, tid)}), {mutex}
 
     def _lock_operand(self, v) -> tuple[tuple, tuple]:
         """The mutex cell v points to, and its pseudo-cell."""
@@ -529,8 +562,8 @@ class Oracle:
             raise _UB("lock/unlock target is not a mutex")
         return cell, mutex
 
-    def _do_create(self, state, tid, e, code, mem, reads):
-        threads = state[0]
+    def _do_create(self, state, tid, e, code, reads):
+        threads, mem = state[0], state[1]
         tid_of, fn_of, arg_of = code
         tv = tid_of(mem, tid, reads)
         if not (isinstance(tv, tuple) and tv[0] == "ptr"):
@@ -560,12 +593,11 @@ class Oracle:
         threads = list(threads)
         threads[tid] = (place[:-1] + (e.tgt,), status, retval)
         threads.append((tf_place, "run", None))
-        mem_t, mem2 = self._store(state[1], mem, writes)
-        return "create", (tuple(threads), mem_t, state[2], state[3]), \
-            {tv[1], pcell, _THREADS}, mem2
+        return "create", (tuple(threads), self._store(mem, writes), state[2],
+                          state[3]), {tv[1], pcell, _THREADS}
 
-    def _do_join(self, state, tid, e, code, mem, reads):
-        threads = state[0]
+    def _do_join(self, state, tid, e, code, reads):
+        threads, mem = state[0], state[1]
         tid_of, ret_of = code
         tv = tid_of(mem, tid, reads)
         if not (isinstance(tv, tuple) and tv[0] == "tid"):
@@ -575,25 +607,24 @@ class Oracle:
         if t_status == "joined":
             raise _UB("thread joined twice")
         if t_status == "run":
-            return None, None, None, None  # wait
+            return None, None, None  # wait
         self._note_rw(e, reads, ())
         threads = list(threads)
         threads[target] = (t_place, "joined", t_retval)
         state = (tuple(threads),) + state[1:]
         status = ("status", target)
         if ret_of is None:
-            return "join", self._advance(state, tid, e), {status}, mem
+            return "join", self._advance(state, tid, e), {status}
         cell = ret_of(mem, tid, reads)
         for tj in self.icfa.out_edges[t_place[-1]]:
             if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
                 self._note_rw(tj, self._ret_reads.get(target, _EMPTY), (cell,))
                 break
-        mem_t, mem2 = self._store(state[1], mem, {cell: t_retval})
-        return "join", self._advance(state, tid, e, mem=mem_t), {status, cell}, \
-            mem2
+        return "join", self._advance(state, tid, e, mem=self._store(
+            mem, {cell: t_retval})), {status, cell}
 
-    def _do_call(self, state, tid, e, code, mem, reads):
-        threads = state[0]
+    def _do_call(self, state, tid, e, code, reads):
+        threads, mem = state[0], state[1]
         place, status, retval = threads[tid]
         p2 = entry_place(self.icfa, place, e.tgt)
         if len(p2) != len(place) + 1:
@@ -604,14 +635,12 @@ class Oracle:
         self._note_rw(e, reads, writes)
         threads = list(threads)
         threads[tid] = (p2, status, retval)
-        mem_t, mem2 = self._store(state[1], mem, writes) if writes \
-            else (state[1], mem)
-        return "call", (tuple(threads), mem_t, state[2], state[3]), \
-            writes.keys(), mem2
+        return "call", (tuple(threads), self._store(mem, writes) if writes
+                        else mem, state[2], state[3]), writes.keys()
 
-    def _do_return(self, state, tid, _, code, mem, reads):
+    def _do_return(self, state, tid, _, code, reads):
         func, ret = code
-        threads = state[0]
+        threads, mem = state[0], state[1]
         place, status, retval = threads[tid]
         v = 0 if ret is None else ret(mem, tid, reads)
 
@@ -622,9 +651,8 @@ class Oracle:
             threads = list(threads)
             threads[tid] = (place, "done", v)
             frame = self._frame(None, tid)
-            mem_t, mem2 = self._store(state[1], mem, {}, mem.keys() & frame)
-            return "finish", (tuple(threads), mem_t, state[2], state[3]), \
-                frame | {("status", tid)}, mem2
+            return "finish", (tuple(threads), self._store(mem, {}, frame),
+                              state[2], state[3]), frame | {("status", tid)}
 
         e, lhs = self._func_exits[place[-1], place[-2]]
         frame = self._frame(func, tid)
@@ -639,9 +667,8 @@ class Oracle:
             reads |= lhs_reads
             writes[cell] = v
         self._note_rw(e, reads, writes)  # the return value's and lhs's
-        mem_t, mem2 = self._store(state[1], mem, writes, mem.keys() & frame)
-        return "return", (tuple(threads), mem_t, state[2], state[3]), \
-            frame | writes.keys(), mem2
+        return "return", (tuple(threads), self._store(mem, writes, frame),
+                          state[2], state[3]), frame | writes.keys()
 
 
 def _independent(f, g) -> bool:
@@ -654,8 +681,8 @@ def _independent(f, g) -> bool:
 
 # An expression compiles to value(mem, tid, reads) and an lvalue to
 # address(mem, tid, reads): closures that evaluate it in thread tid against
-# the dict mem, add every cell they read to the set reads, and raise _UB on
-# poison.
+# the memory tuple mem, read through the slot table slots of their oracle,
+# add every cell they read to the set reads, and raise _UB on poison.
 
 
 def _cell_count(typ, structs: dict, counts: dict[str, int]) -> int:
@@ -686,11 +713,13 @@ def _cells(cell: tuple, typ, structs: dict):
         yield cell
 
 
-def _read(mem, cell, reads):
+def _read(mem: tuple, cell, reads, slots: dict):
     try:
-        v = mem[cell]
-    except KeyError:
-        raise _UB(f"read of dead or unmapped cell {cell!r}") from None
+        v = mem[slots[cell]]
+    except (KeyError, IndexError):  # no slot yet, or past the trimmed end
+        v = None
+    if v is None:
+        raise _UB(f"read of dead or unmapped cell {cell!r}")
     reads.add(cell)
     return v
 
@@ -718,23 +747,25 @@ _BINARY = {
 }
 
 
-def _value(e: Expr) -> Callable:
+def _value(e: Expr, slots: dict) -> Callable:
     if isinstance(e, VarRef):  # the kinds in order of frequency
         name = e.name
         if "::" not in name:
             cell = ("g", name)
-            return lambda mem, tid, reads: _read(mem, cell, reads)
-        return lambda mem, tid, reads: _read(mem, ("l", tid, name), reads)
+            return lambda mem, tid, reads: _read(mem, cell, reads, slots)
+        return lambda mem, tid, reads: _read(mem, ("l", tid, name), reads,
+                                             slots)
     if isinstance(e, IntLit):
         return _constant(e.value)
     if isinstance(e, Unary):
         if e.op == "&":
-            addr = _address(e.operand)
+            addr = _address(e.operand, slots)
             return lambda mem, tid, reads: ("ptr", addr(mem, tid, reads))
-        sub = _value(e.operand)
+        sub = _value(e.operand, slots)
         if e.op == "*":
             return lambda mem, tid, reads: _read(mem, _pointee(
-                sub(mem, tid, reads), "dereference of a non-pointer value"), reads)
+                sub(mem, tid, reads), "dereference of a non-pointer value"),
+                reads, slots)
         if e.op == "!":
             return lambda mem, tid, reads: 0 if sub(mem, tid, reads) != 0 else 1
         if e.op == "-":
@@ -746,12 +777,13 @@ def _value(e: Expr) -> Callable:
             return negate
         raise AssertionError(e.op)
     if isinstance(e, Binary):
-        return _binary(e.op, _value(e.left), _value(e.right))
+        return _binary(e.op, _value(e.left, slots), _value(e.right, slots))
     if isinstance(e, FuncRef):
         return _constant(("fn", e.name))
     if isinstance(e, (FieldAccess, Index)):
-        addr = _address(e)
-        return lambda mem, tid, reads: _read(mem, addr(mem, tid, reads), reads)
+        addr = _address(e, slots)
+        return lambda mem, tid, reads: _read(mem, addr(mem, tid, reads), reads,
+                                             slots)
 
     def fail(mem, tid, reads):
         raise AssertionError(f"cannot evaluate {e!r}")
@@ -770,26 +802,26 @@ def _binary(op: str, left: Callable, right: Callable) -> Callable:
     return binary
 
 
-def _address(e: Expr) -> Callable:
+def _address(e: Expr, slots: dict) -> Callable:
     if isinstance(e, VarRef):
         name = e.name
         if "::" in name:
             return lambda mem, tid, reads: ("l", tid, name)
         return _constant(("g", name))
     if isinstance(e, Unary) and e.op == "*":
-        sub = _value(e.operand)
+        sub = _value(e.operand, slots)
         return lambda mem, tid, reads: _pointee(
             sub(mem, tid, reads), "dereference of a non-pointer value")
     if isinstance(e, FieldAccess):
         name = (e.name,)
         if e.arrow:
-            sub = _value(e.base)
+            sub = _value(e.base, slots)
             return lambda mem, tid, reads: _pointee(
                 sub(mem, tid, reads), "-> applied to a non-pointer value") + name
-        base = _address(e.base)
+        base = _address(e.base, slots)
         return lambda mem, tid, reads: base(mem, tid, reads) + name
     if isinstance(e, Index):
-        index, base = _value(e.index), _address(e.base)
+        index, base = _value(e.index, slots), _address(e.base, slots)
         bt = e.base.typ
         size = bt.size if isinstance(bt, ArrayType) else None
 
@@ -809,20 +841,23 @@ def _address(e: Expr) -> Callable:
 
 
 # Intra ops other than guards: (kind and tag, reads memory?, step, the
-# op's expressions compiled in the order the step evaluates them).
+# op's expressions compiled against a slot table, in the order the step
+# evaluates them).
 _INTRA_STEPS = {
-    SkipOp: ("skip", False, Oracle._do_skip, lambda op: ()),
-    Return: ("ret-edge", False, Oracle._do_ret_edge, lambda op: ()),
-    Assign: ("assign", True, Oracle._do_assign, lambda op: (
-        None if isinstance(op.rhs, Malloc) else _value(op.rhs),
-        _address(op.lhs))),
-    LockStmt: ("lock", True, Oracle._do_lock, lambda op: (_value(op.arg),)),
+    SkipOp: ("skip", False, Oracle._do_skip, lambda op, slots: ()),
+    Return: ("ret-edge", False, Oracle._do_ret_edge, lambda op, slots: ()),
+    Assign: ("assign", True, Oracle._do_assign, lambda op, slots: (
+        None if isinstance(op.rhs, Malloc) else _value(op.rhs, slots),
+        _address(op.lhs, slots))),
+    LockStmt: ("lock", True, Oracle._do_lock,
+               lambda op, slots: (_value(op.arg, slots),)),
     UnlockStmt: ("unlock", True, Oracle._do_unlock,
-                 lambda op: (_value(op.arg),)),
-    CreateStmt: ("create", True, Oracle._do_create, lambda op: (
-        _value(op.tid), _value(op.fn), _value(op.arg))),
-    JoinStmt: ("join", True, Oracle._do_join, lambda op: (
-        _value(op.tid), None if op.ret is None else _address(op.ret))),
+                 lambda op, slots: (_value(op.arg, slots),)),
+    CreateStmt: ("create", True, Oracle._do_create, lambda op, slots: (
+        _value(op.tid, slots), _value(op.fn, slots), _value(op.arg, slots))),
+    JoinStmt: ("join", True, Oracle._do_join, lambda op, slots: (
+        _value(op.tid, slots),
+        None if op.ret is None else _address(op.ret, slots))),
 }
 
 

@@ -334,6 +334,95 @@ def test_loop_created_thread_may_pair_with_itself():
     assert nc.check(p1, p2) is None
 
 
+# A join waits for the thread its handle holds when the join runs, which
+# need not be the thread a create put there: the handle may be written
+# again in between. In both programs the oracle finds the deadlock.
+REWRITTEN_HANDLE = {
+    "second-create": """
+mutex a; mutex b;
+int worker(int x) { lock(&a); lock(&b); unlock(&b); unlock(&a); return 0; }
+int main() {
+    thread_t t;
+    create(&t, worker, 0);
+    create(&t, worker, 1);
+    join(t);
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    return 0;
+}
+""",
+    "assigned": """
+mutex a; mutex b;
+int idle(int x) { return 0; }
+int worker(int x) { lock(&a); lock(&b); unlock(&b); unlock(&a); return 0; }
+int main() {
+    thread_t t; thread_t u;
+    create(&u, idle, 0);
+    create(&t, worker, 0);
+    t = u;
+    join(t);
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    join(u);
+    return 0;
+}
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITTEN_HANDLE))
+def test_a_join_after_its_handle_is_written_again_proves_nothing(name):
+    a, res = analyzed(REWRITTEN_HANDLE[name])
+    assert res.witnesses and not res.truncated
+    assert check_all(a, res) == []
+
+
+LOOP_JOIN_SRC = """
+    mutex ma; mutex mb;
+    int worker(int x) {
+        lock(&ma);
+        lock(&mb);
+        unlock(&mb);
+        unlock(&ma);
+        return 0;
+    }
+    int main() {
+        thread_t tl;
+        int k;
+        k = 0;
+        while (k < 2) {
+            create(&tl, worker, k);
+            join(tl);
+            k = k + 1;
+        }
+        lock(&mb);
+        lock(&ma);
+        unlock(&ma);
+        unlock(&mb);
+        return 0;
+    }
+"""
+
+
+def test_a_handle_that_only_its_create_writes_still_matches():
+    # the generator's loop-created thread, joined in the same iteration
+    a, res = analyzed(LOOP_JOIN_SRC)
+    assert not res.witnesses and not res.truncated
+    assert [c.pruned_by for c in a.search.cycles] == [CREATE_JOIN]
+    assert check_all(a, res) == []
+
+
+def test_a_thread_handle_written_through_an_unknown_pointer_matches_nothing():
+    # p holds a pointer made from an int, so *p may be any thread_t cell
+    src = JOIN_SRC.replace("join(t);", "int i; thread_t *p; i = 0; p = i; "
+                           "if (i == 1) { *p = t; } join(t);")
+    a, nc = nc_of(src)
+    icfa = a.icfa
+    (site,) = icfa.create_sites
+    in_worker = (site, loc_at(icfa, 4))
+    after_join = (loc_at(icfa, 12),)
+    assert nc._handle_writers is None
+    assert nc.check(in_worker, after_join) is None
+
+
 NESTED_CREATE_SRC = """
     mutex ma;
     mutex mb;

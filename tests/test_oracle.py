@@ -307,7 +307,7 @@ def commuting_pairs(icfa, limit: int) -> int:
 
     def steps(state) -> dict:
         return {tid: (s2, (set(reads), set(writes)))
-                for tid, _, s2, (reads, writes), _ in oracle._expand(state, [], 0)}
+                for tid, _, s2, (reads, writes) in oracle._expand(state, [], 0)}
 
     s0 = oracle._initial_state()
     seen, queue, pairs = {s0}, deque([s0]), 0
@@ -460,19 +460,30 @@ def test_oracle_facts_on_generated_programs_are_pinned():
     assert total.hexdigest() == CORPUS_FACTS_SHA256
 
 
-def test_every_memory_dict_equals_its_frozen_memory(monkeypatch):
-    # A step hands its successor the memory as a dict next to the frozenset;
-    # the steps read the dict, so it must be the same memory, kills included.
+def decoded(oracle, mem_t: tuple) -> dict:
+    """A memory tuple read through its run's slot table: slot k holds the
+    value of cell _slot_cells[k], or None when that cell is dead."""
+    assert len(mem_t) <= len(oracle._slot_cells)
+    assert not mem_t or mem_t[-1] is not None  # trimmed
+    return {oracle._slot_cells[k]: v for k, v in enumerate(mem_t)
+            if v is not None}
+
+
+def test_every_step_changes_only_the_memory_it_writes(monkeypatch):
+    # Read through the run's slot table, a successor's memory differs from
+    # its state's only in cells of the step's footprint writes, kills
+    # included; sleep sets rest on that.
     checked = []
     expand = Oracle._expand
 
-    def checked_expand(self, state, path, skip, mem=None):
-        if mem is not None:
-            assert mem == dict(state[1])
-            checked.append(state)
-        succs = expand(self, state, path, skip, mem)
-        for _, _, s2, _, mem2 in succs:
-            assert mem2 == dict(s2[1])
+    def checked_expand(self, state, path, skip):
+        mem = decoded(self, state[1])
+        succs = expand(self, state, path, skip)
+        for _, _, s2, (_, writes) in succs:
+            mem2 = decoded(self, s2[1])
+            assert {c for c in mem.keys() | mem2.keys()
+                    if mem.get(c) != mem2.get(c)} <= writes
+        checked.append(state)
         return succs
 
     monkeypatch.setattr(Oracle, "_expand", checked_expand)
@@ -481,6 +492,37 @@ def test_every_memory_dict_equals_its_frozen_memory(monkeypatch):
     for src in sources:
         run_oracle(icfa_of(src), max_states=5_000)
     assert len(checked) >= 1000
+
+
+# A thread that spins calling f: each call's parameter takes the highest
+# slot, and the return kills it, so the loop comes back to a state whose
+# memory has no cell of f.
+SPIN_CALL = """
+int flag;
+int f(int a) { return a; }
+int spinner(int x) { while (flag == 0) { f(1); } return 0; }
+int main() { thread_t t; create(&t, spinner, 0); flag = 1; join(t); return 0; }
+"""
+
+
+def test_a_kill_of_the_highest_slot_leaves_no_trailing_none(monkeypatch):
+    oracle = Oracle(icfa_of(SPIN_CALL))
+    mem = oracle._initial_state()[1]
+    cell = ("l", 1, "f::a")
+    written = oracle._store(mem, {cell: 1})
+    assert len(written) > len(mem) and written[-1] == 1
+    # the kill leaves the memory of a state that never called f
+    assert oracle._store(written, {}, frozenset([cell])) == mem
+    # so in the search each memory is one tuple: no two states differ only
+    # in dead slots at the end
+    states = []
+    record = Oracle._record_state
+    monkeypatch.setattr(Oracle, "_record_state", lambda self, s, *a: (
+        states.append((self, s)), record(self, s, *a)))
+    res = run_oracle(icfa_of(SPIN_CALL))
+    keys = {(s[0], frozenset(decoded(o, s[1]).items()), s[2], s[3])
+            for o, s in states}
+    assert len(keys) == len(states) == res.states
 
 
 # Programs whose state spaces have cycles: a thread that spins comes back
