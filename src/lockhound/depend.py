@@ -13,8 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .frontend.icfa import (
-    ENTRY, ICFA, Edge, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
-    ThreadJoinOp, SEED_OPS,
+    ENTRY, ICFA, Edge, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp, SEED_OPS,
 )
 from .frontend.syntax import Assign, Expr, expr_vars, stmt_exprs
 
@@ -48,8 +47,6 @@ def _binding_groups(op: Op) -> list[set[str]]:
         return [expr_vars(op.arg) | {op.param}]
     if isinstance(op, FuncExitOp):
         return [pair(op.ret_expr, op.lhs)]
-    if isinstance(op, ThreadJoinOp):
-        return [pair(op.ret_expr, op.ret_var)]
     return []
 
 
@@ -104,7 +101,7 @@ def affecting_edges(icfa: ICFA) -> DependResult:
 
     # Binding edges whose symbols intersect the closure are significant.
     for e in icfa.edges:
-        if isinstance(e.op, (Assign, FuncExitOp, ThreadJoinOp)):
+        if isinstance(e.op, (Assign, FuncExitOp)):
             if any(groups[gi] & handled for gi in edge_groups.get(e.idx, ())):
                 significant.add(e.idx)
 

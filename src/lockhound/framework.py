@@ -167,15 +167,14 @@ def entry_place(icfa: ICFA, p: Place, entry_loc: int) -> Place:
     return p + (entry_loc,)
 
 
-def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place | None:
-    """The place after p along e, an edge of the given kind out of p[-1];
-    None for a return with no frame. The step table matches return edges to
-    p[-2]."""
+def step_place(icfa: ICFA, p: Place, e: Edge, kind: int) -> Place:
+    """The place after p along e, an edge of the given kind out of p[-1]. The
+    step table offers a return edge only where p[-2] is its call site."""
     if kind == INTRA:
         return p[:-1] + (e.tgt,)
     if kind == ENTRY:
         return entry_place(icfa, p, e.tgt)
-    return p[:-2] + (e.tgt,) if len(p) > 1 else None
+    return p[:-2] + (e.tgt,)
 
 
 # ------------------------------------------------------------------ solve
@@ -280,10 +279,8 @@ def explore(icfa: ICFA) -> PlaceGraph:
         targets = ()  # the target id of each edge in es, None if infeasible
         for e, kind, plain in out:
             p2 = step_place(icfa, p, e, kind)
-            if p2 is None:
-                targets += (None,)
-                continue
-            assert len(p2) <= bound, "place length bound violated"
+            if len(p2) > bound:
+                raise DivergedError(f"place of length {len(p2)} past the bound {bound}")
             if plain:
                 fpm2 = fpm if kind == INTRA else EMPTY_FPM
             elif (fpm2 := fp_transfer(icfa, e, fpm)) is None:
@@ -375,6 +372,7 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
     not followed, any other rejected edge passes the client state through.
     """
     allowed = edge_filter if edge_filter is not None else lambda e: True
+    bound = icfa.place_length_bound()
 
     places = PlaceMap()
     places.intern((icfa.entry_of(icfa.entry_fn),))
@@ -409,8 +407,8 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
         site = p[-2] if len(p) > 1 else None
         for e, kind, plain in inter.get(site, inter[None]):
             p2 = step_place(icfa, p[:-1] + (e.src,), e, kind)
-            if p2 is None:
-                continue
+            if len(p2) > bound:
+                raise DivergedError(f"place of length {len(p2)} past the bound {bound}")
             applied = allowed(e)
             if not applied and kind == ENTRY:
                 continue

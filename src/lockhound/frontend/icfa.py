@@ -15,23 +15,28 @@ one above it, as the else-if chain `if (fp == f1) f1(..); else if ...`
 would compile. Statements after a return are dead and not compiled.
 
 The other ops exist only in the automaton: a guard (a branch condition with
-the side taken), a skip, and five kinds of inter-function edges that stitch
+the side taken), a skip, and four kinds of inter-function edges that stitch
 the per-function automata together:
 
   func_entry    call site           -> callee entry     (argument binding)
   func_exit     callee exit         -> after call site  (return binding)
   thread_entry  create site         -> candidate entry  (thread argument)
   thread_exit   thread fn exit      -> after each create site that starts it
-  thread_join   thread fn exit     -> after every join statement
+
+A join is only its JoinStmt edge, and no edge runs from a thread's exit to
+it. None is needed: the checker makes thread functions return int and join
+results go to an int, which no analysis tracks; a thread's effects reach
+its creator through its thread_exit edge; and a join leaves the joiner's
+locks as they were. It orders the joiner after the thread, nothing more.
 
 The builder fixes each edge's step kind, how a place (lockhound.places)
 moves along it. Along an intra edge (a statement, guard, skip or return
 statement) the place's last location becomes the target; an entry edge
 (func_entry, thread_entry) appends the target; a return edge (func_exit,
-thread_exit, thread_join) replaces the exit and the site below it with the
-target. func_exit and thread_exit edges record the call/create site they
-belong to, and the automaton's step table groups each exit's return edges
-by that site, so state exploration skips the infeasible ones.
+thread_exit) replaces the exit and the site below it with the target.
+Every return edge names the call or create site it belongs to, and the
+automaton's step table groups each exit's return edges by that site, so
+state exploration skips the infeasible ones.
 """
 
 from __future__ import annotations
@@ -88,16 +93,10 @@ class ThreadExitOp:
     pass
 
 
-@dataclass(frozen=True)
-class ThreadJoinOp:
-    ret_expr: Expr | None
-    ret_var: Expr | None
-
-
 Op = (
     Assign | LockStmt | UnlockStmt | CreateStmt | JoinStmt | Return
     | GuardOp | SkipOp
-    | FuncEntryOp | FuncExitOp | ThreadEntryOp | ThreadExitOp | ThreadJoinOp
+    | FuncEntryOp | FuncExitOp | ThreadEntryOp | ThreadExitOp
 )
 
 # The straight-line statements, each compiled to one edge that carries it.
@@ -136,8 +135,6 @@ def op_text(op: Op) -> str:
         return f"thread_entry({expr_text(op.thr)}, {expr_text(op.arg)})"
     if isinstance(op, ThreadExitOp):
         return "thread_exit"
-    if isinstance(op, ThreadJoinOp):
-        return "thread_join"
     return "?"
 
 
@@ -158,7 +155,7 @@ class Edge:
     tgt: int
     op: Op  # the checked statement, or an automaton-only op
     line: int = 0
-    call_site: int | None = None  # func_exit / thread_exit feasibility anchor
+    call_site: int | None = None  # a return edge's call or create site
     kind: int = INTRA  # the step kind of the module docstring
     plain: bool = True  # the function-pointer transfer is trivial (fp_transfer)
 
@@ -191,9 +188,9 @@ class ICFA:
         # The step table, filled by build_icfa: a step is (edge, kind,
         # plain). steps_at[loc] is (edges, steps) of loc's out-edges, the
         # edges as one shared tuple; at a function exit, a dict of that pair
-        # per call site p[-2], for the return edges of that site or of none
-        # (key None: any other site). steps_in[f] is f's intra steps and, per
-        # call site likewise, its entry and return steps, in edge order.
+        # per call site p[-2], for the return edges of that site (key None:
+        # any other site, with none). steps_in[f] is f's intra steps and,
+        # per call site likewise, its entry and return steps, in edge order.
         self.steps_at: list = []
         self.steps_in: dict[str, tuple[list, dict]] = {}
 
@@ -489,20 +486,14 @@ def build_icfa(prog: Program) -> ICFA:
                 started.add((site, name))
     icfa.create_sites = {site for site, _ in started}
 
-    # a thread function's exit resumes after each create that starts it and
-    # feeds every join
-    creates = [(site, nxt) for c in compilers for site, nxt, _ in c.pending_creates]
-    joins = [e for e in list(icfa.edges) if isinstance(e.op, JoinStmt)]
+    # a thread function's exit resumes after each create that starts it
     for name in sorted({name for _, name in started}):
         fi = icfa.functions[name]
-        for site, nxt in creates:
-            if (site, name) in started:
-                icfa.add_edge(fi.exit, nxt, ThreadExitOp(), icfa.line_of(site),
-                              call_site=site, kind=RETURN)
-        for je in joins:
-            icfa.add_edge(fi.exit, je.tgt,
-                          ThreadJoinOp(fi.ret_expr, je.op.ret), je.line,
-                          kind=RETURN)
+        for c in compilers:
+            for site, nxt, _ in c.pending_creates:
+                if (site, name) in started:
+                    icfa.add_edge(fi.exit, nxt, ThreadExitOp(), icfa.line_of(site),
+                                  call_site=site, kind=RETURN)
 
     for name in icfa.dead_functions():
         icfa.warnings.append(f"function {name} is never called or started")

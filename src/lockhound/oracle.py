@@ -91,8 +91,7 @@ from .collector import collector_paused
 from .errors import SourceError
 from .framework import entry_place
 from .frontend.icfa import (
-    ICFA, INTRA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp,
-    ThreadEntryOp, ThreadJoinOp,
+    ICFA, INTRA, Edge, FuncEntryOp, FuncExitOp, GuardOp, SkipOp, ThreadEntryOp,
 )
 from .frontend.syntax import (
     MUTEX, ArrayType, Assign, Binary, CreateStmt, Expr, FieldAccess, FuncRef,
@@ -212,7 +211,6 @@ class Oracle:
         self.max_states = max_states
         self.collect_copairs = collect_copairs
         self.res = OracleResult()
-        self._ret_reads: dict[int, frozenset] = {}
         self._witness_keys: set = set()
         # the slot table of the memory tuples (see "Slots" above)
         self._slot_cells: list[tuple] = [
@@ -608,18 +606,15 @@ class Oracle:
             raise _UB("thread joined twice")
         if t_status == "run":
             return None, None, None  # wait
-        self._note_rw(e, reads, ())
         threads = list(threads)
         threads[target] = (t_place, "joined", t_retval)
         state = (tuple(threads),) + state[1:]
         status = ("status", target)
         if ret_of is None:
+            self._note_rw(e, reads, ())
             return "join", self._advance(state, tid, e), {status}
         cell = ret_of(mem, tid, reads)
-        for tj in self.icfa.out_edges[t_place[-1]]:
-            if isinstance(tj.op, ThreadJoinOp) and tj.tgt == e.tgt:
-                self._note_rw(tj, self._ret_reads.get(target, _EMPTY), (cell,))
-                break
+        self._note_rw(e, reads, (cell,))
         return "join", self._advance(state, tid, e, mem=self._store(
             mem, {cell: t_retval})), {status, cell}
 
@@ -647,7 +642,6 @@ class Oracle:
         if len(place) == 1 or place[-2] in self.icfa.create_sites:
             # the thread's bottom frame: the thread is done, and every local
             # cell it holds dies, also one written through a dangling pointer
-            self._ret_reads[tid] = frozenset(reads)
             threads = list(threads)
             threads[tid] = (place, "done", v)
             frame = self._frame(None, tid)

@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .framework import fi_context
-from .frontend.icfa import (
-    ICFA, Edge, FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadJoinOp,
-)
+from .frontend.icfa import ICFA, Edge, FuncEntryOp, FuncExitOp, ThreadEntryOp
 from .frontend.syntax import (
     ArrayType, Assign, Expr, FieldAccess, FuncRef, Index, IntLit, Malloc, StructType,
     Type, Unary, VarRef, is_pointer, points_to_values,
@@ -228,7 +226,9 @@ def lvalue_objects(model: ObjectModel, state: dict, e: Expr) -> ValueSet:
 class PointsToClient:
     """Framework client; plug into solve_fi."""
 
-    ops = (Assign, FuncEntryOp, ThreadEntryOp, FuncExitOp, ThreadJoinOp)
+    # A join stores an int, which no value set tracks, so JoinStmt is not
+    # here; if ints get value sets, its result is bound in this transfer.
+    ops = (Assign, FuncEntryOp, ThreadEntryOp, FuncExitOp)
 
     def __init__(self, model: ObjectModel):
         self.model = model
@@ -266,8 +266,8 @@ class PointsToClient:
         if isinstance(op, ThreadEntryOp):
             self.visits += 1
             return self._bind_param(state, op.arg, op.param)
-        if isinstance(op, (FuncExitOp, ThreadJoinOp)):
-            lhs = op.lhs if isinstance(op, FuncExitOp) else op.ret_var
+        if isinstance(op, FuncExitOp):
+            lhs = op.lhs
             if lhs is None or op.ret_expr is None:
                 return state
             self.visits += 1

@@ -14,7 +14,7 @@ import lockhound.framework
 from lockhound.errors import ParseError
 from lockhound.frontend import build_icfa, parse, preprocess
 from lockhound.frontend.icfa import (
-    FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp,
+    FuncEntryOp, FuncExitOp, ThreadEntryOp, ThreadExitOp,
 )
 from lockhound.frontend.lexer import KEYWORDS, SYMBOLS
 from lockhound.frontend.syntax import (
@@ -29,7 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 # The tests' reference for the step kinds build_icfa gives the edges: the op
 # classes of the entry and return edges; every other edge is intra.
 ENTRY_OPS = (FuncEntryOp, ThreadEntryOp)
-EXIT_OPS = (FuncExitOp, ThreadExitOp, ThreadJoinOp)
+EXIT_OPS = (FuncExitOp, ThreadExitOp)
 INTER_OPS = ENTRY_OPS + EXIT_OPS
 
 # The scaled generator tier: large programs whose lock graphs dominate.

@@ -38,5 +38,5 @@ def test_tracer_records_every_layer_of_the_showcase(showcase_source):
     counts = {k: tracer.counts[k] for k in (
         "places.interns", "places.resolves", "locksets.steps",
         "locksets.places_fs")}
-    assert counts == {"places.interns": 37, "places.resolves": 3,
+    assert counts == {"places.interns": 35, "places.resolves": 3,
                       "locksets.steps": 58, "locksets.places_fs": 29}

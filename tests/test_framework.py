@@ -7,8 +7,10 @@ from typing import get_args
 
 import pytest
 
+from checks import check_all
 from conftest import (
-    ENTRY_OPS, EXIT_OPS, FIXTURES, INTER_OPS, icfa_of, load, shuffled_worklists,
+    ENTRY_OPS, EXIT_OPS, FIXTURES, INTER_OPS, analyzed, icfa_of, load,
+    shuffled_worklists,
 )
 from lockhound.depend import affecting_edges
 from lockhound.framework import (
@@ -17,12 +19,13 @@ from lockhound.framework import (
 )
 from lockhound.frontend.icfa import (
     ENTRY, INTRA, RETURN, FuncEntryOp, FuncExitOp, Op, ThreadEntryOp,
-    ThreadExitOp,
 )
 from lockhound.frontend.syntax import Assign, FuncRef, VarRef, is_fnptr
 from lockhound.generator import generate, random_config
 from lockhound.locksets import MayLockset, MustLockset
-from lockhound.pipeline import analyze_icfa, analyze_source
+from lockhound.pipeline import (
+    POTENTIAL, PROVED_FREE, analyze_icfa, analyze_source,
+)
 from lockhound.places import PlaceMap
 from lockhound.pointsto import ObjectModel, PointsToClient
 
@@ -123,9 +126,7 @@ def next_place(icfa, e, p):
     if isinstance(e.op, ENTRY_OPS):
         return entry_place(icfa, p, e.tgt)
     if isinstance(e.op, EXIT_OPS):
-        if len(p) < 2:
-            return None
-        if isinstance(e.op, (FuncExitOp, ThreadExitOp)) and p[-2] != e.call_site:
+        if len(p) < 2 or p[-2] != e.call_site:
             return None  # return edge belonging to a different call site
         return p[:-2] + (e.tgt,)
     return p[:-1] + (e.tgt,)
@@ -146,7 +147,6 @@ def test_step_place_steps(showcase_icfa):
     intra = next(e for e in icfa.edges if not isinstance(e.op, INTER_OPS))
     assert [e.kind for e in (fx, fe, intra)] == [RETURN, ENTRY, INTRA]
     assert step_place(icfa, (5, fx.call_site, fx.src), fx, RETURN) == (5, fx.tgt)
-    assert step_place(icfa, (fx.src,), fx, RETURN) is None  # too short
     assert step_place(icfa, (18, fe.src), fe, ENTRY) == (18, fe.src, fe.tgt)
     assert step_place(icfa, (18, intra.src), intra, INTRA) == (18, intra.tgt)
     # the call-site test is the automaton's step table: a return edge
@@ -157,6 +157,85 @@ def test_step_place_steps(showcase_icfa):
     inter = icfa.steps_in[icfa.func_of(fx.src)][1]
     assert fx in [s[0] for s in inter[fx.call_site]]
     assert fx not in [s[0] for s in inter[None]]
+
+
+def test_every_return_edge_names_its_call_site():
+    # so a place always has the frame a return pops: step_place needs no
+    # frameless case, and no exit's row for "any other site" holds a step
+    for src in lockset_sources() + [RECURSIVE]:
+        icfa = icfa_of(src)
+        for e in icfa.edges:
+            if e.kind == RETURN:
+                assert e.call_site is not None, e
+                assert isinstance(e.op, EXIT_OPS), e
+        for fi in icfa.functions.values():
+            assert icfa.steps_at[fi.exit][None] == ((), [])
+
+
+# Threads started outside main, each with the verdict it must get. Their
+# contexts stay bounded only while every return edge fires from its own
+# call site's context alone.
+OUTSIDE_MAIN = {
+    "nested-free": ("""
+mutex a;
+int inner(int x) { lock(&a); unlock(&a); return 0; }
+int outer(int x) { thread_t g; create(&g, inner, x); join(g); return 0; }
+int main() { thread_t t1; create(&t1, outer, 0); join(t1); return 0; }
+""", PROVED_FREE),
+    "nested-deadlock": ("""
+mutex a; mutex b;
+int inner(int x) { lock(&a); lock(&b); unlock(&b); unlock(&a); return 0; }
+int outer(int x) { thread_t g; create(&g, inner, x); join(g); return 0; }
+int main() {
+    thread_t t;
+    create(&t, outer, 0);
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    join(t);
+    return 0;
+}
+""", POTENTIAL),
+    "spawned-into-a-global": ("""
+mutex a; mutex b;
+thread_t h;
+int worker(int x) { lock(&a); lock(&b); unlock(&b); unlock(&a); return 0; }
+int spawn() { create(&h, worker, 0); return 0; }
+int main() {
+    spawn();
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    join(h);
+    return 0;
+}
+""", POTENTIAL),
+    "helper-called-twice": ("""
+mutex a; mutex b;
+thread_t t0; thread_t t1;
+int worker(int x) {
+    if (x == 0) { lock(&a); lock(&b); unlock(&b); unlock(&a); }
+    else { lock(&b); lock(&a); unlock(&a); unlock(&b); }
+    return 0;
+}
+int start(int k) {
+    if (k == 0) { create(&t0, worker, k); } else { create(&t1, worker, k); }
+    return 0;
+}
+int main() {
+    start(0);
+    start(1);
+    join(t0);
+    join(t1);
+    return 0;
+}
+""", POTENTIAL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_MAIN))
+def test_threads_started_outside_main_get_their_verdict(name):
+    src, verdict = OUTSIDE_MAIN[name]
+    a, res = analyzed(src)
+    assert a.verdict == verdict, a.error
+    assert not res.truncated and bool(res.witnesses) == (verdict == POTENTIAL)
+    assert check_all(a, res) == []
 
 
 def reference_step(icfa, e):

@@ -7,7 +7,7 @@ from lockhound.errors import MissingMainError, ParseError, TypeCheckError
 from lockhound.frontend import build_icfa, parse, preprocess
 from lockhound.frontend.lexer import tokenize
 from lockhound.frontend.icfa import (
-    FuncEntryOp, FuncExitOp, GuardOp, ThreadEntryOp, ThreadExitOp, ThreadJoinOp, op_text,
+    INTRA, FuncEntryOp, FuncExitOp, GuardOp, ThreadEntryOp, ThreadExitOp, op_text,
 )
 from lockhound.frontend.syntax import (
     INT, MUTEX, Assign, Binary, CreateStmt, FuncRef, JoinStmt, LockStmt,
@@ -499,12 +499,13 @@ def test_icfa_showcase_wiring(showcase_icfa):
     te = kinds["ThreadEntryOp"][0]
     assert icfa.func_of(te.tgt) == "thread1" and te.src == 18
 
-    # the thread's exit resumes after the create and feeds the join target
-    tx = kinds["ThreadExitOp"][0]
+    # the thread's exit resumes after the create only; the join is one
+    # intra edge, and no edge leaves the thread's exit for it
+    tx, = kinds["ThreadExitOp"]
     assert tx.call_site == 18 and icfa.func_of(tx.tgt) == "main"
-    tj = kinds["ThreadJoinOp"][0]
-    join_edges = [e for e in icfa.edges if isinstance(e.op, JoinStmt)]
-    assert len(join_edges) == 1 and tj.tgt == join_edges[0].tgt
+    je, = [e for e in icfa.edges if isinstance(e.op, JoinStmt)]
+    assert je.kind == INTRA and icfa.func_of(je.src) == "main"
+    assert [e.tgt for e in icfa.edges if e.src == tx.src] == [tx.tgt]
 
     # direct call wiring for func2: entry from main, exit back after the call
     fe = [e for e in kinds["FuncEntryOp"] if icfa.func_of(e.tgt) == "func2"]

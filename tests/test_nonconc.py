@@ -15,7 +15,7 @@ from lockhound.nonconc import (
     CREATE_JOIN, GATELOCK, GraphFacts, NonConcurrency, SINGLE_THREAD,
     UNREACHED,
 )
-from lockhound.pipeline import analyze_icfa
+from lockhound.pipeline import PROVED_FREE, analyze_icfa
 
 
 def facts(n: int, edges) -> GraphFacts:
@@ -336,7 +336,9 @@ def test_loop_created_thread_may_pair_with_itself():
 
 # A join waits for the thread its handle holds when the join runs, which
 # need not be the thread a create put there: the handle may be written
-# again in between. In both programs the oracle finds the deadlock.
+# again in between, also by the same create statement run under another
+# call string (go() is called by main and by a thread, and both runs create
+# into h). In every program the oracle finds the deadlock.
 REWRITTEN_HANDLE = {
     "second-create": """
 mutex a; mutex b;
@@ -362,6 +364,21 @@ int main() {
     join(t);
     lock(&b); lock(&a); unlock(&a); unlock(&b);
     join(u);
+    return 0;
+}
+""",
+    "one-create-two-call-strings": """
+mutex a; mutex b;
+thread_t h;
+int w(int x) { lock(&a); lock(&b); unlock(&b); unlock(&a); return 0; }
+int go() { create(&h, w, 0); join(h); return 0; }
+int runner(int x) { go(); return 0; }
+int main() {
+    thread_t r;
+    create(&r, runner, 0);
+    go();
+    lock(&b); lock(&a); unlock(&a); unlock(&b);
+    join(r);
     return 0;
 }
 """,
@@ -407,6 +424,35 @@ def test_a_handle_that_only_its_create_writes_still_matches():
     a, res = analyzed(LOOP_JOIN_SRC)
     assert not res.witnesses and not res.truncated
     assert [c.pruned_by for c in a.search.cycles] == [CREATE_JOIN]
+    assert check_all(a, res) == []
+
+
+JOIN_UNDER_A_GATE = """
+mutex a; mutex b; mutex g;
+int v(int x) { lock(&g); lock(&b); lock(&a); unlock(&a); unlock(&b); unlock(&g); return 0; }
+int w(int x) { return 0; }
+int main() {
+    thread_t u; thread_t t;
+    create(&u, v, 0);
+    create(&t, w, 0);
+    lock(&g);
+    join(t);
+    lock(&a); lock(&b); unlock(&b); unlock(&a);
+    unlock(&g);
+    join(u);
+    return 0;
+}
+"""
+
+
+def test_a_join_keeps_the_joiners_must_lockset():
+    # main holds g across join(t), so g gates main's a -> b against v's
+    # b -> a: a join leaves the joiner's must-lockset as it was, whatever
+    # the joined thread held at its exit
+    a, res = analyzed(JOIN_UNDER_A_GATE)
+    assert not res.witnesses and not res.truncated
+    assert [c.pruned_by for c in a.search.cycles] == [GATELOCK]
+    assert a.verdict == PROVED_FREE
     assert check_all(a, res) == []
 
 

@@ -24,6 +24,7 @@ from conftest import FIXTURES, icfa_of, load
 from lockhound.cli import _dumps, _want_color, main
 from lockhound.errors import DivergedError, MissingMainError, SourceError
 from lockhound.frontend import build_icfa
+from lockhound.frontend.icfa import ICFA
 from lockhound.frontend.parser import MAX_NESTING
 from lockhound.generator import GenConfig, generate
 from lockhound.locksets import MayLockset
@@ -118,6 +119,27 @@ def test_lockset_place_budget_ends_inconclusive(showcase_source, monkeypatch,
     assert a.locks is None and a.pt is not None
     assert main(["analyze", SHOWCASE]) == 2
     assert f"exploration exceeded {n - 1} places" in capsys.readouterr().out
+
+
+def test_a_place_past_the_length_bound_ends_inconclusive(
+        showcase_source, monkeypatch, capsys):
+    # only a stepping bug makes a place longer than place_length_bound();
+    # the exploration and solve_fi then stop at that step, and the run ends
+    # INCONCLUSIVE with the stage named
+    icfa = icfa_of(showcase_source)
+    graph = lockhound.framework.explore(icfa)
+    assert max(map(len, graph.places.by_id)) == 2 < icfa.place_length_bound()
+    monkeypatch.setattr(ICFA, "place_length_bound", lambda self: 1)
+    message = "place of length 2 past the bound 1"
+    with pytest.raises(DivergedError, match=message):
+        lockhound.framework.explore(icfa)
+    a = analyze_source(showcase_source)
+    assert a.verdict == INCONCLUSIVE and a.locks is None and a.pt is None
+    assert a.error == f"pointer analysis: {message}"
+    assert main(["analyze", SHOWCASE]) == 2
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if message in line] == [
+        f"warning: pointer analysis: {message}"]
 
 
 def test_dumps_of_solved_stages_survive_a_diverged_lockset_solve(
