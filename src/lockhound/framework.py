@@ -1,9 +1,10 @@
 """Generic dataflow framework over places.
 
 States are pairs of a function-pointer map (tracking which functions a
-pointer parameter can start as a thread) and a client state. The framework
-walks the automaton forward from main's entry, keeping one state per place;
-client analyses plug in initial/join/transfer.
+pointer parameter can start as a thread; a variable the map does not name
+could start anything) and a client state. The framework walks the
+automaton forward from main's entry, keeping one state per place; client
+analyses plug in initial/join/transfer.
 
 Both solvers step places by one rule, step_place, along the automaton's
 step table: a return edge fires only for the call site on the chain.
@@ -27,9 +28,9 @@ current location), in two parts:
 The split gives the interleaved fixpoint exactly. The function-pointer
 transfer never reads the client state, and no client reads the map. The map
 only decides which thread entries are feasible, and a thread entry that
-becomes feasible as the map degrades never becomes infeasible again. So the
-client's least fixpoint over the final graph is the one a walk that steps
-both parts of the state together reaches.
+becomes feasible as the map forgets variables never becomes infeasible
+again. So the client's least fixpoint over the final graph is the one a
+walk that steps both parts of the state together reaches.
 
 solve_fi works on the fi_context images of places: the same call-site chains
 with the final location canonicalized to the function's entry, so two calls
@@ -52,14 +53,7 @@ from .frontend.syntax import FuncRef, VarRef, is_fnptr
 from .places import Place, PlaceMap
 
 
-class _Dirty:
-    def __repr__(self) -> str:
-        return "DIRTY"
-
-
-DIRTY = _Dirty()
-
-FpMap = Mapping  # var name -> function name | DIRTY; never changed once made
+FpMap = Mapping  # var name -> function name; never changed once made
 
 # The map of every place that tracks no function pointer: a plain entry or
 # return, and a binding or join that keeps nothing. Read-only, so that the
@@ -93,22 +87,14 @@ def join_fp(a: FpMap, b: FpMap) -> FpMap:
     """Join two function-pointer maps.
 
     An absent entry means "could start anything" and absorbs, so a variable
-    stays tracked only when both sides track it; tracked values that agree
-    survive, everything else degrades to DIRTY. Keeping absence absorbing
-    (rather than letting the other side's value through) makes the join
-    associative on the map representation, so fixpoints do not depend on
-    worklist order.
+    stays tracked only when both sides track it with the same function.
+    Keeping absence absorbing (rather than letting the other side's value
+    through) makes the join associative on the map representation, so
+    fixpoints do not depend on worklist order.
     """
     if not a or not b:
         return EMPTY_FPM
-    out: dict = {}
-    for v in a.keys() & b.keys():
-        x, y = a[v], b[v]
-        if x is DIRTY or y is DIRTY or x != y:
-            out[v] = DIRTY
-        else:
-            out[v] = x
-    return out or EMPTY_FPM
+    return {v: f for v, f in a.items() if b.get(v) == f} or EMPTY_FPM
 
 
 def match_fp(fpm: FpMap, thr: Any, fname: str) -> bool:
@@ -117,7 +103,7 @@ def match_fp(fpm: FpMap, thr: Any, fname: str) -> bool:
         return thr.name == fname
     if isinstance(thr, VarRef):
         val = fpm.get(thr.name)
-        return val is None or val is DIRTY or val == fname
+        return val is None or val == fname
     return True  # complex expressions are not tracked
 
 
@@ -137,7 +123,8 @@ def _bind_params(icfa: ICFA, fpm: FpMap, pairs) -> FpMap:
 
 def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
     """The function-pointer map after an entry or intra edge (a return
-    empties it); None for a thread entry fpm cannot start."""
+    empties it, an assignment forgets its variable); None for a thread
+    entry fpm cannot start."""
     op = e.op
     if isinstance(op, ThreadEntryOp):
         if not match_fp(fpm, op.thr, icfa.func_of(e.tgt)):
@@ -145,7 +132,9 @@ def fp_transfer(icfa: ICFA, e: Edge, fpm: FpMap) -> FpMap | None:
         return _bind_params(icfa, fpm, [(op.arg, op.param)])
     if isinstance(op, FuncEntryOp):
         return _bind_params(icfa, fpm, zip(op.args, op.params))
-    return fpm if e.plain else {**fpm, op.lhs.name: DIRTY}
+    if e.plain:
+        return fpm
+    return {v: f for v, f in fpm.items() if v != op.lhs.name} or EMPTY_FPM
 
 
 # ------------------------------------------------------------- place steps

@@ -35,18 +35,17 @@ class LockEdge:
 
 
 def build_lock_graph(locks: LocksetResults) -> list[LockEdge]:
-    """Direct sweep over the solved lock places; no extra fixpoint is needed."""
+    """Direct sweep over the solved lock places; no extra fixpoint is needed.
+
+    Each place is listed once, and its held and acquired locks are sets, so
+    no edge repeats."""
     out: list[LockEdge] = []
-    seen: set[tuple] = set()
     states = locks.may.state
     for pid, p, e in locks.lock_places:
-        ls = states[pid]
         vs = locks.operands.at(p, e)
-        for l1 in ls:
+        for l1 in states[pid]:
             for l2 in ([STAR] if vs is STAR else vs):
-                if (l1, pid, l2) not in seen:
-                    seen.add((l1, pid, l2))
-                    out.append(LockEdge(l1, p, l2, e.line))
+                out.append(LockEdge(l1, p, l2, e.line))
     # One lock statement per location, so this order is total.
     out.sort(key=lambda e: (e.line, e.place, obj_key(e.held), obj_key(e.acquired)))
     return out

@@ -11,13 +11,17 @@ solver (first contribution is kept, later ones intersect).
 
 Both clients and the lock graph read each lock/unlock operand's value set
 from one LockOperands table, so it is looked up once per place, or once per
-edge when it does not depend on the context.
+edge when it does not depend on the context. Each client's transfer is a
+function of the edge, the place and the state alone, so nothing but the
+fixpoint depends on the worklist order. Certain self-deadlocks are read off
+that fixpoint: a lock place whose one lock object is already in its final
+must-lockset.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .frontend.icfa import ICFA, Edge, ThreadEntryOp
 from .frontend.syntax import LockStmt, Unary, UnlockStmt, VarRef
@@ -71,10 +75,8 @@ def context_free_operands(icfa: ICFA, pt: PointsToResult) -> set[int]:
 class MayLockset:
     ops = SYNC_OPS
 
-    def __init__(self, pt: PointsToResult, operands: LockOperands | None = None):
-        self.operands = operands if operands is not None else LockOperands(pt)
-        self.vs_queries = 0
-        self.precise_queries = 0
+    def __init__(self, operands: LockOperands):
+        self.operands = operands
 
     def initial(self) -> frozenset:
         return frozenset()
@@ -82,19 +84,12 @@ class MayLockset:
     def join(self, a: frozenset, b: frozenset) -> frozenset:
         return a | b
 
-    def _resolve(self, p: Place, e: Edge):
-        vs = self.operands.at(p, e)
-        self.vs_queries += 1
-        if vs is not STAR and len(vs) == 1:
-            self.precise_queries += 1
-        return vs
-
     def transfer(self, e: Edge, p: Place, ls: frozenset) -> frozenset:
         if isinstance(e.op, LockStmt):
-            vs = self._resolve(p, e)
+            vs = self.operands.at(p, e)
             return ls | (frozenset([STAR]) if vs is STAR else vs)
         if isinstance(e.op, UnlockStmt):
-            vs = self._resolve(p, e)
+            vs = self.operands.at(p, e)
             if vs is not STAR and len(vs) == 1:
                 return ls - vs
             return ls  # ambiguous release: keep everything possibly held
@@ -103,20 +98,11 @@ class MayLockset:
         return ls
 
 
-@dataclass
-class SelfLockReport:
-    place: Place
-    lock: object
-    line: int
-
-
 class MustLockset:
     ops = SYNC_OPS
 
-    def __init__(self, pt: PointsToResult, operands: LockOperands | None = None):
-        self.operands = operands if operands is not None else LockOperands(pt)
-        self.self_locks: list[SelfLockReport] = []
-        self._seen_self: set = set()
+    def __init__(self, operands: LockOperands):
+        self.operands = operands
 
     def initial(self) -> frozenset:
         return frozenset()
@@ -129,10 +115,6 @@ class MustLockset:
             vs = self.operands.at(p, e)
             if vs is STAR or len(vs) != 1:
                 return ls
-            (lock,) = vs
-            if lock in ls and (p, lock) not in self._seen_self:
-                self._seen_self.add((p, lock))
-                self.self_locks.append(SelfLockReport(p, lock, e.line))
             return ls | vs
         if isinstance(e.op, UnlockStmt):
             vs = self.operands.at(p, e)
@@ -145,15 +127,21 @@ class MustLockset:
 
 
 @dataclass
+class SelfLockReport:
+    place: Place
+    lock: object
+    line: int
+
+
+@dataclass
 class LocksetResults:
     may: object    # SolveResult
     must: object   # SolveResult
     graph: object  # the PlaceGraph both solves ran over
-    must_client: MustLockset
     operands: LockOperands
     # (place id, place, lock edge) of each may place at a lock location
     lock_places: list[tuple[int, Place, Edge]]
-    stats: dict = field(default_factory=dict)
+    self_locks: list[SelfLockReport]  # in place-id order
 
 
 def solve_locksets(icfa, pt: PointsToResult) -> LocksetResults:
@@ -161,18 +149,15 @@ def solve_locksets(icfa, pt: PointsToResult) -> LocksetResults:
 
     graph = explore(icfa)
     operands = LockOperands(pt, context_free_operands(icfa, pt))
-    may_client = MayLockset(pt, operands)
-    must_client = MustLockset(pt, operands)
-    may = solve_fs(graph, may_client)
-    must = solve_fs(graph, must_client)
+    may = solve_fs(graph, MayLockset(operands))
+    must = solve_fs(graph, MustLockset(operands))
     lock_at = {e.src: e for e in icfa.lock_edges()}
     lock_places = [(pid, p, lock_at[p[-1]])
                    for pid, p in enumerate(graph.places.by_id) if p[-1] in lock_at]
-    q = may_client.vs_queries
-    stats = {
-        "lock_places": len(lock_places),
-        "precise_fraction": (may_client.precise_queries / q) if q else 1.0,
-        "self_locks": len(must_client.self_locks),
-    }
-    return LocksetResults(may, must, graph, must_client, operands,
-                          lock_places, stats)
+    self_locks = []
+    for pid, p, e in lock_places:
+        vs = operands.at(p, e)
+        if vs is not STAR and len(vs) == 1 and vs <= must.state[pid]:
+            (lock,) = vs
+            self_locks.append(SelfLockReport(p, lock, e.line))
+    return LocksetResults(may, must, graph, operands, lock_places, self_locks)

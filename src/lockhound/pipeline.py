@@ -100,7 +100,7 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
         return _aborted(icfa, dep, pt, warnings, timings,
                         f"lockset analysis: {ex}")
     timings["locksets"] = time.perf_counter() - t0
-    for s in locks.must_client.self_locks:
+    for s in locks.self_locks:
         warnings.append(
             f"line {s.line}: lock() on {obj_label(s.lock)} already held "
             "on every path here (certain self-deadlock)")
@@ -137,7 +137,8 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
         "cycles_examined": len(search.cycles),
         "cycles_reported": len(reported),
         "cycles_pruned": len(search.cycles) - len(reported),
-        **locks.stats,
+        "lock_places": len(locks.lock_places),
+        "self_locks": len(locks.self_locks),
     }
     if dep is not None:
         stats["depend"] = dep.stats

@@ -29,7 +29,7 @@ from checks import (
 from conftest import (
     close_triples, icfa_of, load, shuffled_worklists, triple_locks,
 )
-from lockhound.framework import DIRTY, join_fp
+from lockhound.framework import join_fp
 from lockhound.generator import GenConfig, generate, random_config
 from lockhound.locksets import MayLockset, MustLockset, solve_locksets
 from lockhound.oracle import OracleUnsupported, run_oracle
@@ -328,7 +328,7 @@ def test_criterion_7_closure_links_unresolved_acquisitions():
 
 
 def _random_fpm(rng):
-    return {v: rng.choice(["f", "g", "h", DIRTY])
+    return {v: rng.choice(["f", "g", "h"])
             for v in "abcd" if rng.random() < 0.6}
 
 

@@ -14,7 +14,7 @@ from conftest import (
 )
 from lockhound.depend import affecting_edges
 from lockhound.framework import (
-    DIRTY, EMPTY_FPM, entry_place, explore, fi_context, fp_transfer, join_fp,
+    EMPTY_FPM, entry_place, explore, fi_context, fp_transfer, join_fp,
     match_fp, solve_fi, solve_fs, step_place,
 )
 from lockhound.frontend.icfa import (
@@ -38,9 +38,8 @@ def random_fpm(rng: random.Random) -> dict:
     out = {}
     for v in ("a", "b", "c", "d"):
         r = rng.randrange(4)
-        if r == 0:
-            continue
-        out[v] = DIRTY if r == 1 else names[r - 2]
+        if r:
+            out[v] = names[r - 1]
     return out
 
 
@@ -58,18 +57,21 @@ def test_join_fp_algebra():
 
 def test_join_fp_cases():
     assert join_fp({"v": "f"}, {"v": "f"}) == {"v": "f"}
-    assert join_fp({"v": "f"}, {"v": "g"}) == {"v": DIRTY}
-    assert join_fp({"v": "f"}, {"v": DIRTY}) == {"v": DIRTY}
-    # absence means "could be anything", so it wins over a tracked value
+    # absence means "could be anything": a disagreement forgets the variable,
+    # and absence wins over a tracked value
+    assert join_fp({"v": "f"}, {"v": "g"}) == {}
+    assert join_fp({"v": "f", "w": "g"}, {"v": "g", "w": "g"}) == {"w": "g"}
     assert join_fp({"v": "f"}, {}) == {}
     assert join_fp({"v": "f", "w": "g"}, {"w": "g"}) == {"w": "g"}
+    assert join_fp({"v": "f", "w": "g"}, {"v": "f", "w": "h"}) == {"v": "f"}
 
 
 def test_join_fp_never_resurrects():
-    # joining f, g, then g again must stay degraded, in any grouping
-    f, g = {"v": "f"}, {"v": "g"}
-    assert join_fp(join_fp(f, g), g) == {"v": DIRTY}
-    assert join_fp(f, join_fp(g, g)) == {"v": DIRTY}
+    # joining f, g, then g again must stay forgotten, in any grouping
+    f, g = {"v": "f", "w": "h"}, {"v": "g", "w": "h"}
+    assert join_fp(join_fp(f, g), g) == {"w": "h"}
+    assert join_fp(f, join_fp(g, g)) == {"w": "h"}
+    assert join_fp(join_fp(g, f), f) == {"w": "h"}
 
 
 def test_match_fp():
@@ -80,7 +82,7 @@ def test_match_fp():
     assert match_fp({}, v, "worker")  # untracked: could be anything
     assert match_fp({"fp": "worker"}, v, "worker")
     assert not match_fp({"fp": "other"}, v, "worker")
-    assert match_fp({"fp": DIRTY}, v, "worker")
+    assert match_fp({"other": "other"}, v, "worker")
 
 
 RECURSIVE = """
@@ -413,9 +415,10 @@ def test_plain_edges_pass_the_state_through():
         a = analyze_icfa(icfa)
         graph = explore(icfa)
         for make in (MayLockset, MustLockset):
-            client = make(a.pt)
+            client = make(a.locks.operands)
             res = solve_fs(graph, client)
-            assert solved(res) == solved(solve_fs(graph, EveryOp(make(a.pt))))
+            assert solved(res) == solved(
+                solve_fs(graph, EveryOp(make(a.locks.operands))))
             for pid, p in enumerate(res.places.places()):
                 cs = res.state[pid]
                 for e in icfa.out_edges[p[-1]]:
@@ -451,7 +454,7 @@ def test_solve_fs_steps_places_as_next_place_does():
 
 # A thread started through a function-pointer parameter that the loop body
 # overwrites: the create is first stepped with g = w1, and w2's entry becomes
-# feasible only once the loop's back edge has degraded g to DIRTY.
+# feasible only once the loop's back edge has made the map forget g.
 LATE_ENTRY = """
 mutex m0;
 mutex m1;
@@ -624,8 +627,8 @@ def test_place_graph_solve_equals_the_interleaved_reference():
     for src in lockset_sources() + [RECURSIVE]:
         icfa = icfa_of(src)
         a = analyze_icfa(icfa)
-        for make in (lambda: MayLockset(a.pt), lambda: MustLockset(a.pt),
-                     CountingClient):
+        for make in (lambda: MayLockset(a.locks.operands),
+                     lambda: MustLockset(a.locks.operands), CountingClient):
             res = solve(icfa, make())
             places, states, steps, late = reference_solve(icfa, make())
             assert res.places.places() == places
@@ -636,9 +639,10 @@ def test_place_graph_solve_equals_the_interleaved_reference():
 
 def test_thread_entry_feasible_only_late():
     icfa = icfa_of(LATE_ENTRY)
-    for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
+    operands = analyze_icfa(icfa).locks.operands
+    for client in (CountingClient, lambda: MayLockset(operands)):
         places, states, _, late = reference_solve(icfa, client())
-        assert late  # w2's entry, once g is DIRTY
+        assert late  # w2's entry, once g is forgotten
         base = states_by_place(solve(icfa, client()))
         assert base == {p: states[pid] for pid, p in enumerate(places)}
         assert base == states_by_place(shuffled_solve(icfa, client(), 3))
@@ -661,7 +665,8 @@ def test_infeasible_step_leaves_the_place_graph():
         assert set(graph.edges[pid]) < set(out)
         assert [place[q][-1] for q in graph.steps[pid]] == \
             [e.tgt for e in graph.edges[pid]]
-    for client in (CountingClient, lambda: MayLockset(analyze_icfa(icfa).pt)):
+    operands = analyze_icfa(icfa).locks.operands
+    for client in (CountingClient, lambda: MayLockset(operands)):
         places, states, _, _ = reference_solve(icfa, client())
         assert states_by_place(solve(icfa, client())) == \
             {p: states[pid] for pid, p in enumerate(places)}

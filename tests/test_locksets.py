@@ -1,3 +1,4 @@
+import copy
 import sys
 from pathlib import Path
 
@@ -6,7 +7,8 @@ from conftest import FIXTURES, analyzed, icfa_of, load, shuffled_worklists
 from lockhound.frontend.icfa import Edge, ThreadEntryOp
 from lockhound.frontend.syntax import LockStmt, UnlockStmt, VarRef
 from lockhound.generator import generate, random_config
-from lockhound.framework import SolveResult
+from lockhound.cli import main
+from lockhound.framework import SolveResult, solve_fs
 from lockhound.locksets import (
     LockOperands, MayLockset, MustLockset, context_free_operands, solve_locksets,
 )
@@ -24,6 +26,10 @@ class StubPt:
         return self.answer
 
 
+def stub_operands(answer) -> LockOperands:
+    return LockOperands(StubPt(answer))
+
+
 M1, M2 = GlobalObj("m1"), GlobalObj("m2")
 ARG = VarRef("p")
 
@@ -37,43 +43,32 @@ def unlock_edge():
 
 
 def test_may_transfer():
-    may = MayLockset(StubPt(frozenset([M1])))
+    may = MayLockset(stub_operands(frozenset([M1])))
     assert may.transfer(lock_edge(), (0,), frozenset()) == {M1}
     assert may.transfer(unlock_edge(), (0,), frozenset([M1, M2])) == {M2}
-    may = MayLockset(StubPt(STAR))
+    may = MayLockset(stub_operands(STAR))
     assert may.transfer(lock_edge(), (0,), frozenset()) == {STAR}
     # ambiguous release keeps everything possibly held
     assert may.transfer(unlock_edge(), (0,), frozenset([M1, STAR])) == {M1, STAR}
-    may = MayLockset(StubPt(frozenset([M1, M2])))
+    may = MayLockset(stub_operands(frozenset([M1, M2])))
     assert may.transfer(unlock_edge(), (0,), frozenset([M1, M2])) == {M1, M2}
     te = Edge(0, 0, 1, ThreadEntryOp(VarRef("f"), ARG, "w::a"), 1)
     assert may.transfer(te, (0,), frozenset([M1])) == frozenset()
 
 
 def test_must_transfer():
-    must = MustLockset(StubPt(frozenset([M1])))
+    must = MustLockset(stub_operands(frozenset([M1])))
     assert must.transfer(lock_edge(), (0,), frozenset()) == {M1}
     assert must.transfer(unlock_edge(), (0,), frozenset([M1, M2])) == {M2}
     # ambiguous acquisition cannot be definitely held
-    must = MustLockset(StubPt(frozenset([M1, M2])))
+    must = MustLockset(stub_operands(frozenset([M1, M2])))
     assert must.transfer(lock_edge(), (0,), frozenset()) == frozenset()
     # ambiguous release removes everything it might hit
     assert must.transfer(unlock_edge(), (0,), frozenset([M1, M2])) == frozenset()
-    must = MustLockset(StubPt(STAR))
+    must = MustLockset(stub_operands(STAR))
     assert must.transfer(lock_edge(), (0,), frozenset()) == frozenset()
     assert must.transfer(unlock_edge(), (0,), frozenset([M1])) == frozenset()
     assert must.join(frozenset([M1, M2]), frozenset([M2])) == {M2}
-
-
-def test_self_lock_report():
-    must = MustLockset(StubPt(frozenset([M1])))
-    out = must.transfer(lock_edge(), (7,), frozenset([M1]))
-    assert out == {M1}
-    (rep,) = must.self_locks
-    assert rep.place == (7,) and rep.lock == M1
-    # the same place is reported once
-    must.transfer(lock_edge(), (7,), frozenset([M1]))
-    assert len(must.self_locks) == 1
 
 
 def locksets_by_line(a):
@@ -153,8 +148,7 @@ def test_thread_starts_with_empty_sets():
     assert by_line[13][0] == frozenset([M1])
 
 
-def test_pipeline_self_lock_diagnostic():
-    a = analyze_source("""
+DOUBLE_LOCK = """
         mutex ma;
         int main() {
             lock(&ma);
@@ -163,11 +157,119 @@ def test_pipeline_self_lock_diagnostic():
             unlock(&ma);
             return 0;
         }
-    """)
+"""
+
+# A lock after a branch that takes it on one side only: the final
+# must-lockset there is empty, whichever side is the longer one. A warning
+# taken from an intermediate must-lockset, before the other branch has cut
+# it, would report a certain self-deadlock here.
+HALF_HELD = ["""
+mutex m; int g;
+int main() {
+    if (g == 1) { lock(&m); } else { g = 1; g = 2; g = 3; }
+    lock(&m); unlock(&m); return 0;
+}
+""", """
+mutex m; int g;
+int main() {
+    if (g == 1) { g = 1; g = 2; g = 3; } else { lock(&m); }
+    lock(&m); unlock(&m); return 0;
+}
+"""]
+
+# take() runs twice; m is held on every path only in the second call
+HELD_IN_ONE_CONTEXT = """
+mutex m;
+void take() { lock(&m); unlock(&m); }
+int main() {
+    take();
+    lock(&m);
+    take();
+    unlock(&m);
+    return 0;
+}
+"""
+
+
+def self_lock_warnings(a):
+    return [w for w in a.warnings if "already held" in w]
+
+
+def test_pipeline_self_lock_diagnostic():
+    a = analyze_source(DOUBLE_LOCK)
     assert a.stats["self_locks"] == 1
-    (rep,) = a.locks.must_client.self_locks
+    (rep,) = a.locks.self_locks
     assert rep.line == 5
     assert repr(rep.lock) == "ma"
+    assert self_lock_warnings(a) == [
+        "line 5: lock() on ma already held on every path here "
+        "(certain self-deadlock)"]
+
+
+def test_a_lock_held_on_one_branch_is_no_self_lock(tmp_path, capsys):
+    for k, src in enumerate(HALF_HELD):
+        a = analyze_source(src)
+        assert a.locks.self_locks == [] and a.stats["self_locks"] == 0
+        assert a.warnings == []
+        path = tmp_path / f"half{k}.mc"
+        path.write_text(src)
+        assert main(["analyze", str(path)]) == 0
+        assert "warning" not in capsys.readouterr().out
+
+
+def test_self_lock_sweep():
+    # one report per lock place whose one lock object is in its final
+    # must-lockset: take()'s lock under the second call only
+    a = analyze_source(HELD_IN_ONE_CONTEXT)
+    calls = [p for _, p, e in a.locks.lock_places if e.line == 3]
+    assert len(calls) == 2
+    (rep,) = a.locks.self_locks
+    assert rep.place in calls and rep.line == 3 and repr(rep.lock) == "m"
+    assert a.locks.must.at(rep.place) == {GlobalObj("m")}
+    (other,) = [p for p in calls if p != rep.place]
+    assert a.locks.must.at(other) == frozenset()
+    assert self_lock_warnings(a) == [
+        "line 3: lock() on m already held on every path here "
+        "(certain self-deadlock)"]
+
+
+def test_self_locks_are_read_off_the_must_fixpoint():
+    # exactly the lock places whose one lock object is in the final
+    # must-lockset there, in place-id order
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    sources += [generate(k, random_config(k)) for k in range(40)]
+    for src in sources + HALF_HELD + [DOUBLE_LOCK, HELD_IN_ONE_CONTEXT]:
+        locks = analyze_source(src).locks
+        expect = []
+        for pid, p, e in locks.lock_places:
+            vs = locks.operands.at(p, e)
+            if vs is not STAR and len(vs) == 1 and vs <= locks.must.state[pid]:
+                expect.append((p, *vs, e.line))
+        assert [(r.place, r.lock, r.line) for r in locks.self_locks] == expect
+        for r in locks.self_locks:
+            assert r.lock in locks.must.at(r.place)
+
+
+def test_self_lock_warnings_order_independent():
+    sources = [load(f.name) for f in sorted(FIXTURES.glob("*.mc"))]
+    for src in sources + HALF_HELD + [DOUBLE_LOCK, HELD_IN_ONE_CONTEXT]:
+        icfa = icfa_of(src)
+        base = analyze_icfa(icfa).warnings
+        for seed in (1, 2, 3):
+            with shuffled_worklists(seed):
+                assert analyze_icfa(icfa).warnings == base, seed
+
+
+def test_clients_are_pure():
+    # a full solve leaves each client as it was: only its operand table,
+    # already complete here, and no counters or reports
+    for src in [load("showcase.mc"), DOUBLE_LOCK, HELD_IN_ONE_CONTEXT] + HALF_HELD:
+        a = analyze_source(src)
+        for make in (MayLockset, MustLockset):
+            client = make(a.locks.operands)
+            before = {k: copy.copy(v) for k, v in vars(client).items()}
+            solve_fs(a.locks.graph, client)
+            assert vars(client) == before
 
 
 def test_star_lock_sticks_in_may():

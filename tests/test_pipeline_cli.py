@@ -96,7 +96,7 @@ def test_lockset_step_budget_ends_inconclusive(showcase_source, monkeypatch,
     graph = lockhound.framework.explore(a.icfa)  # explored within the budget
     monkeypatch.setattr(lockhound.framework, "FS_MAX_STEPS", 1)
     with pytest.raises(DivergedError, match="fixpoint exceeded 1 steps"):
-        lockhound.framework.solve_fs(graph, MayLockset(a.pt))
+        lockhound.framework.solve_fs(graph, MayLockset(a.locks.operands))
     a = analyze_source(showcase_source)  # gives up exploring
     assert a.verdict == INCONCLUSIVE
     assert a.error.startswith("lockset analysis: fixpoint exceeded 1 steps")
