@@ -23,9 +23,7 @@ import sys
 from pathlib import Path
 
 from .errors import MissingMainError, SourceError
-from .generator import GenConfig, generate
 from .lockgraph import lockgraph_dot
-from .oracle import run_oracle
 from .pipeline import (
     Analysis, Config, POTENTIAL, PROVED_FREE, analyze_source,
     place_str, report_dict, report_text,
@@ -166,6 +164,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_oracle(args) -> int:
     from .frontend import build_icfa, parse, preprocess
+    from .oracle import run_oracle
 
     try:
         icfa = build_icfa(preprocess(parse(_read_source(args.file))))
@@ -198,6 +197,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .generator import GenConfig, generate
+
     cfg = GenConfig(max_threads=args.threads, max_locks=args.locks,
                     wrappers=args.wrappers, heap=args.heap,
                     loop_create=args.loop_create, join_style=args.join_style,

@@ -36,7 +36,14 @@ solve_fi works on the fi_context images of places: the same call-site chains
 with the final location canonicalized to the function's entry, so two calls
 of one lock wrapper from one caller stay distinguishable. Each function's
 intra edges are composed to a local fixpoint, and both parts of the state
-share one worklist.
+share one worklist. Only the intra edges that can change the state are
+composed: the map-changing ones and those whose op the client reads (and
+the edge filter allows), listed once per function.
+
+Each solver keeps its own worklist inline: a list of states by place id, a
+bytearray of queued flags and a deque of ids popped first in first out. A
+place is queued again only when its state grew, and each pop is a step; a
+step past the solver's budget raises DivergedError.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Iterator, Protocol
+from typing import Any, Protocol
 
 from .errors import DivergedError
 from .frontend.icfa import ENTRY, ICFA, INTRA, Edge, FuncEntryOp, ThreadEntryOp
@@ -174,57 +181,6 @@ FS_MAX_PLACES = 1_000_000   # places before the exploration gives up
 FI_MAX_STEPS = 500_000      # worklist pops before solve_fi gives up
 
 
-class _Worklist:
-    """One state per dense place id; id 0, main's entry, starts with
-    `initial`.
-
-    states[pid] is the state of place pid, None until it is reached, and
-    queued[pid] is 1 while pid waits in the queue. size preallocates the
-    slots when the ids are known beforehand; otherwise a new id is always
-    the next one, and add appends it.
-
-    add() joins a contribution into its place and re-queues the place only
-    when its state grew; iterating pops the queued ids first in first out
-    until none is left. Each pop is a step, and a step past max_steps raises
-    DivergedError.
-    """
-
-    def __init__(self, initial: Any, join, max_steps: int, size: int = 1):
-        self.join = join
-        self.max_steps = max_steps
-        self.states: list = [initial] + [None] * (size - 1)
-        self.queued = bytearray(size)
-        self.queued[0] = 1
-        self.work: deque[int] = deque([0])
-        self.steps = 0
-
-    def add(self, pid: int, contrib: Any) -> None:
-        states = self.states
-        if pid == len(states):
-            states.append(contrib)
-            self.queued.append(1)
-        else:
-            old = states[pid]
-            if old is not None:
-                contrib = self.join(old, contrib)
-                if contrib == old:
-                    return
-            states[pid] = contrib
-            if self.queued[pid]:
-                return
-            self.queued[pid] = 1
-        self.work.append(pid)
-
-    def __iter__(self) -> Iterator[int]:
-        while self.work:
-            self.steps += 1
-            if self.steps > self.max_steps:
-                raise DivergedError(f"fixpoint exceeded {self.max_steps} steps")
-            pid = self.work.popleft()
-            self.queued[pid] = 0
-            yield pid
-
-
 @dataclass
 class PlaceGraph:
     """The flow-sensitive places reachable from main's entry.
@@ -257,9 +213,17 @@ def explore(icfa: ICFA) -> PlaceGraph:
     place = places.by_id
     edges: list = [()]
     steps: list = [()]
-    wl = _Worklist(EMPTY_FPM, join_fp, FS_MAX_STEPS)
-    fpms = wl.states
-    for pid in wl:
+    fpms: list = [EMPTY_FPM]
+    queued = bytearray([1])
+    work = deque([0])
+    pop, push = work.popleft, work.append
+    n = 0
+    while work:
+        n += 1
+        if n > FS_MAX_STEPS:
+            raise DivergedError(f"fixpoint exceeded {FS_MAX_STEPS} steps")
+        pid = pop()
+        queued[pid] = 0
         p, fpm = place[pid], fpms[pid]
         row = table[p[-1]]
         if type(row) is dict:  # a function exit
@@ -276,14 +240,25 @@ def explore(icfa: ICFA) -> PlaceGraph:
                 targets += (None,)
                 continue
             q = intern(p2)
+            targets += (q,)
             if q == len(edges):
                 if q >= FS_MAX_PLACES:
                     raise DivergedError(
                         f"exploration exceeded {FS_MAX_PLACES} places")
                 edges.append(())
                 steps.append(())
-            wl.add(q, fpm2)
-            targets += (q,)
+                fpms.append(fpm2)
+                queued.append(1)
+                push(q)
+                continue
+            old = fpms[q]
+            fpm2 = join_fp(old, fpm2)
+            if fpm2 == old:
+                continue
+            fpms[q] = fpm2
+            if not queued[q]:
+                queued[q] = 1
+                push(q)
         if None in targets:
             es = tuple(e for e, q in zip(es, targets) if q is not None)
             targets = tuple(q for q in targets if q is not None)
@@ -316,17 +291,21 @@ def solve_fs(graph: PlaceGraph, client: ClientAnalysis) -> SolveResult:
     """
     distinct: dict = {}
     share = distinct.setdefault
-
-    def join(a: Any, b: Any) -> Any:
-        ab = client.join(a, b)
-        return share(ab, ab)
-
-    ops, step = client.ops, client.transfer
+    ops, step, join = client.ops, client.transfer, client.join
     place, edges, steps = graph.places.by_id, graph.edges, graph.steps
     initial = client.initial()
-    wl = _Worklist(share(initial, initial), join, FS_MAX_STEPS, len(place))
-    states, add = wl.states, wl.add
-    for pid in wl:
+    states: list = [share(initial, initial)] + [None] * (len(place) - 1)
+    queued = bytearray(len(place))
+    queued[0] = 1
+    work = deque([0])
+    pop, push = work.popleft, work.append
+    n = 0
+    while work:
+        n += 1
+        if n > FS_MAX_STEPS:
+            raise DivergedError(f"fixpoint exceeded {FS_MAX_STEPS} steps")
+        pid = pop()
+        queued[pid] = 0
         cs, es = states[pid], edges[pid]
         i = 0  # no zip: one per pop made this loop 10-20% slower
         for q in steps[pid]:
@@ -334,10 +313,20 @@ def solve_fs(graph: PlaceGraph, client: ClientAnalysis) -> SolveResult:
             i += 1
             if isinstance(e.op, ops):
                 cs2 = step(e, place[pid], cs)
-                add(q, share(cs2, cs2))
+                cs2 = share(cs2, cs2)
             else:
-                add(q, cs)
-    return SolveResult(graph.places, graph.fpm, states, wl.steps)
+                cs2 = cs
+            old = states[q]
+            if old is not None:
+                cs2 = join(old, cs2)
+                if cs2 == old:
+                    continue
+                cs2 = share(cs2, cs2)
+            states[q] = cs2
+            if not queued[q]:
+                queued[q] = 1
+                push(q)
+    return SolveResult(graph.places, graph.fpm, states, n)
 
 
 def fi_context(icfa: ICFA, p: Place) -> Place:
@@ -359,39 +348,56 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
     as solve_fs would, into the target's fi_context. edge_filter (if given)
     decides which edges the client is applied to: a rejected entry edge is
     not followed, any other rejected edge passes the client state through.
+
+    The local fixpoint composes only the intra edges that can change a part
+    of the state, listed once per function: those whose map transfer is not
+    plain, and those whose op is in client.ops and that edge_filter allows.
+    On every other intra edge both transfers are the identity.
     """
     allowed = edge_filter if edge_filter is not None else lambda e: True
     bound = icfa.place_length_bound()
+    ops, step, join = client.ops, client.transfer, client.join
+    local: dict = {}  # function -> (its map-changing, its client intra edges)
 
     places = PlaceMap()
-    places.intern((icfa.entry_of(icfa.entry_fn),))
-    wl = _Worklist((EMPTY_FPM, client.initial()),
-                   lambda a, b: (join_fp(a[0], b[0]), client.join(a[1], b[1])),
-                   FI_MAX_STEPS)
-    for pid in wl:
+    intern = places.intern
+    intern((icfa.entry_of(icfa.entry_fn),))
+    states: list = [(EMPTY_FPM, client.initial())]
+    queued = bytearray([1])
+    work = deque([0])
+    pop, push = work.popleft, work.append
+    n = 0
+    while work:
+        n += 1
+        if n > FI_MAX_STEPS:
+            raise DivergedError(f"fixpoint exceeded {FI_MAX_STEPS} steps")
+        pid = pop()
+        queued[pid] = 0
         p = places.resolve(pid)
         f = icfa.func_of(p[-1])
-        fpm, cs = wl.states[pid]
+        fpm, cs = states[pid]
         intra, inter = icfa.steps_in[f]
+        if f not in local:
+            local[f] = ([e for e, _, plain in intra if not plain],
+                        [e for e, _, _ in intra
+                         if isinstance(e.op, ops) and allowed(e)])
+        fp_edges, cs_edges = local[f]
 
         # local fixpoint over the function's own edges
-        for e, _, plain in intra:
-            if not plain:
-                fpm = fp_transfer(icfa, e, fpm)
+        for e in fp_edges:
+            fpm = fp_transfer(icfa, e, fpm)
         changed = True
         while changed:
             changed = False
-            for e, _, _ in intra:
-                if not allowed(e):
-                    continue
-                cs2 = client.transfer(e, p, cs)
+            for e in cs_edges:
+                cs2 = step(e, p, cs)
                 if cs2 is cs:
                     continue  # joining a state with itself gives it back
-                cs2 = client.join(cs, cs2)
+                cs2 = join(cs, cs2)
                 if cs2 is not cs and cs2 != cs:
                     cs = cs2
                     changed = True
-        wl.states[pid] = (fpm, cs)
+        states[pid] = (fpm, cs)
 
         site = p[-2] if len(p) > 1 else None
         for e, kind, plain in inter.get(site, inter[None]):
@@ -404,7 +410,20 @@ def solve_fi(icfa: ICFA, client: ClientAnalysis, edge_filter=None) -> SolveResul
             fpm2 = EMPTY_FPM if plain else fp_transfer(icfa, e, fpm)
             if fpm2 is None:
                 continue
-            cs2 = client.transfer(e, p, cs) if applied else cs
-            wl.add(places.intern(fi_context(icfa, p2)), (fpm2, cs2))
-    fpm, state = zip(*wl.states)
-    return SolveResult(places, list(fpm), list(state), wl.steps)
+            cs2 = step(e, p, cs) if applied else cs
+            q = intern(fi_context(icfa, p2))
+            if q == len(states):
+                states.append((fpm2, cs2))
+                queued.append(1)
+                push(q)
+                continue
+            old = states[q]
+            new = (join_fp(old[0], fpm2), join(old[1], cs2))
+            if new == old:
+                continue
+            states[q] = new
+            if not queued[q]:
+                queued[q] = 1
+                push(q)
+    fpm, state = zip(*states)
+    return SolveResult(places, list(fpm), list(state), n)

@@ -46,8 +46,8 @@ from functools import cached_property
 
 from .syntax import (
     INT, VOID, Assign, Binary, Block, CallStmt, CreateStmt, Decl, Expr, FuncRef,
-    Function, If, JoinStmt, LockStmt, PointerType, Program, Return, Stmt,
-    UnlockStmt, VarRef, While, expr_text, is_fnptr,
+    Function, If, JoinStmt, LockStmt, Malloc, PointerType, Program, Return,
+    Stmt, Type, UnlockStmt, VarRef, While, expr_text, is_fnptr,
 )
 from ..errors import MissingMainError
 from ..graphs import sccs
@@ -183,6 +183,8 @@ class ICFA:
         self.out_edges: dict[int, list[Edge]] = {}
         self.functions: dict[str, FuncInfo] = {}
         self.create_sites: set[int] = set()  # creates with a candidate thread
+        # malloc site (its edge's source) -> allocated type, in edge order
+        self.alloc_types: dict[int, Type] = {}
         self.warnings: list[str] = []
         self.entry_fn = prog.entry
         # The step table, filled by build_icfa: a step is (edge, kind,
@@ -354,6 +356,8 @@ class _FunctionCompiler:
             writes_fp = isinstance(s, Assign) and isinstance(s.lhs, VarRef) \
                 and is_fnptr(s.lhs.typ)
             icfa.add_edge(cur, nxt, s, s.line, plain=not writes_fp)
+            if isinstance(s, Assign) and isinstance(s.rhs, Malloc):
+                icfa.alloc_types[cur] = s.rhs.alloc_type
             if isinstance(s, CreateStmt):
                 self.pending_creates.append((cur, nxt, s))
             return nxt

@@ -47,7 +47,9 @@ def build_lock_graph(locks: LocksetResults) -> list[LockEdge]:
             for l2 in ([STAR] if vs is STAR else vs):
                 out.append(LockEdge(l1, p, l2, e.line))
     # One lock statement per location, so this order is total.
-    out.sort(key=lambda e: (e.line, e.place, obj_key(e.held), obj_key(e.acquired)))
+    keys = {lock: obj_key(lock)
+            for lock in {e.held for e in out} | {e.acquired for e in out}}
+    out.sort(key=lambda e: (e.line, e.place, keys[e.held], keys[e.acquired]))
     return out
 
 
@@ -61,8 +63,11 @@ def close_lock_edges(edges: list[LockEdge]) -> list[LockEdge]:
     set. One pass is enough: the result mentions no new locks, so closing
     again adds nothing. Cycle enumeration must run on the closed graph: an
     unresolved acquisition such as (m1, p, STAR) only meets a concrete edge
-    (m2, q, m1) once the closure has spelled out (m1, p, m2).
+    (m2, q, m1) once the closure has spelled out (m1, p, m2). Without a
+    STAR endpoint the closure adds nothing, and the result is a copy.
     """
+    if not any(e.held is STAR or e.acquired is STAR for e in edges):
+        return list(edges)
     locks = sorted({e.held for e in edges if e.held is not STAR}
                    | {e.acquired for e in edges if e.acquired is not STAR},
                    key=obj_key)

@@ -220,16 +220,16 @@ class Oracle:
             cell: k for k, cell in enumerate(self._slot_cells)}
         self._mem0 = (0,) * len(self._slot_cells)  # every global is 0
         self._moves = [self._move_at(loc) for loc in range(len(icfa.locations))]
-        self._alloc_index: dict[int, int] = {}   # malloc site -> allocs slot
+        # malloc site -> allocs slot, in edge order
+        self._alloc_index: dict[int, int] = {
+            site: k for k, site in enumerate(icfa.alloc_types)}
         self._serials: dict[tuple[int, int], int] = {}  # (site, n) -> serial
         self._thread_entries: dict[tuple[int, str], Edge] = {}
         # (exit, site) -> (return edge, its compiled lhs address or None)
         self._func_exits: dict[tuple[int, int], tuple] = {}
         for e in icfa.edges:
             op = e.op
-            if isinstance(op, Assign) and isinstance(op.rhs, Malloc):
-                self._alloc_index.setdefault(e.src, len(self._alloc_index))
-            elif isinstance(op, ThreadEntryOp):
+            if isinstance(op, ThreadEntryOp):
                 self._thread_entries.setdefault((e.src, icfa.func_of(e.tgt)), e)
             elif isinstance(op, FuncExitOp) and (e.src, e.call_site) \
                     not in self._func_exits:

@@ -114,10 +114,7 @@ class ObjectModel:
         self.var_types = icfa.prog.var_types
         self.globals = set(icfa.prog.globals)
         self.structs = icfa.prog.structs
-        self.alloc_types: dict[int, Type] = {}
-        for e in icfa.edges:
-            if isinstance(e.op, Assign) and isinstance(e.op.rhs, Malloc):
-                self.alloc_types[e.src] = e.op.rhs.alloc_type
+        self.alloc_types: dict[int, Type] = icfa.alloc_types
 
     def var_obj(self, name: str) -> AbstractObject:
         return GlobalObj(name) if name in self.globals else LocalObj(name)

@@ -45,30 +45,63 @@ def icfa_of(source: str):
     return build_icfa(preprocess(parse(source)))
 
 
+# The framework's solvers: each builds its FIFO queue from framework.deque.
+SOLVERS = ("explore", "solve_fs", "solve_fi")
+
+
 @contextlib.contextmanager
 def shuffled_worklists(seed: int):
-    """Within the block, every framework worklist pops its queued places in
-    a random order drawn from one Random(seed): the exploration, both
+    """Within the block, every framework solver pops its queued places in a
+    random order drawn from one Random(seed): the exploration, both
     propagations and solve_fi alike. The order-independence tests run the
-    solvers in here and compare with a plain, first in first out run."""
+    solvers in here and compare with a plain, first in first out run.
+
+    RandomQueue stands in for the deque the solvers build their queues from.
+    Each solver is also wrapped wherever a lockhound or test module binds
+    it, and the block fails if no solver ran in it, or if one ran without
+    popping from a RandomQueue: a shuffle that silently does nothing would
+    make every order-independence test vacuous.
+    """
     rng = random.Random(seed)
+    pops = [0]
 
     class RandomQueue(deque):
         def popleft(self):
+            pops[0] += 1
             self.rotate(-rng.randrange(len(self)))
             return super().popleft()
 
-    class ShuffledWorklist(lockhound.framework._Worklist):
-        def __init__(self, *args, **kw):
-            super().__init__(*args, **kw)
-            self.work = RandomQueue(self.work)
+    ran: list[tuple[str, bool]] = []  # (solver, whether it popped shuffled)
 
-    fifo = lockhound.framework._Worklist
-    lockhound.framework._Worklist = ShuffledWorklist
+    def checked(solver):
+        @functools.wraps(solver)
+        def run(*args, **kw):
+            before = pops[0]
+            try:
+                return solver(*args, **kw)
+            finally:
+                ran.append((solver.__name__, pops[0] > before))
+        return run
+
+    fw = lockhound.framework
+    wrapped = {id(getattr(fw, name)): getattr(fw, name) for name in SOLVERS}
+    wrapper = {key: checked(fn) for key, fn in wrapped.items()}
+    patches = [(fw, "deque", deque)]
+    for name, mod in list(sys.modules.items()):
+        if name.startswith(("lockhound", "test_")):
+            for attr, value in list(vars(mod).items()):
+                if id(value) in wrapped and wrapped[id(value)] is value:
+                    patches.append((mod, attr, value))
+    for mod, attr, value in patches:
+        setattr(mod, attr, RandomQueue if value is deque else wrapper[id(value)])
     try:
         yield
     finally:
-        lockhound.framework._Worklist = fifo
+        for mod, attr, value in patches:
+            setattr(mod, attr, value)
+    assert ran, "no solver ran in the shuffled block"
+    unshuffled = sorted({name for name, shuffled in ran if not shuffled})
+    assert not unshuffled, f"{unshuffled} ran without a shuffled queue"
 
 
 # The tests' reference tokenizer: one compiled pattern cuts the source into

@@ -30,7 +30,7 @@ from lockhound.places import PlaceMap
 from lockhound.pointsto import ObjectModel, PointsToClient
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
-from workloads import diamond_source  # noqa: E402
+from workloads import SCALED_CONFIG, diamond_source  # noqa: E402
 
 
 def random_fpm(rng: random.Random) -> dict:
@@ -616,6 +616,12 @@ def reference_solve_fi(icfa, client, edge_filter=None):
     return wl.places.places(), wl.states, wl.steps
 
 
+def many_context_sources():
+    """Programs with many contexts per function: a depth-4 call diamond and
+    the first program of the scaled generator tier."""
+    return [diamond_source(4, random.Random(0)), generate(200, SCALED_CONFIG)]
+
+
 def assert_reads_as(res, reference: dict):
     """A solver's fpm and state lists read, by place id, as the reference's
     (fp map, client state) pairs."""
@@ -624,7 +630,7 @@ def assert_reads_as(res, reference: dict):
 
 
 def test_place_graph_solve_equals_the_interleaved_reference():
-    for src in lockset_sources() + [RECURSIVE]:
+    for src in lockset_sources() + [RECURSIVE] + many_context_sources():
         icfa = icfa_of(src)
         a = analyze_icfa(icfa)
         for make in (lambda: MayLockset(a.locks.operands),
@@ -673,7 +679,7 @@ def test_infeasible_step_leaves_the_place_graph():
 
 
 def test_solve_fi_equals_the_reference():
-    for src in lockset_sources() + [RECURSIVE, LATE_ENTRY]:
+    for src in lockset_sources() + [RECURSIVE, LATE_ENTRY] + many_context_sources():
         icfa = icfa_of(src)
         for edge_filter in (affecting_edges(icfa).allows, None):
             client = PointsToClient(ObjectModel(icfa))
@@ -684,6 +690,11 @@ def test_solve_fi_equals_the_reference():
             assert_reads_as(res, states)
             assert res.steps == steps
             assert client.visits == ref.visits
+            # composing only the client's op edges is exact: a client that
+            # claims every op gets the same fixpoint after the same work
+            every = PointsToClient(ObjectModel(icfa))
+            assert solved(solve_fi(icfa, EveryOp(every), edge_filter)) == solved(res)
+            assert every.visits == client.visits
 
 
 def test_diamond_tables_share_their_values():

@@ -375,6 +375,17 @@ def test_python_dash_m_lockhound():
     assert out.stdout.startswith(f"verdict: {PROVED_FREE}\n")
 
 
+def test_cli_import_leaves_out_the_oracle_and_the_generator():
+    # analyze needs neither; the oracle and gen handlers import them
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = ("import sys, lockhound.cli; "
+            "print(sorted({'lockhound.oracle', 'lockhound.generator'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, cwd=ROOT, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
+
+
 def front_door(source: str) -> str:
     """The verdict on a source text, or "error" for a one-line input error;
     anything else propagates and fails the caller."""
