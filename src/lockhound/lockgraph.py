@@ -1,19 +1,23 @@
 """Lock-order graph and deadlock cycle reporting.
 
 A graph edge (l1, p, l2) records that at place p some thread already holding
-l1 may acquire l2. Cycles over at least two locks are deadlock candidates,
-searched shortest first (graphs.cycles) up to the cycle cap, which bounds
-the search itself; each is kept only if every pair of its places can
-overlap in time (see nonconc). STAR is a lock that aliases everything:
-before cycle enumeration the edge set is closed so that every STAR endpoint
-also stands for each concrete lock, which lets a cycle pass through an
-unresolved acquisition.
+l1 may acquire l2. Node cycles over at least two locks are deadlock
+candidates, taken shortest first (graphs.cycles). Each node cycle stands for
+the product of its parallel edges; it is reported once, with one
+combination whose places may all overlap pairwise in time (see nonconc) as
+its witness, or pruned when no combination has that. The product is searched
+by backtracking: an edge that cannot overlap one already chosen cuts off
+every combination that extends the choice. The cycle cap bounds the
+combinations examined, which bounds the search itself. STAR is a lock that
+aliases everything: before cycle enumeration the edge set is closed so that
+every STAR endpoint also stands for each concrete lock, which lets a cycle
+pass through an unresolved acquisition.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .graphs import cycles, sccs
@@ -99,9 +103,12 @@ def lock_names(edges: list[LockEdge]) -> dict[object, str]:
 
 @dataclass
 class Cycle:
-    """edges[j] acquires the lock named locks[j] while holding locks[j - 1].
-    The combinations of one node cycle share one locks list, which nothing
-    changes."""
+    """One node cycle: edges[j] acquires the lock named locks[j] while
+    holding locks[j - 1]. For a reported cycle, edges is its witness: the
+    first combination of its parallel edges, in pool order, whose places
+    may all overlap pairwise. A pruned cycle has no such combination; its
+    edges are the first combination, which holds failed_pair, the first
+    pair of places found unable to overlap, and pruned_by says why."""
     edges: tuple[LockEdge, ...]
     locks: list[str]
     pruned_by: str | None = None
@@ -110,21 +117,31 @@ class Cycle:
 
 @dataclass
 class CycleSearch:
+    """The lock multigraph's node cycles, shortest first, and what the
+    search found among them. `candidates` yields each node cycle once, as
+    its lock names and one pool of parallel edges per leg; filter_cycles
+    drains it into `cycles`. combos_seen counts examined combinations: a
+    full combination tried, or a partial one rejected, which stands for
+    all of its completions. Past `cap` of them the search stops, truncated.
+    """
+    candidates: Iterator[tuple[list[str], list[list[LockEdge]]]] = \
+        field(default_factory=lambda: iter(()))
+    cap: int = 2000
     cycles: list[Cycle] = field(default_factory=list)
     truncated: bool = False
     combos_seen: int = 0
 
 
 def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
-    """Elementary cycles over >= 2 locks, expanded to edge combinations.
+    """The lock multigraph of the edges and its lazy stream of node cycles.
 
-    One strongly connected component pass gives the longest possible
-    cycle; graphs.cycles then yields the cycles of each length in turn,
-    shortest first, each from its smallest node and sorted by nodes within
-    a length. Parallel edges between the same pair of locks multiply out
-    in line order. The search is lazy and stops at the first combination
-    past cap, so cap bounds the work. Graph nodes are the locks' obj_key
-    positions.
+    Graph nodes are the locks' obj_key positions; the edges between one
+    pair of locks form a pool, sorted by (line, place). One strongly
+    connected component pass gives the longest possible cycle;
+    graphs.cycles then yields the elementary cycles over >= 2 locks of
+    each length in turn, shortest first, each from its smallest node and
+    sorted by nodes within a length. Nothing is searched until
+    filter_cycles drains the stream.
     """
     names = lock_names(edges)
     order = sorted(names, key=obj_key)
@@ -142,37 +159,66 @@ def enumerate_cycles(edges: list[LockEdge], cap: int = 2000) -> CycleSearch:
         parallel[leg].append(e)
     for es in parallel.values():
         es.sort(key=lambda e: (e.line, e.place))
-
-    res = CycleSearch()
     comps = sccs(succ)
     comp = {n: i for i, c in enumerate(comps) for n in c}
-    for k in range(2, max(map(len, comps), default=0) + 1):
-        for nodes in cycles(succ, pred, comp, k):
-            pools = [parallel[nodes[j], nodes[(j + 1) % k]] for j in range(k)]
-            locks = [label[n] for n in nodes[1:] + nodes[:1]]
-            for combo in itertools.product(*pools):
-                if res.combos_seen >= cap:
-                    res.truncated = True
-                    return res
-                res.combos_seen += 1
-                res.cycles.append(Cycle(combo, locks))
-    return res
+
+    def candidates():
+        for k in range(2, max(map(len, comps), default=0) + 1):
+            for nodes in cycles(succ, pred, comp, k):
+                yield ([label[n] for n in nodes[1:] + nodes[:1]],
+                       [parallel[nodes[j], nodes[(j + 1) % k]]
+                        for j in range(k)])
+
+    return CycleSearch(candidates(), cap)
 
 
 # ------------------------------------------------------------- concurrency
 
 
 def filter_cycles(search: CycleSearch, nc: NonConcurrency | None) -> None:
-    """Mark pruned cycles in place; nc=None keeps every candidate."""
-    if nc is None:
-        return
-    for cyc in search.cycles:
-        for e1, e2 in itertools.combinations(cyc.edges, 2):
-            reason = nc.check(e1.place, e2.place)
-            if reason is not None:
-                cyc.pruned_by = reason
-                cyc.failed_pair = (e1.place, e2.place)
+    """Search each node cycle's edge product, in order, for a witness.
+
+    The first examined combination that survives is the witness, and the
+    node cycle is reported once; if none survives, the node cycle is
+    pruned. nc=None rejects nothing, so the first combination is the
+    witness. The search stops, truncated, at the first examined combination
+    past search.cap.
+    """
+    check = nc.check if nc is not None else lambda p1, p2: None
+    for locks, pools in search.candidates:
+        first = None  # the first rejection: (reason, failed pair)
+        for reason, found in _examine(pools, check, ()):
+            if search.combos_seen >= search.cap:
+                search.truncated = True
+                return
+            search.combos_seen += 1
+            if reason is None:
+                search.cycles.append(Cycle(found, locks))
                 break
+            first = first or (reason, found)
+        else:
+            search.cycles.append(
+                Cycle(tuple(pool[0] for pool in pools), locks, *first))
+
+
+def _examine(pools: list[list[LockEdge]], check, chosen: tuple):
+    """The examined combinations that extend chosen, by backtracking in pool
+    order: (None, edges) for a full combination whose places may all
+    overlap pairwise, (reason, pair) for a partial one whose last edge
+    cannot overlap the earlier edge of the pair. Nothing is tried past a
+    rejected partial combination."""
+    for e in pools[len(chosen)]:
+        p = e.place
+        for c in chosen:
+            reason = check(c.place, p)
+            if reason is not None:
+                yield reason, (c.place, p)
+                break
+        else:
+            if len(chosen) + 1 < len(pools):
+                yield from _examine(pools, check, (*chosen, e))
+            else:
+                yield None, (*chosen, e)
 
 
 # ------------------------------------------------------------------- output

@@ -115,7 +115,7 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
 
     if search.truncated:
         warnings.append(
-            f"cycle expansion exceeded {cfg.cycle_cap} combinations; "
+            f"cycle search examined {cfg.cycle_cap} edge combinations; "
             "results were truncated (EXPLOSION)")
     reported = [c for c in search.cycles if c.pruned_by is None]
     if reported:
@@ -137,6 +137,7 @@ def analyze_icfa(icfa: ICFA, cfg: Config | None = None,
         "cycles_examined": len(search.cycles),
         "cycles_reported": len(reported),
         "cycles_pruned": len(search.cycles) - len(reported),
+        "combinations_examined": search.combos_seen,
         "lock_places": len(locks.lock_places),
         "self_locks": len(locks.self_locks),
     }

@@ -13,9 +13,8 @@ from checks import check_deadlocks_reported
 from conftest import SCALED, analyzed, close_triples, icfa_of, load, \
     triple_locks
 from lockhound import lockgraph
-from lockhound.generator import generate
+from lockhound.generator import generate, random_config
 from lockhound.lockgraph import (
-    Cycle,
     CycleSearch,
     LockEdge,
     close_lock_edges,
@@ -24,7 +23,9 @@ from lockhound.lockgraph import (
     lockgraph_dot,
 )
 from lockhound.oracle import run_oracle
-from lockhound.pipeline import POTENTIAL, PROVED_FREE, Config, analyze_icfa
+from lockhound.pipeline import (
+    INCONCLUSIVE, POTENTIAL, PROVED_FREE, Config, analyze_icfa,
+)
 from lockhound.pointsto import STAR, AllocObj, GlobalObj, obj_key, obj_label
 
 A, B, C = GlobalObj("a"), GlobalObj("b"), GlobalObj("c")
@@ -37,6 +38,13 @@ def edge(held, acquired, place=P, line=1) -> LockEdge:
 
 def label_pairs(edges):
     return Counter((obj_label(e.held), obj_label(e.acquired)) for e in edges)
+
+
+def searched(edges, cap=2000, nc=None) -> CycleSearch:
+    """The pipeline's cycle search over the edges, run to its end."""
+    search = enumerate_cycles(edges, cap)
+    filter_cycles(search, nc)
+    return search
 
 
 # ------------------------------------------------------------ built graph
@@ -165,8 +173,8 @@ def test_close_lock_edges_identity_without_star(showcase_icfa):
 
 def test_closure_lets_star_cycle_surface():
     raw = [edge(A, STAR, place=P, line=3), edge(B, A, place=Q, line=9)]
-    assert enumerate_cycles(raw).cycles == []  # a->*, b->a: no raw cycle
-    search = enumerate_cycles(close_lock_edges(raw))
+    assert searched(raw).cycles == []  # a->*, b->a: no raw cycle
+    search = searched(close_lock_edges(raw))
     assert len(search.cycles) == 1
     assert sorted(search.cycles[0].locks) == ["a", "b"]
     assert {e.place for e in search.cycles[0].edges} == {P, Q}
@@ -210,7 +218,7 @@ def test_star_cycle_reported_end_to_end():
     assert len(a.lock_edges) == 2
     assert "*" in {obj_label(e.acquired) for e in a.lock_edges}
     # Without the closure the candidate is invisible.
-    assert enumerate_cycles(a.lock_edges).cycles == []
+    assert searched(a.lock_edges).cycles == []
 
 
 # A global named alloc6 and the heap mutex allocated at location 6 share the
@@ -253,7 +261,7 @@ def test_locks_sharing_a_label_stay_apart():
     res = run_oracle(icfa)
     assert res.witnesses == [] and not res.truncated
     # The same two locks by hand: no cycle, and the closure keeps both.
-    assert enumerate_cycles([edge(g6, m), edge(m, heap, place=Q)]).cycles == []
+    assert searched([edge(g6, m), edge(m, heap, place=Q)]).cycles == []
     closed = close_triples({(g6, P, STAR), (m, Q, heap)})
     assert {(g6, P, heap), (g6, P, g6)} <= closed
 
@@ -324,33 +332,60 @@ def test_label_clash_cycle_reported_the_same_under_every_hash_seed(tmp_path):
 # ------------------------------------------------------------ enumeration
 
 
+class _FakeNC:
+    """check() stand-in: the given unordered place pairs cannot overlap,
+    each for its reason; every other pair can."""
+
+    def __init__(self, apart):
+        self.apart = {frozenset(pair): reason for pair, reason in apart.items()}
+        self.asked = 0
+
+    def check(self, p1, p2):
+        self.asked += 1
+        return self.apart.get(frozenset({p1, p2}))
+
+
 def test_enumerate_parallel_edges_multiply():
     raw = [edge(A, B, place=("p2",), line=2),
            edge(A, B, place=("p1",), line=1),
            edge(B, A, place=Q, line=3)]
+    # Nothing is searched until filter_cycles drains the node cycles.
     search = enumerate_cycles(raw)
-    assert len(search.cycles) == 2
+    assert search.cycles == [] and search.combos_seen == 0
+    filter_cycles(search, None)
+    # One node cycle, from the smallest lock; its witness is the first
+    # combination of the pools in line order.
+    (cyc,) = search.cycles
+    assert cyc.locks == ["b", "a"]
+    assert [e.line for e in cyc.edges] == [1, 3]
+    assert search.combos_seen == 1 and not search.truncated
+    # The parallel edges multiply: when line 1 cannot overlap line 3, the
+    # second combination is the witness.
+    search = searched(raw, nc=_FakeNC({(("p1",), Q): "gatelock"}))
+    (cyc,) = search.cycles
+    assert [e.line for e in cyc.edges] == [2, 3]
+    assert cyc.pruned_by is None and cyc.failed_pair is None
     assert search.combos_seen == 2
-    assert not search.truncated
-    # Cycles start from the smallest lock and expand pools in line order.
-    first, second = search.cycles
-    assert [e.line for e in first.edges] == [1, 3]
-    assert [e.line for e in second.edges] == [2, 3]
-    assert first.locks == ["b", "a"]
 
 
 def test_enumerate_cap_truncates():
     raw = [edge(A, B, place=("p1",), line=1),
            edge(A, B, place=("p2",), line=2),
            edge(B, A, place=Q, line=3)]
-    search = enumerate_cycles(raw, cap=1)
+    nc = _FakeNC({(("p1",), Q): "gatelock"})
+    # The rejected first combination uses up the cap of one.
+    search = searched(raw, cap=1, nc=nc)
     assert search.truncated
     assert search.combos_seen == 1
-    assert len(search.cycles) == 1
+    assert search.cycles == []
+    assert not searched(raw, cap=2, nc=nc).truncated
+    # A cap of 0 stops at the first examined combination.
+    search = searched(raw, cap=0)
+    assert search.truncated and search.combos_seen == 0
 
 
 def test_enumerate_skips_single_lock_loops():
-    search = enumerate_cycles([edge(A, A, place=P, line=1)])
+    search = searched([edge(A, A, place=P, line=1)])
     assert search.cycles == []
     assert search.combos_seen == 0
     assert not search.truncated
@@ -359,16 +394,22 @@ def test_enumerate_skips_single_lock_loops():
 def test_enumerate_orders_short_cycles_first():
     raw = [edge(A, B, line=1), edge(B, C, line=2), edge(C, A, line=3),
            edge(C, B, line=4)]
-    search = enumerate_cycles(raw)
+    search = searched(raw)
     sizes = [len(c.edges) for c in search.cycles]
     assert sizes == sorted(sizes)
     assert sizes[0] == 2 and sizes[-1] == 3
     assert sorted(search.cycles[0].locks) == ["b", "c"]
 
 
-def reference_cycles(edges, cap):
-    """The search before it was bounded: every elementary cycle, rotated to
-    its smallest node, sorted by (length, nodes), expanded, then cut at cap."""
+def reference_search(edges, apart):
+    """Brute force over every node cycle's full product: the node cycles,
+    rotated to their smallest node and sorted by (length, nodes), each with
+    its product size, the combinations a search examines (each distinct
+    shortest prefix that holds an apart pair, up to the first combination
+    that holds none, which counts too) and the search's outcome: (None,
+    None, that first pairwise-concurrent combination), or else (reason,
+    the first combination's first apart pair in the order the search
+    checks pairs, by later edge and then earlier, the first combination)."""
     locks = sorted({e.held for e in edges} | {e.acquired for e in edges},
                    key=obj_key)
     node = {lock: i for i, lock in enumerate(locks)}
@@ -385,47 +426,83 @@ def reference_cycles(edges, cap):
         i = c.index(min(c))
         rotated.append(c[i:] + c[:i])
     rotated.sort(key=lambda c: (len(c), tuple(c)))
-    combos = []
+    out = []
     for c in rotated:
         if len(c) < 2:
             continue
         pools = [parallel[c[k], c[(k + 1) % len(c)]] for k in range(len(c))]
+        size = 1
+        for pool in pools:
+            size *= len(pool)
+        rejected, cuts = set(), []
         for combo in itertools.product(*pools):
-            if len(combos) == cap:
-                return combos, cap, True
-            combos.append(combo)
-    return combos, len(combos), False
+            cut = next(((combo[i].place, combo[j].place, j)
+                        for j in range(len(combo)) for i in range(j)
+                        if frozenset({combo[i].place, combo[j].place})
+                        in apart), None)
+            if cut is None:
+                outcome = (None, None, combo)
+                break
+            rejected.add(combo[:cut[2] + 1])
+            cuts.append((combo, cut))
+        else:  # pruned: the first combination's first apart pair
+            combo, (p1, p2, _) = cuts[0]
+            outcome = (apart[frozenset({p1, p2})], (p1, p2), combo)
+        examined = len(rejected) + (outcome[0] is None)
+        out.append((size, examined, outcome))
+    return out
 
 
-def test_enumerate_matches_unbounded_reference():
+def test_search_matches_brute_force_reference():
     rng = random.Random(5)
     truncated = Counter()
-    for _ in range(240):
-        locks = [GlobalObj(f"l{i}") for i in range(rng.randint(2, 9))]
-        ends = locks + [STAR] if rng.random() < 0.5 else locks
+    pruned = reported = 0
+    for _ in range(300):
+        locks = [GlobalObj(f"l{i}") for i in range(rng.randint(2, 6))]
+        ends = locks + [STAR] if rng.random() < 0.3 else locks
         raw = {}
-        for _ in range(rng.randint(1, 14)):
-            e = LockEdge(rng.choice(ends), (rng.randint(0, 5),),
+        for _ in range(rng.randint(1, 12)):
+            e = LockEdge(rng.choice(ends), (rng.randint(0, 3),),
                          rng.choice(ends), rng.randint(1, 9))
             raw.setdefault((e.held, e.place, e.acquired), e)
         edges = close_lock_edges(list(raw.values()))
-        combos, _, cut = reference_cycles(edges, 2000)
+        # a random symmetric relation: these place pairs cannot overlap
+        apart = {frozenset({(i,), (j,)}): rng.choice(("gatelock", "unreached"))
+                 for i in range(4) for j in range(i, 4) if rng.random() < 0.4}
+        ref = reference_search(edges, apart)
+        full = sum(size for size, _, _ in ref)
         for cap in (2000, 50, 7, 1):
-            # a smaller cap cuts the same sequence earlier
-            combos, cut = combos[:cap], cut or len(combos) > cap
-            search = enumerate_cycles(edges, cap)
-            assert [c.edges for c in search.cycles] == combos
-            assert search.combos_seen == len(combos)
-            assert search.truncated == cut
-            truncated[cap] += cut
-    # the sample reaches the cap, and the largest cap too
-    assert truncated[1] > 100 and truncated[2000] > 0, truncated
+            search = searched(edges, cap, _FakeNC(apart))
+            # every node cycle the search finished, in order, and each
+            # reported exactly when its product has a concurrent combination
+            got = [(c.pruned_by, c.failed_pair, c.edges)
+                   for c in search.cycles]
+            assert got == [outcome for _, _, outcome in ref[:len(got)]]
+            assert search.combos_seen <= min(full, cap)
+            assert search.truncated == (len(got) < len(ref))
+            if full <= cap:
+                assert not search.truncated
+            # the cap counts exactly the examined combinations, and stops
+            # the search inside the first node cycle that would pass it
+            done = sum(examined for _, examined, _ in ref[:len(got)])
+            if search.truncated:
+                assert search.combos_seen == cap
+                assert done <= cap < done + ref[len(got)][1]
+            else:
+                assert search.combos_seen == done
+            truncated[cap] += search.truncated
+            pruned += sum(c.pruned_by is not None for c in search.cycles)
+            reported += sum(c.pruned_by is None for c in search.cycles)
+    # the sample prunes, reports and reaches every cap but the largest
+    assert pruned > 100 and reported > 100, (pruned, reported)
+    assert truncated[1] > 100 and truncated[50] > 0, truncated
 
 
 def test_cycle_cap_bounds_the_search(monkeypatch):
     # Seed 202's closed lock graph has about 1.27M elementary cycles, and
-    # seed 240's search once exhausted 4 GB; each search stops at the cap
-    # after a few thousand node cycles.
+    # seed 240's search once exhausted 4 GB. Every node cycle costs at least
+    # one examined combination, so each search stops at the cap after at
+    # most cap + 1 node cycles.
     search = lockgraph.cycles
     cfg = Config()
     for seed in (202, 240):
@@ -440,50 +517,70 @@ def test_cycle_cap_bounds_the_search(monkeypatch):
         monkeypatch.setattr(lockgraph, "cycles", counting)
         a = analyze_icfa(icfa_of(generate(seed, SCALED)), cfg)
         assert a.search.truncated and a.search.combos_seen == cfg.cycle_cap
-        assert 0 < yielded < 20 * cfg.cycle_cap, (seed, yielded)
+        assert 0 < yielded <= cfg.cycle_cap + 1, (seed, yielded)
+
+
+def test_cycle_search_decides_the_scaled_tier():
+    # Each node cycle costs the cap only the combinations its search
+    # examines, so at the default cap 8 of the 14 scaled programs finish
+    # (6 did while every combination of every node cycle counted), and so
+    # do the two corpus programs that stopped at the cap.
+    decided = []
+    for seed in (k for k in range(200, 216) if k not in (202, 207)):
+        a = analyze_icfa(icfa_of(generate(seed, SCALED)))
+        if a.verdict != INCONCLUSIVE and not a.search.truncated:
+            decided.append(seed)
+    assert len(decided) >= 8, decided
+    for seed in (187, 287):
+        a = analyze_icfa(icfa_of(generate(seed, random_config(seed))))
+        assert not a.search.truncated and a.verdict == POTENTIAL, seed
 
 
 # ------------------------------------------------------------ pruning
 
 
-class _FakeNC:
-    """check() stand-in that prunes exactly one unordered place pair."""
-
-    def __init__(self, bad_pair, reason="gatelock"):
-        self.bad_pair = frozenset(bad_pair)
-        self.reason = reason
-
-    def check(self, p1, p2):
-        return self.reason if frozenset({p1, p2}) == self.bad_pair else None
-
-
 def test_filter_cycles_marks_failed_pair():
-    cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)), locks=["b", "a"])
-    search = CycleSearch(cycles=[cyc])
-    filter_cycles(search, _FakeNC({P, Q}))
+    raw = [edge(A, B, place=P, line=1), edge(B, A, place=Q, line=2)]
+    (cyc,) = searched(raw, nc=_FakeNC({(P, Q): "gatelock"})).cycles
     assert cyc.pruned_by == "gatelock"
-    assert set(cyc.failed_pair) == {P, Q}
+    assert cyc.failed_pair == (P, Q)
+    assert [e.line for e in cyc.edges] == [1, 2]
 
-    kept = Cycle(edges=(edge(A, B, place=P, line=1),
-                        edge(B, A, place=("r",), line=2)),
-                 locks=["b", "a"])
-    search = CycleSearch(cycles=[kept])
-    filter_cycles(search, _FakeNC({P, Q}))
+    raw = [edge(A, B, place=P, line=1), edge(B, A, place=("r",), line=2)]
+    (kept,) = searched(raw, nc=_FakeNC({(P, Q): "gatelock"})).cycles
     assert kept.pruned_by is None and kept.failed_pair is None
 
 
+def test_filter_cycles_prunes_partial_combinations():
+    # a -> b -> c -> a with two edges on every leg: 8 combinations. Line 1
+    # (place P) cannot overlap anything on the b -> c leg, so both of its
+    # two-edge prefixes are rejected without trying their completions.
+    R, S = ("r",), ("s",)
+    raw = [edge(A, B, place=P, line=1), edge(A, B, place=Q, line=2),
+           edge(B, C, place=R, line=3), edge(B, C, place=S, line=4),
+           edge(C, A, place=R, line=5), edge(C, A, place=S, line=6)]
+    nc = _FakeNC({(P, R): "gatelock", (P, S): "create_join"})
+    search = searched(raw, nc=nc)
+    (cyc,) = search.cycles
+    assert cyc.pruned_by is None
+    assert [e.line for e in cyc.edges] == [2, 3, 5]
+    assert search.combos_seen == 3  # two rejected prefixes, one witness
+    # Without line 2 every combination is cut off at its prefix.
+    search = searched(raw[:1] + raw[2:], nc=nc)
+    (cyc,) = search.cycles
+    assert (cyc.pruned_by, cyc.failed_pair) == ("gatelock", (P, R))
+    assert search.combos_seen == 2
+
+
 def test_filter_cycles_without_nc_keeps_everything():
-    cyc = Cycle(edges=(edge(A, B, place=P, line=1),
-                       edge(B, A, place=Q, line=2)), locks=["b", "a"])
-    search = CycleSearch(cycles=[cyc])
-    filter_cycles(search, None)
+    raw = [edge(A, B, place=P, line=1), edge(B, A, place=Q, line=2)]
+    (cyc,) = searched(raw, nc=None).cycles
     assert cyc.pruned_by is None
 
 
 def _report_keys(a):
-    return Counter((tuple(c.locks), tuple(e.place for e in c.edges))
-                   for c in a.reported_cycles())
+    # a witness may differ with and without pruning; its locks may not
+    return Counter(tuple(c.locks) for c in a.reported_cycles())
 
 
 def test_disabling_concurrency_pruning_only_adds_reports():

@@ -311,6 +311,55 @@ def test_solver_results_order_independent(showcase_icfa):
         assert sets_by_place(shuffled) == base
 
 
+# Places that join predecessors holding different locks. A place's
+# lockset must not depend on which predecessor reaches it first: a branch
+# inside a loop, where the short side and the back edge bring other locks,
+# and a call diamond whose middle function calls the leaf on both sides of
+# a branch, holding a lock across the call on one side only.
+MERGING = ["""
+mutex ma; mutex mb; int g;
+int main() {
+    int k;
+    k = 0;
+    while (k < 3) {
+        if (g == k) { lock(&ma); g = 1; g = 2; } else { lock(&mb); }
+        g = g + k;
+        unlock(&mb);
+        k = k + 1;
+    }
+    unlock(&ma);
+    return 0;
+}
+""", """
+mutex ma; mutex mb; mutex mc; int g;
+void leaf() { lock(&mb); g = g + 1; unlock(&mb); }
+void mid() {
+    if (g == 1) { lock(&ma); leaf(); } else { leaf(); }
+    g = 0;
+    unlock(&ma);
+}
+void top() { mid(); lock(&mc); mid(); unlock(&mc); }
+int worker(int a) { top(); return a; }
+int main() {
+    thread_t t;
+    create(&t, worker, 0);
+    top();
+    join(t);
+    return 0;
+}
+"""]
+
+
+def test_order_independence_where_locksets_merge():
+    for k, src in enumerate(MERGING):
+        icfa = icfa_of(src)
+        a = analyze_icfa(icfa)
+        base = sets_by_place(a.locks)
+        for seed in range(8):
+            assert sets_by_place(shuffled_locksets(icfa, a.pt, seed)) == base, \
+                (k, seed)
+
+
 def test_order_independence_on_corpus():
     for seed in range(15):
         icfa = icfa_of(generate(seed, random_config(seed)))

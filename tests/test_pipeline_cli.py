@@ -51,11 +51,13 @@ def test_analysis_stats_shape(showcase_source):
     for key in ("locations", "edges", "places_fs", "places_fi",
                 "pointsto_steps", "lockset_steps", "binding_applications",
                 "lock_graph_edges", "cycles_examined", "cycles_reported",
-                "cycles_pruned", "self_locks", "lock_places", "depend"):
+                "cycles_pruned", "combinations_examined", "self_locks",
+                "lock_places", "depend"):
         assert key in a.stats, key
     assert a.stats["lock_graph_edges"] == 8
     assert a.stats["cycles_reported"] == 0
     assert a.stats["cycles_pruned"] == 2
+    assert a.stats["combinations_examined"] == 2  # one per node cycle
     assert a.error is None
 
 

@@ -4,6 +4,7 @@ Run from the repository root:
 
     python3 tools/report_digest.py          # prints the digest
     python3 tools/report_digest.py --each   # one digest per program, then it
+    python3 tools/report_digest.py --cycles # verdict and cycles per program
 
 Two checkouts that print the same digest give byte-identical reports on the
 10 fixtures, corpus seeds 0-499, the scaled seeds and the diamond depths
@@ -20,6 +21,12 @@ Per program the digest covers:
   the points-to contexts, each with its function-pointer map,
 * the automaton as ICFA.to_dot renders it, with every edge's op as its
   label.
+
+``--cycles`` prints, instead of the digest, one line per program: its
+verdict, whether the cycle search was truncated, and the sorted lock lists
+of the reported cycles, each list once. Two checkouts that report different
+edge combinations for the same lock cycles print the same lines, so this
+compares what they decide rather than how they show it.
 
 Abstract objects are written by obj_label and sets are sorted, so the digest
 does not depend on PYTHONHASHSEED.
@@ -106,11 +113,24 @@ def program_text(source: str) -> str:
     return "\n".join(parts) + "\n"
 
 
+def cycles_text(source: str) -> str:
+    a = analyze_source(source)
+    locks = sorted({" -> ".join(c.locks) for c in a.reported_cycles()})
+    return f"{a.verdict} truncated={a.search.truncated} {locks}"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--each", action="store_true",
                     help="also print one digest per program")
+    ap.add_argument("--cycles", action="store_true",
+                    help="print each program's verdict, truncation and "
+                         "reported lock cycles instead of the digest")
     args = ap.parse_args()
+    if args.cycles:
+        for name, source in programs():
+            print(f"{name} {cycles_text(source)}")
+        return 0
     total = hashlib.sha256()
     for name, source in programs():
         text = f"# {name}\n{program_text(source)}".encode()
